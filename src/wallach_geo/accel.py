@@ -1,29 +1,18 @@
-"""Hot numerical kernels: matrix exp/log and structure-constant contractions.
+"""Hot numerical kernels: matrix exp/log, spectral exponentials of skew
+matrices and structure-constant contractions.
 
-Two implementations are provided for each kernel: a numba ``@njit`` version
-and a pure-numpy fallback.  The active path is chosen at import time; set
-``WALLACH_GEO_NO_NUMBA=1`` to force the numpy path (the same fallback is
-used automatically when numba is not installed).  ``benchmarks/bench_kernels.py``
-compares both paths.
+``expm`` is Pade-13 scaling and squaring for general input; it serves the
+ambient group elements.  Coefficient-space Ad-exponentials exp(-t ad F) of
+a compact algebra are exponentials of skew matrices in a -B-orthonormal
+frame, so one Hermitian eigendecomposition per generator (``skew_eigh``)
+gives them at every t to rounding accuracy (``spectral_exp``); see Moler &
+Van Loan, "Nineteen dubious ways to compute the exponential of a matrix,
+25 years later" (2003).
 """
 
 import math
-import os
 
 import numpy as np
-
-_NO_NUMBA_ENV = os.environ.get("WALLACH_GEO_NO_NUMBA", "0").lower() in ("1", "true", "yes")
-
-HAVE_NUMBA = False
-if not _NO_NUMBA_ENV:
-    try:
-        from numba import njit as _njit
-
-        HAVE_NUMBA = True
-    except ImportError:
-        HAVE_NUMBA = False
-
-USE_NUMBA = HAVE_NUMBA and not _NO_NUMBA_ENV
 
 # Pade-13 coefficients for the scaling-and-squaring exponential (Higham 2005).
 _PADE13_B = (
@@ -45,9 +34,10 @@ _PADE13_B = (
 _THETA13 = 5.371920351148152
 
 
-def _expm_impl(A):
-    # scaling-and-squaring with a degree-13 Pade core; relative accuracy
-    # ~1e-15 for the skew/orthogonal-type inputs this package produces
+def expm(A):
+    """exp(A) by scaling and squaring with a degree-13 Pade core; relative
+    accuracy ~1e-15 for the skew/orthogonal-type inputs this package produces."""
+    A = np.asarray(A, dtype=np.float64)
     n = A.shape[0]
     norm1 = np.abs(A).sum(axis=0).max()
     s = 0
@@ -73,16 +63,17 @@ def _expm_impl(A):
         + b[2] * A2
         + b[0] * I
     )
-    R = np.ascontiguousarray(np.linalg.solve(V - U, V + U))
+    R = np.linalg.solve(V - U, V + U)
     for _ in range(s):
-        R = np.ascontiguousarray(R @ R)
+        R = R @ R
     return R
 
 
-def _logm_impl(A):
-    # principal logarithm by inverse scaling-and-squaring: Denman-Beavers
-    # square roots until ||A - I|| is small, then a truncated log series.
-    # Caller guarantees the principal branch applies (no eigenvalue near -1).
+def logm(A):
+    """Principal logarithm by inverse scaling and squaring: Denman-Beavers
+    square roots until ||A - I|| is small, then a truncated log series.
+    The caller guarantees the principal branch applies (no eigenvalue near -1)."""
+    A = np.asarray(A, dtype=np.float64)
     n = A.shape[0]
     I = np.eye(n)
     X = A.copy()
@@ -112,68 +103,27 @@ def _logm_impl(A):
     return S * (2.0**k)
 
 
-def _bracket_py(c, x, y):
-    """Coefficients of [x, y] from the structure-constant tensor."""
-    return np.einsum("i,ijk,j->k", x, c, y)
+def skew_eigh(S):
+    """(lam, V) with exp(-t S) = V diag(exp(i lam t)) V^H for a real skew S.
+
+    One eigendecomposition of the Hermitian matrix i S; S is antisymmetrized
+    first so rounding in its assembly cannot break the Hermitian symmetry.
+    """
+    return np.linalg.eigh(0.5j * (S - S.T))
 
 
-def _ad_matrix_py(c, x):
+def spectral_exp(P, lam, Q, t):
+    """Re(P diag(exp(i lam t)) Q): a matrix exponential at t from its
+    spectral factors, one complex matrix product."""
+    return ((P * np.exp(1j * t * lam)) @ Q).real
+
+
+def bracket_coeffs(c, x, y):
+    """Coefficients of [x, y] from the structure-constant tensor:
+    (x (x) y) against c viewed as a d^2 x d matrix, one matrix-vector product."""
+    return (x[:, None] * y).ravel() @ c.reshape(-1, c.shape[-1])
+
+
+def ad_matrix(c, x):
     """Matrix of ad(x) in the basis: (ad x)[k, j] = sum_i x_i c[i, j, k]."""
     return np.einsum("i,ijk->kj", x, c)
-
-
-if USE_NUMBA:
-    _expm_nb = _njit(cache=True)(_expm_impl)
-    _logm_nb = _njit(cache=True)(_logm_impl)
-
-    @_njit(cache=True)
-    def _bracket_nb(c, x, y):
-        dim = c.shape[0]
-        out = np.zeros(dim)
-        for i in range(dim):
-            xi = x[i]
-            if xi == 0.0:
-                continue
-            for j in range(dim):
-                yj = y[j]
-                if yj == 0.0:
-                    continue
-                for k in range(dim):
-                    out[k] += xi * c[i, j, k] * yj
-        return out
-
-    @_njit(cache=True)
-    def _ad_matrix_nb(c, x):
-        dim = c.shape[0]
-        out = np.zeros((dim, dim))
-        for i in range(dim):
-            xi = x[i]
-            if xi == 0.0:
-                continue
-            for j in range(dim):
-                for k in range(dim):
-                    out[k, j] += xi * c[i, j, k]
-        return out
-
-    def expm(A):
-        return _expm_nb(np.ascontiguousarray(A, dtype=np.float64))
-
-    def logm(A):
-        return _logm_nb(np.ascontiguousarray(A, dtype=np.float64))
-
-    def bracket_coeffs(c, x, y):
-        return _bracket_nb(c, np.ascontiguousarray(x), np.ascontiguousarray(y))
-
-    def ad_matrix(c, x):
-        return _ad_matrix_nb(c, np.ascontiguousarray(x))
-
-else:
-
-    def expm(A):
-        return _expm_impl(np.asarray(A, dtype=np.float64))
-
-    def logm(A):
-        return _logm_impl(np.asarray(A, dtype=np.float64))
-
-    bracket_coeffs = _bracket_py
-    ad_matrix = _ad_matrix_py

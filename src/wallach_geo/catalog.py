@@ -55,7 +55,10 @@ class StructureReport:
 
 
 class ReductiveDecomposition:
-    """Adapted partition g = k + m1 + m2 + m3 with projectors and flags."""
+    """Adapted partition g = k + m1 + m2 + m3 with projectors and flags.
+
+    Raises SpaceDefinitionError unless -B is positive definite on g.
+    """
 
     def __init__(
         self,
@@ -81,6 +84,25 @@ class ReductiveDecomposition:
             self.projectors[p] = np.diag(mask)
         self.equivalence_note = equivalence_note
         self.commuting_pairs = frozenset()
+
+        # metrics weigh -B per module, so g must be compact semisimple: -B positive
+        # definite, i.e. its Cholesky exists with no pivot at rounding level
+        neg_killing = -context.killing
+        try:
+            L = np.linalg.cholesky(neg_killing)
+        except np.linalg.LinAlgError:
+            L = None
+        scale = max(1.0, np.abs(neg_killing).max())
+        if L is None or L.diagonal().min() ** 2 <= context.tol_structural * scale:
+            raise SpaceDefinitionError(
+                f"{context.name}: -B is not positive definite (g is not compact semisimple)"
+            )
+        # -B = L L^T: L^T maps coefficients to a -B-orthonormal frame
+        self.killing_chol = L
+        self.killing_chol_inv = np.linalg.inv(L)
+        # m-row contraction operator: c_m_flat[j] @ (a (x) b) = sum_ik c[j, i, k] a_i b_k
+        d = context.dim
+        self.c_m_flat = context.structure_constants[self.part_indices["m"]].reshape(-1, d * d)
         context.decomposition = self
         if verify:
             report = verify_structure(self)

@@ -97,6 +97,16 @@ class UnknownSpaceError(WallachGeoError):
     pass
 
 
+class UsageError(WallachGeoError):
+    """A command-line value is out of its documented range."""
+
+
+def _require_trials(args) -> None:
+    # zero trials would check nothing and still report a pass
+    if args.trials < 1:
+        raise UsageError(f"--trials must be at least 1, got {args.trials}")
+
+
 def resolve_space(tokens):
     """Resolve a space spec: catalog name (with optional size arguments,
     attached or separate) or a path to a JSON definition."""
@@ -204,6 +214,7 @@ def _match_case(metric, requested):
 
 
 def cmd_geodesic(args) -> int:
+    _require_trials(args)
     dec = resolve_space(args.space)
     metric = tuple(args.metric)
     if min(metric) <= 0:
@@ -342,6 +353,7 @@ def cmd_restriction(args) -> int:
 
 
 def cmd_go_check(args) -> int:
+    _require_trials(args)
     dec = resolve_space(args.space)
     if not dec.commuting_pairs:
         print(_dump_json({"space": dec.name, "result": "hypothesis not met",
@@ -445,7 +457,7 @@ def main(argv=None) -> int:
     except UnknownSpaceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_UNKNOWN_SPACE
-    except (SpaceDefinitionError, StructureError) as exc:
+    except (SpaceDefinitionError, StructureError, UsageError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except (InvalidMetricError, GenericityError) as exc:

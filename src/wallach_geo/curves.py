@@ -1,10 +1,14 @@
 """Product-of-exponential curves and their body velocities.
 
 A curve t -> exp(t X_1) ... exp(t X_r) . o is evaluated in the ambient
-group, while velocities are computed exactly in coordinates through the
-adjoint representation: Ad(exp(-t F)) acts on coefficient vectors as
-expm(-t ad F), so the left-trivialized velocity and its derivative are
-finite products of dim x dim matrices (no finite differences).
+group (Pade exponentials), while velocities are computed exactly in
+coordinates through the adjoint representation: Ad(exp(-t F)) acts on
+coefficient vectors as exp(-t ad F).  The curve owns these
+Ad-exponentials.  ad F is skew in a -B-orthonormal frame, so one
+eigendecomposition per factor at construction gives exp(-t ad F) at any t
+as one matrix product, cached per t.  The left-trivialized velocity and
+its derivative are then finite products of dim x dim matrices (no finite
+differences).
 """
 
 from __future__ import annotations
@@ -31,7 +35,19 @@ class ProductExpCurve:
                     "curve factors must live in the decomposition's context"
                 )
         self._factor_mats = [f.matrix for f in self.factors]
-        self._ad_mats = [ctx.ad_matrix(f.coeffs) for f in self.factors]
+        # Ad(exp(-t X_1)) enters neither the velocity nor the defects, so
+        # only the later factors get an ad matrix and a spectrum
+        self._ad_mats = [ctx.ad_matrix(f.coeffs) for f in self.factors[1:]]
+        L, L_inv = dec.killing_chol, dec.killing_chol_inv
+        self._eye = np.eye(ctx.dim)
+        # exp(-t ad F) = L^-T exp(-t S) L^T with S = L^T ad(F) L^-T skew
+        self._spectra = []
+        for A in self._ad_mats:
+            if not A.any():
+                self._spectra.append(None)
+                continue
+            lam, V = accel.skew_eigh(L.T @ A @ L_inv.T)
+            self._spectra.append((L_inv.T @ V, lam, V.conj().T @ L.T))
         # per-t caches of factor exponentials, reused across grid sweeps
         self._amb_cache: dict[float, list] = {}
         self._ad_cache: dict[float, list] = {}
@@ -47,11 +63,14 @@ class ProductExpCurve:
             self._amb_cache[t] = exps
         return exps
 
-    def _ad_exps(self, t: float):
-        """Coefficient-space matrices of Ad(exp(-t X_i)) per factor."""
+    def ad_exps(self, t: float) -> list:
+        """Coefficient-space matrices of Ad(exp(-t X_i)) for i = 2, ..., r."""
         exps = self._ad_cache.get(t)
         if exps is None:
-            exps = [accel.expm(-t * A) for A in self._ad_mats]
+            exps = [
+                self._eye if sp is None else accel.spectral_exp(*sp, t)
+                for sp in self._spectra
+            ]
             self._ad_cache[t] = exps
         return exps
 
@@ -70,41 +89,20 @@ class ProductExpCurve:
         each Ad factor with d/dt Ad(exp(-t F)) = -ad(F) Ad(exp(-t F)) gives
         w_dot exactly.
         """
-        r = len(self.factors)
-        dim = self.context.dim
-        A = self._ad_exps(t)
-        ads = self._ad_mats
-        w = np.zeros(dim)
-        wdot = np.zeros(dim)
-        for i in range(r):
-            u = self.factors[i].coeffs
-            # tail product A[r-1] ... A[i+1] applied to u
-            ti = u.copy()
-            for q in range(i + 1, r):
-                ti = A[q] @ ti
-            w += ti
-            for j in range(i + 1, r):
-                v = u.copy()
-                for q in range(i + 1, j + 1):
-                    v = A[q] @ v
-                v = -(ads[j] @ v)
-                for q in range(j + 1, r):
-                    v = A[q] @ v
-                wdot += v
+        # w_q = A_q w_{q-1} + X_q with A_q = Ad(exp(-t X_q)); as ad(X_q)
+        # commutes with A_q, d/dt w_q = A_q d/dt w_{q-1} - ad(X_q) A_q w_{q-1}
+        w = self.factors[0].coeffs.copy()
+        wdot = np.zeros(self.context.dim)
+        for f, A, ad in zip(self.factors[1:], self.ad_exps(t), self._ad_mats):
+            Aw = A @ w
+            wdot = A @ wdot - ad @ Aw
+            w = Aw + f.coeffs
         return w, wdot
 
     def initial_velocity(self) -> AlgebraElement:
         """gamma_dot(0) pulled back to m: the m-part of the factor sum."""
         total = sum((f.coeffs for f in self.factors), np.zeros(self.context.dim))
         return AlgebraElement(self.context, total * self.dec.part_masks["m"])
-
-    def padded3(self):
-        """(X, Y, Z) with zero-padding, for the three-factor defect formula."""
-        if len(self.factors) > 3:
-            raise ValueError("defect formula supports at most three factors")
-        zero = self.context.zero()
-        fs = list(self.factors) + [zero] * (3 - len(self.factors))
-        return fs[0], fs[1], fs[2]
 
     def describe(self) -> str:
         return f"product of {len(self.factors)} exponential factor(s) on {self.dec.name}"

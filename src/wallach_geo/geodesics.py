@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import accel
 from .catalog import ReductiveDecomposition, TwoSummandView
 from .core import (
     AlgebraElement,
@@ -25,7 +26,7 @@ from .core import (
     WrongModuleError,
     project,
 )
-from .curves import ProductExpCurve, twist
+from .curves import ProductExpCurve
 from .metrics import DiagonalMetric
 
 _MODULES = ("m1", "m2", "m3")
@@ -54,36 +55,36 @@ class GeodesicReport:
         )
 
 
+def _defect_terms(curve: ProductExpCurve, t: float):
+    """s = TX + TY + Z and d = [TX, TY + Z] + [TY, Z] for the factors
+    (X, Y, Z), absent ones zero, with T(t) = A[r-1] ... A[1] taken from the
+    curve's Ad-exponentials."""
+    r = len(curve.factors)
+    if r > 3:
+        raise ValueError("defect formula supports at most three factors")
+    Tx, Ty, z = [f.coeffs for f in curve.factors] + [np.zeros(curve.context.dim)] * (3 - r)
+    for A in curve.ad_exps(t):
+        Tx, Ty = A @ Tx, A @ Ty
+    # [TX, TY + Z] + [TY, Z] = [TX + TY, TY + Z], as [TY, TY] = 0
+    d = accel.bracket_coeffs(curve.context.structure_constants, Tx + Ty, Ty + z)
+    return Tx + Ty + z, d
+
+
 def gw_defect_all(curve: ProductExpCurve, g: DiagonalMetric, t: float) -> np.ndarray:
     """G_W(t) for every m-basis vector W at once (vector over m indices)."""
-    fX, fY, fZ = curve.padded3()
-    ctx = curve.context
-    T = twist(fY, fZ, t)
-    Tx, Ty, z = T @ fX.coeffs, T @ fY.coeffs, fZ.coeffs
-    s = Tx + Ty + z
-    c = ctx.structure_constants
-    mi = g.m_indices
-    gs = g.gram_full @ s
-    # term 1 per basis W: <s_m, [e_w, s]_m>; [e_w, s] coefficients = c[w, j, :] s_j
-    term1 = np.einsum("wjk,j,k->w", c[mi], s, gs)
-    d = np.einsum("i,ijk,j->k", Tx, c, Ty + z) + np.einsum("i,ijk,j->k", Ty, c, z)
-    term2 = (g.gram_full @ d)[mi]
-    return term1 + term2
+    s, d = _defect_terms(curve, t)
+    # term 1 per basis W: <s_m, [e_w, s]_m> = sum_jk c[w, j, k] s_j (G s)_k
+    term1 = curve.dec.c_m_flat @ (s[:, None] * (g.gram_full @ s)).ravel()
+    return term1 + (g.gram_full @ d)[g.m_indices]
 
 
 def gw_defect(curve: ProductExpCurve, g: DiagonalMetric, W: AlgebraElement, t: float) -> float:
     """The defect G_W(t) for a single direction W (projected to m if needed)."""
-    fX, fY, fZ = curve.padded3()
-    ctx = curve.context
     Wm = project(W, "m")
     if np.abs(W.coeffs - Wm.coeffs).max() > 1e-14 * max(1.0, np.abs(W.coeffs).max()):
         warnings.warn("gw_defect: W had a k-component; projected to m", stacklevel=2)
-    T = twist(fY, fZ, t)
-    Tx, Ty, z = T @ fX.coeffs, T @ fY.coeffs, fZ.coeffs
-    s = Tx + Ty + z
-    c = ctx.structure_constants
-    ws = np.einsum("i,ijk,j->k", Wm.coeffs, c, s)  # [W, s]
-    d = np.einsum("i,ijk,j->k", Tx, c, Ty + z) + np.einsum("i,ijk,j->k", Ty, c, z)
+    s, d = _defect_terms(curve, t)
+    ws = accel.bracket_coeffs(curve.context.structure_constants, Wm.coeffs, s)
     return g.inner_coeffs(s, ws) + g.inner_coeffs(Wm.coeffs, d)
 
 

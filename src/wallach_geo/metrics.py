@@ -34,7 +34,7 @@ class DiagonalMetric:
         self.gram_full = G
         self.m_indices = dec.part_indices["m"]
         self.gram = G[np.ix_(self.m_indices, self.m_indices)]
-        self._gram_cho = np.linalg.cholesky(self.gram)
+        self.gram_inv = np.linalg.inv(self.gram)
 
     @property
     def context(self):
@@ -42,11 +42,6 @@ class DiagonalMetric:
 
     def inner_coeffs(self, x: np.ndarray, y: np.ndarray) -> float:
         return float(x @ self.gram_full @ y)
-
-    def _solve_gram(self, rhs_m: np.ndarray) -> np.ndarray:
-        L = self._gram_cho
-        z = np.linalg.solve(L, rhs_m)
-        return np.linalg.solve(L.T, z)
 
     def scaled(self, c: float) -> "DiagonalMetric":
         return DiagonalMetric(self.dec, tuple(c * l for l in self.lambdas))
@@ -62,21 +57,16 @@ def inner(g: DiagonalMetric, X: AlgebraElement, Y: AlgebraElement) -> float:
 def u_map(g: DiagonalMetric, X: AlgebraElement, Y: AlgebraElement) -> AlgebraElement:
     """The symmetric bilinear map U with
     2<U(X,Y), Z> = <[Z,X]_m, Y> + <X, [Z,Y]_m> for all Z in m,
-    solved against the prefactored metric Gram matrix."""
+    solved against the stored inverse of the metric Gram matrix."""
     if X.context is not g.context or Y.context is not g.context:
         raise ContextMismatchError("elements do not belong to the metric's context")
-    ctx = g.context
-    c = ctx.structure_constants
-    mi = g.m_indices
     x, y = X.coeffs, Y.coeffs
     gx, gy = g.gram_full @ x, g.gram_full @ y
-    # rhs_j = <[e_j, X], Y> + <X, [e_j, Y]> over the m-basis e_j
-    bx = np.einsum("jik,i->jk", c[mi], x)  # [e_j, X] coefficients
-    by = np.einsum("jik,i->jk", c[mi], y)
-    rhs = bx @ gy + by @ gx
-    u = np.zeros(ctx.dim)
-    u[mi] = g._solve_gram(0.5 * rhs)
-    return AlgebraElement(ctx, u)
+    # rhs_j = <[e_j, X], Y> + <X, [e_j, Y]> = sum_ik c[j, i, k] (x_i gy_k + y_i gx_k)
+    rhs = g.dec.c_m_flat @ (x[:, None] * gy + y[:, None] * gx).ravel()
+    u = np.zeros(g.context.dim)
+    u[g.m_indices] = 0.5 * (g.gram_inv @ rhs)
+    return AlgebraElement(g.context, u)
 
 
 def pullback_velocity(curve: ProductExpCurve, t: float):

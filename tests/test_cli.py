@@ -197,6 +197,46 @@ def test_bad_json_space_exit_code(capsys, tmp_path):
     assert code == 3
 
 
+def test_non_compact_json_space_is_rejected(capsys, tmp_path):
+    """so(2,1) satisfies every bracket relation, but -B is indefinite on it:
+    no invariant metric comes from -B, so the space is an input error."""
+    rotation = [[0, 1, 0], [-1, 0, 0], [0, 0, 0]]
+    boost1 = [[0, 0, 1], [0, 0, 0], [1, 0, 0]]
+    boost2 = [[0, 0, 0], [0, 0, 1], [0, 1, 0]]
+    data = {
+        "name": "so(2,1)",
+        "ambient_size": 3,
+        "basis": [rotation, boost1, boost2],
+        "parts": {"k": [], "m1": [0], "m2": [1], "m3": [2]},
+    }
+    path = tmp_path / "so21.json"
+    path.write_text(json.dumps(data))
+    for argv in (
+        ("verify-space", str(path)),
+        ("geodesic", "--space", str(path), "--metric", "1", "1", "0.5", "--trials", "1"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 3
+        assert out == ""
+        assert err.count("\n") == 1 and "positive definite" in err
+
+
+@pytest.mark.parametrize("trials", ["0", "-2"])
+def test_geodesic_rejects_nonpositive_trials(capsys, trials):
+    argv = GEO_ARGS[:GEO_ARGS.index("--trials") + 1] + [trials, "--steps", "100"]
+    code, out, err = run(capsys, *argv)
+    assert code == 3
+    assert out == ""
+    assert "--trials" in err
+
+
+def test_go_check_rejects_nonpositive_trials(capsys):
+    code, out, err = run(capsys, "go-check", "product-spheres", "--trials", "0")
+    assert code == 3
+    assert out == ""
+    assert "--trials" in err
+
+
 def test_bad_structural_tol_env(capsys, monkeypatch):
     monkeypatch.setenv("WALLACH_GEO_TOL", "not-a-number")
     code, _, err = run(capsys, "verify-space", "stiefel", "2")

@@ -63,15 +63,18 @@ def test_single_factor_velocity_is_constant(stiefel3):
         assert np.abs(wdot).max() < 1e-14
 
 
-def test_padded3_pads_short_products(stiefel3):
-    fs = _factors(stiefel3, 6)
-    curve = ProductExpCurve(stiefel3, fs[:2])
-    X, Y, Z = curve.padded3()
-    assert np.abs(Z.coeffs).max() == 0.0
-    assert np.abs(X.coeffs - fs[0].coeffs).max() == 0.0
-    four = ProductExpCurve(stiefel3, fs + fs[:1])
-    with pytest.raises(ValueError):
-        four.padded3()
+def test_spectral_ad_exponentials_match_pade(spaces):
+    """The curve's Ad-exponentials, from one eigendecomposition per factor,
+    agree with Pade exponentials of -t ad F on the 21-point grid in [0, 2]."""
+    for dec in spaces.values():
+        fs = _factors(dec, 6)
+        curve = ProductExpCurve(dec, fs)
+        ads = [dec.context.ad_matrix(f.coeffs) for f in fs[1:]]
+        for t in np.linspace(0.0, 2.0, 21):
+            stack = curve.ad_exps(t)
+            assert len(stack) == len(ads)
+            for A, E in zip(ads, stack):
+                assert np.abs(E - accel.expm(-t * A)).max() <= 1e-13
 
 
 def test_twist_of_zeros_is_identity(stiefel3):

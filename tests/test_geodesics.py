@@ -103,6 +103,16 @@ def test_defect_all_matches_single_direction(so222):
         assert vec[pos] == pytest.approx(gw_defect(curve, g, W, t), abs=1e-12)
 
 
+def test_defects_reject_more_than_three_factors(stiefel3):
+    fs = _draws(stiefel3, 12)
+    curve = ProductExpCurve(stiefel3, fs + fs[:1])
+    g = DiagonalMetric(stiefel3, (1.0, 1.0, 0.5))
+    with pytest.raises(ValueError):
+        gw_defect_all(curve, g, 0.5)
+    with pytest.raises(ValueError):
+        gw_defect(curve, g, fs[0], 0.5)
+
+
 def test_defect_warns_and_projects_k_direction(stiefel3):
     curve = ProductExpCurve(stiefel3, _draws(stiefel3, 5))
     g = DiagonalMetric(stiefel3, (1.0, 1.0, 0.5))

@@ -8,16 +8,21 @@ from wallach_geo import (
     IntegrationFailureError,
     OutOfChartError,
     ProductExpCurve,
+    accel,
     closed_form_geodesic,
     connection_defect,
     coset_distance,
+    gw_defect,
     gw_defect_all,
     identity_checks,
     inner,
     matrix_exp,
     shoot_geodesic,
+    twist,
 )
 from .conftest import make_rng
+
+GRID = np.linspace(0.0, 2.0, 21)
 
 
 def _draws(dec, seed):
@@ -38,6 +43,80 @@ def test_cross_oracle_identity_on_arbitrary_curves(spaces):
             for pos, w in enumerate(dec.part_indices["m"]):
                 W = dec.context.basis_element(int(w))
                 assert abs(vec[pos] - inner(g, W, D)) < 1e-8
+
+
+def _reference_defects(curve, g, t):
+    """(G_W over the m-basis, D(t)) of a curve of at most three factors,
+    from Pade exponentials, the twist operator, einsum contractions and a
+    dense Gram solve."""
+    ctx = curve.context
+    c = ctx.structure_constants
+    mi = g.m_indices
+    G = g.gram_full
+    X, Y, Z = (list(curve.factors) + [ctx.zero()] * 2)[:3]
+    x, y, z = X.coeffs, Y.coeffs, Z.coeffs
+
+    def br(a, b):
+        return np.einsum("i,ijk,j->k", a, c, b)
+
+    T = twist(Y, Z, t)
+    Tx, Ty = T @ x, T @ y
+    s = Tx + Ty + z
+    gw = np.einsum("wjk,j,k->w", c[mi], s, G @ s) + (G @ (br(Tx, Ty + z) + br(Ty, z)))[mi]
+
+    # w = Ad(exp(-tZ) exp(-tY)) x + Ad(exp(-tZ)) y + z and its derivative
+    adY, adZ = ctx.ad_matrix(y), ctx.ad_matrix(z)
+    AY, AZ = accel.expm(-t * adY), accel.expm(-t * adZ)
+    w = Tx + AZ @ y + z
+    wdot = -(AZ @ adY @ AY @ x) - adZ @ (Tx + AZ @ y)
+    mask = curve.dec.part_masks["m"]
+    v = w * mask
+    u = np.zeros(ctx.dim)
+    u[mi] = np.linalg.solve(g.gram, np.einsum("jik,i,k->j", c[mi], v, G @ v))
+    D = (wdot + br(w - v, v)) * mask + u
+    return gw, D
+
+
+def test_defects_match_pade_reference_on_non_geodesics(spaces):
+    """gw_defect_all, gw_defect and connection_defect reproduce the Pade /
+    twist formulas to 1e-12 relative on two- and three-factor curves whose
+    defects are far from zero."""
+    rng = make_rng(16)
+    for dec in spaces.values():
+        mi = dec.part_indices["m"]
+        for r in (2, 3):
+            curve = ProductExpCurve(dec, [dec.random_module_vector("m", rng) for _ in range(r)])
+            g = DiagonalMetric(dec, rng.uniform(0.3, 3.0, 3))
+            for t in (0.35, 1.0, 1.9):
+                gw_ref, D_ref = _reference_defects(curve, g, t)
+                scale = np.abs(gw_ref).max()
+                assert scale > 1e-3
+                assert np.abs(gw_defect_all(curve, g, t) - gw_ref).max() <= 1e-12 * scale
+                for pos, w in enumerate(mi):
+                    W = dec.context.basis_element(int(w))
+                    assert abs(gw_defect(curve, g, W, t) - gw_ref[pos]) <= 1e-12 * scale
+                D = connection_defect(curve, g, t).coeffs
+                assert np.abs(D - D_ref).max() <= 1e-12 * np.abs(D_ref).max()
+
+
+def test_closed_form_defects_form_no_pade_exponential(spaces, monkeypatch):
+    calls = []
+    pade = accel.expm
+
+    def counting_expm(A):
+        calls.append(A.shape)
+        return pade(A)
+
+    monkeypatch.setattr(accel, "expm", counting_expm)
+    for dec in spaces.values():
+        for case in (1, 2, 3):
+            curve, g = closed_form_geodesic(dec, case, *_draws(dec, 17), 0.5)
+            for t in GRID:
+                gw_defect_all(curve, g, t)
+                connection_defect(curve, g, t)
+    assert calls == []
+    curve.evaluate(0.5)  # the ambient lift still takes the counted Pade path
+    assert len(calls) == 2
 
 
 def test_defect_vanishes_on_biinvariant_single_exponential(stiefel3):
