@@ -41,7 +41,6 @@ from .core import (
 )
 from .curves import ProductExpCurve, twist
 from .geodesics import (
-    GeodesicReport,
     RestrictionSolution,
     closed_form_geodesic,
     dohira_geodesic,

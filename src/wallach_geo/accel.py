@@ -1,13 +1,15 @@
 """Hot numerical kernels: matrix exp/log, spectral exponentials of skew
 matrices and structure-constant contractions.
 
-``expm`` is Pade-13 scaling and squaring for general input; it serves the
-ambient group elements.  Coefficient-space Ad-exponentials exp(-t ad F) of
-a compact algebra are exponentials of skew matrices in a -B-orthonormal
-frame, so one Hermitian eigendecomposition per generator (``skew_eigh``)
-gives them at every t to rounding accuracy (``spectral_exp``); see Moler &
+Every group this package builds is orthogonal: ambient basis matrices are
+skew, and coefficient-space Ad-exponentials exp(-t ad F) of a compact
+algebra are exponentials of skew matrices in a -B-orthonormal frame.  One
+Hermitian eigendecomposition per generator (``skew_eigh``) therefore gives
+its exponential at every t to rounding accuracy (``spectral_exp``; Moler &
 Van Loan, "Nineteen dubious ways to compute the exponential of a matrix,
-25 years later" (2003).
+25 years later", 2003), and ``logm`` inverts it through one symmetric
+eigendecomposition.  ``expm`` is Pade-13 scaling and squaring for general
+input; it serves ``matrix_exp``, ``twist`` and ``identity_checks``.
 """
 
 import math
@@ -69,38 +71,20 @@ def expm(A):
     return R
 
 
-def logm(A):
-    """Principal logarithm by inverse scaling and squaring: Denman-Beavers
-    square roots until ||A - I|| is small, then a truncated log series.
-    The caller guarantees the principal branch applies (no eigenvalue near -1)."""
+def logm(A, sym_eigh=None):
+    """Principal logarithm of a real orthogonal A with no eigenvalue -1.
+
+    The symmetric and skew parts S = (A + A^T)/2 and K = (A - A^T)/2 of a
+    normal A commute, and K = i sin(theta) where S = cos(theta), so
+    log A = K V diag(theta / sin theta) V^T with (cos theta, V) = eigh(S)
+    (Higham, "Functions of Matrices", 2008, ch. 11).  theta / sin theta is
+    1 / sinc(theta / pi), exact at theta = 0.  A caller that has already
+    formed eigh(S) passes it as ``sym_eigh``.
+    """
     A = np.asarray(A, dtype=np.float64)
-    n = A.shape[0]
-    I = np.eye(n)
-    X = A.copy()
-    k = 0
-    while np.abs(X - I).sum(axis=0).max() > 0.25 and k < 40:
-        Y = X
-        Z = I.copy()
-        for _ in range(60):
-            Yn = 0.5 * (Y + np.linalg.inv(Z))
-            Zn = 0.5 * (Z + np.linalg.inv(Y))
-            delta = np.abs(Yn - Y).sum(axis=0).max()
-            Y = Yn
-            Z = Zn
-            if delta < 1e-15:
-                break
-        X = Y
-        k += 1
-    E = X - I
-    # log(I+E) = sum (-1)^(j+1) E^j / j, ||E|| < 0.25 so 40 terms suffice
-    S = np.zeros((n, n))
-    P = I.copy()
-    sign = 1.0
-    for j in range(1, 41):
-        P = P @ E
-        S = S + (sign / j) * P
-        sign = -sign
-    return S * (2.0**k)
+    cos_theta, V = np.linalg.eigh(0.5 * (A + A.T)) if sym_eigh is None else sym_eigh
+    theta = np.arccos(np.clip(cos_theta, -1.0, 1.0))
+    return (0.5 * (A - A.T)) @ (V / np.sinc(theta / np.pi)) @ V.T
 
 
 def skew_eigh(S):

@@ -57,7 +57,8 @@ class StructureReport:
 class ReductiveDecomposition:
     """Adapted partition g = k + m1 + m2 + m3 with projectors and flags.
 
-    Raises SpaceDefinitionError unless -B is positive definite on g.
+    Raises SpaceDefinitionError unless the ambient basis matrices are skew
+    (so the group is orthogonal) and -B is positive definite on g.
     """
 
     def __init__(
@@ -97,12 +98,24 @@ class ReductiveDecomposition:
             raise SpaceDefinitionError(
                 f"{context.name}: -B is not positive definite (g is not compact semisimple)"
             )
+        # the oracles' polar step, ambient exponentials and logarithm assume an
+        # orthogonal group, i.e. skew basis matrices
+        basis = context.basis
+        skew_res = np.abs(basis + basis.transpose(0, 2, 1)).max()
+        if skew_res > context.tol_structural * max(1.0, np.abs(basis).max()):
+            raise SpaceDefinitionError(
+                f"{context.name}: ambient basis matrices are not skew-symmetric "
+                f"(residual {skew_res:.3e}; the group is not orthogonal)"
+            )
         # -B = L L^T: L^T maps coefficients to a -B-orthonormal frame
         self.killing_chol = L
         self.killing_chol_inv = np.linalg.inv(L)
         # m-row contraction operator: c_m_flat[j] @ (a (x) b) = sum_ik c[j, i, k] a_i b_k
         d = context.dim
-        self.c_m_flat = context.structure_constants[self.part_indices["m"]].reshape(-1, d * d)
+        m = self.part_indices["m"]
+        self.c_m_flat = context.structure_constants[m].reshape(-1, d * d)
+        # the c[m, m, m] block with rows (j, i): c_mmm[j * d_m + i, k] = c[j, i, k]
+        self.c_mmm = context.structure_constants[np.ix_(m, m, m)].reshape(len(m) ** 2, len(m))
         context.decomposition = self
         if verify:
             report = verify_structure(self)
@@ -141,15 +154,6 @@ class ReductiveDecomposition:
             if np.abs(X.coeffs * self.part_masks[p]).max() > tol * scale
         ]
         return hits[0] if len(hits) == 1 else None
-
-
-def _part_coeff_residual(dec, coeffs, allowed) -> float:
-    """Largest coefficient of `coeffs` outside the allowed parts."""
-    mask = np.zeros(dec.context.dim)
-    for p in allowed:
-        mask = np.maximum(mask, dec.part_masks[p])
-    out = coeffs * (1.0 - mask)
-    return float(np.abs(out).max()) if out.size else 0.0
 
 
 def _inclusion_residual(dec, part_a, part_b, allowed) -> float:

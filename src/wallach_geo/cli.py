@@ -107,6 +107,14 @@ def _require_trials(args) -> None:
         raise UsageError(f"--trials must be at least 1, got {args.trials}")
 
 
+def _require_finite(args, *flags) -> None:
+    # a non-finite value would reach the report as a bare inf/nan, which is not JSON
+    for flag in flags:
+        value = getattr(args, flag.lstrip("-").replace("-", "_"))
+        if not np.all(np.isfinite(value)):
+            raise UsageError(f"{flag} must be finite, got {value}")
+
+
 def resolve_space(tokens):
     """Resolve a space spec: catalog name (with optional size arguments,
     attached or separate) or a path to a JSON definition."""
@@ -215,6 +223,9 @@ def _match_case(metric, requested):
 
 def cmd_geodesic(args) -> int:
     _require_trials(args)
+    _require_finite(args, "--metric", "--t0", "--t1", "--tol-gw", "--tol-defect", "--tol-coset")
+    if args.steps < 1:
+        raise UsageError(f"--steps must be at least 1, got {args.steps}")
     dec = resolve_space(args.space)
     metric = tuple(args.metric)
     if min(metric) <= 0:
@@ -301,6 +312,8 @@ def cmd_geodesic(args) -> int:
 
 
 def cmd_restriction(args) -> int:
+    _require_trials(args)
+    _require_finite(args, "--lambda2", "--lambda3")
     l2, l3 = args.lambda2, args.lambda3
     if l2 <= 0 or l3 <= 0:
         raise InvalidMetricError("lambda2 and lambda3 must be positive")
@@ -354,6 +367,7 @@ def cmd_restriction(args) -> int:
 
 def cmd_go_check(args) -> int:
     _require_trials(args)
+    _require_finite(args, "--tol-defect")
     dec = resolve_space(args.space)
     if not dec.commuting_pairs:
         print(_dump_json({"space": dec.name, "result": "hypothesis not met",

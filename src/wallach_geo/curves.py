@@ -1,13 +1,15 @@
 """Product-of-exponential curves and their body velocities.
 
 A curve t -> exp(t X_1) ... exp(t X_r) . o is evaluated in the ambient
-group (Pade exponentials), while velocities are computed exactly in
-coordinates through the adjoint representation: Ad(exp(-t F)) acts on
-coefficient vectors as exp(-t ad F).  The curve owns these
-Ad-exponentials.  ad F is skew in a -B-orthonormal frame, so one
-eigendecomposition per factor at construction gives exp(-t ad F) at any t
-as one matrix product, cached per t.  The left-trivialized velocity and
-its derivative are then finite products of dim x dim matrices (no finite
+group, while velocities are computed exactly in coordinates through the
+adjoint representation: Ad(exp(-t F)) acts on coefficient vectors as
+exp(-t ad F).  The curve owns both kinds of exponential.  ad F is skew in
+a -B-orthonormal frame and the ambient factors are skew matrices, so one
+eigendecomposition per factor gives its exponential at any t as one matrix
+product, cached per t.  The Ad spectra are taken at construction; the
+ambient ones on the first ``evaluate``, so a defect sweep that never
+evaluates pays nothing for them.  The left-trivialized velocity and its
+derivative are finite products of dim x dim matrices (no finite
 differences).
 """
 
@@ -34,20 +36,13 @@ class ProductExpCurve:
                 raise ContextMismatchError(
                     "curve factors must live in the decomposition's context"
                 )
-        self._factor_mats = [f.matrix for f in self.factors]
         # Ad(exp(-t X_1)) enters neither the velocity nor the defects, so
         # only the later factors get an ad matrix and a spectrum
         self._ad_mats = [ctx.ad_matrix(f.coeffs) for f in self.factors[1:]]
         L, L_inv = dec.killing_chol, dec.killing_chol_inv
+        self._spectra = [_exp_factors(A, L, L_inv) for A in self._ad_mats]
         self._eye = np.eye(ctx.dim)
-        # exp(-t ad F) = L^-T exp(-t S) L^T with S = L^T ad(F) L^-T skew
-        self._spectra = []
-        for A in self._ad_mats:
-            if not A.any():
-                self._spectra.append(None)
-                continue
-            lam, V = accel.skew_eigh(L.T @ A @ L_inv.T)
-            self._spectra.append((L_inv.T @ V, lam, V.conj().T @ L.T))
+        self._amb_spectra = None  # built on the first evaluate
         # per-t caches of factor exponentials, reused across grid sweeps
         self._amb_cache: dict[float, list] = {}
         self._ad_cache: dict[float, list] = {}
@@ -59,7 +54,13 @@ class ProductExpCurve:
     def _ambient_exps(self, t: float):
         exps = self._amb_cache.get(t)
         if exps is None:
-            exps = [accel.expm(t * M) for M in self._factor_mats]
+            if self._amb_spectra is None:
+                self._amb_spectra = [_exp_factors(f.matrix) for f in self.factors]
+            # the factors give exp(-s M), so exp(t M) is their value at s = -t
+            exps = [
+                np.eye(self.context.ambient_size) if sp is None else accel.spectral_exp(*sp, -t)
+                for sp in self._amb_spectra
+            ]
             self._amb_cache[t] = exps
         return exps
 
@@ -104,8 +105,19 @@ class ProductExpCurve:
         total = sum((f.coeffs for f in self.factors), np.zeros(self.context.dim))
         return AlgebraElement(self.context, total * self.dec.part_masks["m"])
 
-    def describe(self) -> str:
-        return f"product of {len(self.factors)} exponential factor(s) on {self.dec.name}"
+
+def _exp_factors(A, L=None, L_inv=None):
+    """(P, lam, Q) with exp(-t A) = Re(P diag(exp(i lam t)) Q) for
+    ``accel.spectral_exp``, or None when A = 0.  A is skew, or, given the
+    Cholesky factor L of -B, S = L^T A L^-T is skew and
+    exp(-t A) = L^-T exp(-t S) L^T."""
+    if not A.any():
+        return None
+    if L is None:
+        lam, V = accel.skew_eigh(A)
+        return V, lam, V.conj().T
+    lam, V = accel.skew_eigh(L.T @ A @ L_inv.T)
+    return L_inv.T @ V, lam, V.conj().T @ L.T
 
 
 def twist(Y: AlgebraElement, Z: AlgebraElement, t: float) -> np.ndarray:

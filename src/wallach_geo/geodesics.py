@@ -12,7 +12,7 @@ vanishes for every W in m and every t, where T(t) = Ad(exp(-tZ)exp(-tY)).
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,29 +30,6 @@ from .curves import ProductExpCurve
 from .metrics import DiagonalMetric
 
 _MODULES = ("m1", "m2", "m3")
-
-
-@dataclass
-class GeodesicReport:
-    """Grid-sampled defect statistics with a tolerance-based verdict."""
-
-    space: str
-    metric: tuple
-    curve: str
-    t_grid: list
-    max_abs_gw: float
-    max_defect_norm: float
-    max_coset_dist: float
-    tolerances: dict
-    notes: list = field(default_factory=list)
-
-    @property
-    def verdict(self) -> bool:
-        return (
-            self.max_abs_gw <= self.tolerances["gw"]
-            and self.max_defect_norm <= self.tolerances["defect"]
-            and self.max_coset_dist <= self.tolerances["coset"]
-        )
 
 
 def _defect_terms(curve: ProductExpCurve, t: float):

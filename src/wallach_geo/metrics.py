@@ -7,6 +7,8 @@ product of two elements automatically discards k-components.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .catalog import ReductiveDecomposition
@@ -34,11 +36,20 @@ class DiagonalMetric:
         self.gram_full = G
         self.m_indices = dec.part_indices["m"]
         self.gram = G[np.ix_(self.m_indices, self.m_indices)]
-        self.gram_inv = np.linalg.inv(self.gram)
 
     @property
     def context(self):
         return self.dec.context
+
+    @functools.cached_property
+    def u_operator(self) -> np.ndarray:
+        """Q = G^-1 C of shape (d_m, d_m^2), C[j, (i, l)] = sum_k c[j, i, k] G[k, l]
+        over m, so that U(X, Y)_m = 0.5 Q (x_m (x) y_m + y_m (x) x_m); built on
+        first use."""
+        dm = len(self.m_indices)
+        # an explicit inverse and one GEMM: a solve with d_m^2 right-hand sides
+        # costs several times more
+        return np.linalg.inv(self.gram) @ (self.dec.c_mmm @ self.gram).reshape(dm, dm * dm)
 
     def inner_coeffs(self, x: np.ndarray, y: np.ndarray) -> float:
         return float(x @ self.gram_full @ y)
@@ -55,18 +66,19 @@ def inner(g: DiagonalMetric, X: AlgebraElement, Y: AlgebraElement) -> float:
 
 
 def u_map(g: DiagonalMetric, X: AlgebraElement, Y: AlgebraElement) -> AlgebraElement:
-    """The symmetric bilinear map U with
-    2<U(X,Y), Z> = <[Z,X]_m, Y> + <X, [Z,Y]_m> for all Z in m,
-    solved against the stored inverse of the metric Gram matrix."""
+    """The symmetric bilinear map U on m with
+    2<U(X,Y), Z> = <[Z,X]_m, Y> + <X, [Z,Y]_m> for all Z in m
+    (k-components of X and Y are ignored), one product against the
+    metric's precomputed operator Q."""
     if X.context is not g.context or Y.context is not g.context:
         raise ContextMismatchError("elements do not belong to the metric's context")
-    x, y = X.coeffs, Y.coeffs
-    gx, gy = g.gram_full @ x, g.gram_full @ y
-    # rhs_j = <[e_j, X], Y> + <X, [e_j, Y]> = sum_ik c[j, i, k] (x_i gy_k + y_i gx_k)
-    rhs = g.dec.c_m_flat @ (x[:, None] * gy + y[:, None] * gx).ravel()
-    u = np.zeros(g.context.dim)
-    u[g.m_indices] = 0.5 * (g.gram_inv @ rhs)
-    return AlgebraElement(g.context, u)
+    # (G U)_j = 0.5 sum_ik c[j, i, k] (x_i (G y)_k + y_i (G x)_k) over m,
+    # so U = 0.5 Q (x (x) y + y (x) x)
+    mi = g.m_indices
+    xy = X.coeffs[mi][:, None] * Y.coeffs[mi]
+    u = np.zeros(X.context.dim)
+    u[mi] = 0.5 * (g.u_operator @ (xy + xy.T).ravel())
+    return AlgebraElement(X.context, u)
 
 
 def pullback_velocity(curve: ProductExpCurve, t: float):

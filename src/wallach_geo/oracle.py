@@ -20,7 +20,6 @@ from .core import (
     GroupElement,
     IntegrationFailureError,
     OutOfChartError,
-    project,
 )
 from .curves import ProductExpCurve, twist
 from .metrics import DiagonalMetric, u_map
@@ -42,11 +41,11 @@ def connection_defect(curve: ProductExpCurve, g: DiagonalMetric, t: float) -> Al
 
 @dataclass
 class CurveSample:
+    """A shot point: the horizontal lift has body velocity v in m, no k-part."""
+
     t: float
     group_point: GroupElement
-    w: AlgebraElement
     v: AlgebraElement
-    w_k: AlgebraElement
 
 
 @dataclass
@@ -76,41 +75,33 @@ def shoot_geodesic(
     ctx = dec.context
     mask_m = dec.part_masks["m"]
     v = v0.coeffs * mask_m
-    a = np.eye(ctx.ambient_size)
+    n = ctx.ambient_size
+    a = np.eye(n)
     h = t_end / steps
-    basis = ctx.basis
+    basis_flat = ctx.basis.reshape(ctx.dim, n * n)
 
-    def vdot(vc):
-        U = u_map(g, AlgebraElement(ctx, vc), AlgebraElement(ctx, vc))
-        return -U.coeffs
-
-    def adot(am, vc):
-        return am @ np.tensordot(vc, basis, axes=1)
+    def stage(am, vc):
+        # (a_dot, v_dot) = (a v, -U(v, v)); v is expanded in the ambient basis by one product
+        V = AlgebraElement(ctx, vc)
+        return am @ (vc @ basis_flat).reshape(n, n), -u_map(g, V, V).coeffs
 
     def sample(t, am, vc):
-        V = AlgebraElement(ctx, vc)
-        return CurveSample(
-            t=t,
-            group_point=GroupElement(ctx, am),
-            w=V,
-            v=V,
-            w_k=ctx.zero(),
-        )
+        return CurveSample(t=t, group_point=GroupElement(ctx, am), v=AlgebraElement(ctx, vc))
 
     e0 = g.inner_coeffs(v, v)
     shot = ShotGeodesic(step=h)
-    shot.samples.append(sample(0.0, a.copy(), v.copy()))
+    # a and v are rebound, never updated in place, so samples can share them
+    shot.samples.append(sample(0.0, a, v))
     drift = 0.0
     for k in range(steps):
-        k1a, k1v = adot(a, v), vdot(v)
-        k2a, k2v = adot(a + 0.5 * h * k1a, v + 0.5 * h * k1v), vdot(v + 0.5 * h * k1v)
-        k3a, k3v = adot(a + 0.5 * h * k2a, v + 0.5 * h * k2v), vdot(v + 0.5 * h * k2v)
-        k4a, k4v = adot(a + h * k3a, v + h * k3v), vdot(v + h * k3v)
-        a = a + (h / 6.0) * (k1a + 2 * k2a + 2 * k3a + k4a)
+        k1a, k1v = stage(a, v)
+        k2a, k2v = stage(a + 0.5 * h * k1a, v + 0.5 * h * k1v)
+        k3a, k3v = stage(a + 0.5 * h * k2a, v + 0.5 * h * k2v)
+        k4a, k4v = stage(a + h * k3a, v + h * k3v)
+        a = _polar_orthonormalize(a + (h / 6.0) * (k1a + 2 * k2a + 2 * k3a + k4a))
         v = v + (h / 6.0) * (k1v + 2 * k2v + 2 * k3v + k4v)
-        a = _polar_orthonormalize(a)
         drift = max(drift, abs(g.inner_coeffs(v, v) - e0))
-        shot.samples.append(sample((k + 1) * h, a.copy(), v.copy()))
+        shot.samples.append(sample((k + 1) * h, a, v))
     shot.energy_drift = drift
     if drift > 1e-6:
         raise IntegrationFailureError(
@@ -121,18 +112,24 @@ def shoot_geodesic(
 
 def coset_distance(a: GroupElement, b: GroupElement, dec: ReductiveDecomposition) -> float:
     """Local separation of the cosets aK and bK: the -B norm of the
-    m-part of log(a^-1 b) expanded in the algebra basis."""
+    m-part of log(a^-1 b) expanded in the algebra basis.
+
+    a and b must be orthogonal (the catalog's groups are; shot points are
+    re-orthonormalized): the chart test and the logarithm both read the
+    spectrum of the symmetric part of a^-1 b.
+    """
     ctx = dec.context
     M = np.linalg.solve(a.matrix, b.matrix)
-    n = ctx.ambient_size
-    if np.linalg.norm(M - np.eye(n), 2) >= 1.9:
+    cos_theta, V = np.linalg.eigh(0.5 * (M + M.T))
+    # for orthogonal M, ||M - I||_2^2 = ||2I - M - M^T||_2 = 2 - 2 min cos(theta)
+    if np.sqrt(max(2.0 - 2.0 * cos_theta[0], 0.0)) >= 1.9:
         raise OutOfChartError("a^-1 b is outside the principal-logarithm chart")
-    L = accel.logm(M)
+    L = accel.logm(M, (cos_theta, V))
     # points produced by numerical integration can sit slightly off the
     # embedded subgroup; the off-span component of the log is part of the
     # separation, so fold it in instead of rejecting the expansion
     coeffs = ctx.coefficients_of(L, check=False)
-    off_span = np.linalg.norm(np.tensordot(coeffs, ctx.basis, axes=1) - L)
+    off_span = np.linalg.norm(coeffs @ ctx.basis.reshape(ctx.dim, -1) - L.ravel())
     lm = coeffs * dec.part_masks["m"]
     q = lm @ (-ctx.killing) @ lm
     return float(np.hypot(np.sqrt(max(q, 0.0)), off_span))

@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from wallach_geo.cli import main
@@ -249,3 +250,88 @@ def test_structural_tol_env_applied(capsys, monkeypatch):
     code, out, _ = run(capsys, "verify-space", "stiefel", "2")
     assert code == 0
     assert json.loads(out)["verdict"] is True
+
+
+def test_non_orthogonal_json_space_is_rejected(capsys, tmp_path):
+    """so(3) conjugated by diag(1, 2, 3) is compact, but its basis is not
+    skew, so its group is not orthogonal: an input error on both commands."""
+    D = np.diag([1.0, 2.0, 3.0])
+    basis = []
+    for a, b in ((0, 1), (0, 2), (1, 2)):
+        E = np.zeros((3, 3))
+        E[a, b], E[b, a] = 1.0, -1.0
+        basis.append((D @ E @ np.linalg.inv(D)).tolist())
+    data = {
+        "name": "so(3) conjugated",
+        "ambient_size": 3,
+        "basis": basis,
+        "parts": {"k": [], "m1": [0], "m2": [1], "m3": [2]},
+    }
+    path = tmp_path / "so3_conjugated.json"
+    path.write_text(json.dumps(data))
+    for argv in (
+        ("verify-space", str(path)),
+        ("geodesic", "--space", str(path), "--metric", "1", "1", "0.5", "--trials", "1"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 3
+        assert out == ""
+        assert err.count("\n") == 1 and "skew-symmetric" in err
+
+
+@pytest.mark.parametrize("steps", ["0", "-5"])
+def test_geodesic_rejects_nonpositive_steps(capsys, steps):
+    argv = GEO_ARGS[:GEO_ARGS.index("--steps") + 1] + [steps]
+    code, out, err = run(capsys, *argv)
+    assert code == 3
+    assert out == ""
+    assert err.count("\n") == 1 and "--steps" in err
+
+
+def test_restriction_rejects_nonpositive_trials(capsys):
+    code, out, err = run(capsys, "restriction", "--lambda2", "1.3", "--lambda3", "0.7",
+                         "--trials", "0")
+    assert code == 3
+    assert out == ""
+    assert "--trials" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        GEO_ARGS + ["--tol-gw", "inf"],
+        GEO_ARGS + ["--tol-defect", "nan"],
+        GEO_ARGS + ["--tol-coset=-inf"],
+        GEO_ARGS + ["--t1", "inf"],
+        ["geodesic", "--space", "stiefel3", "--metric", "inf", "1", "1", "--trials", "1"],
+        ["go-check", "product-spheres", "--trials", "1", "--tol-defect", "inf"],
+        ["restriction", "--lambda2", "nan", "--lambda3", "0.7", "--trials", "2"],
+    ],
+)
+def test_non_finite_values_are_rejected(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 3
+    assert out == ""
+    assert err.count("\n") == 1 and "must be finite" in err
+
+
+def _strict_json(text):
+    def reject(name):
+        raise ValueError(f"non-finite JSON constant {name}")
+
+    return json.loads(text, parse_constant=reject)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        GEO_ARGS,
+        ["go-check", "product-spheres", "--trials", "2"],
+        ["restriction", "--lambda2", "1", "--lambda3", "0.7"],
+        ["restriction", "--lambda2", "1.3", "--lambda3", "0.7", "--trials", "1"],
+    ],
+)
+def test_reports_are_strict_json(capsys, argv):
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert isinstance(_strict_json(out), dict)

@@ -66,6 +66,20 @@ def test_logm_inverts_expm():
         assert np.abs(accel.logm(accel.expm(A)) - A).max() < 1e-12 * max(1.0, scale)
 
 
+def test_logm_recovers_skew_logarithms(spaces):
+    """logm(expm(A)) = A for skew A of 2-norm 1e-9 ... 2: random n x n
+    matrices for n = 3..9 and random elements of every suite algebra."""
+    rng = make_rng(4)
+    draws = [_random_skew(rng, n) for n in range(3, 10)]
+    for dec in spaces.values():
+        draws.append(dec.context.element(rng.standard_normal(dec.context.dim)).matrix)
+    for S in draws:
+        for norm in (1e-9, 1e-4, 0.1, 1.0, 2.0):
+            A = S * (norm / np.linalg.norm(S, 2))
+            err = np.linalg.norm(accel.logm(accel.expm(A)) - A, 2)
+            assert err <= 1e-14 * max(1.0, norm), (A.shape, norm, err)
+
+
 def test_matrix_exp_at_zero_is_identity(stiefel3):
     X = stiefel3.random_module_vector("m1", make_rng(0))
     g = matrix_exp(X, 0.0)

@@ -77,6 +77,19 @@ def test_spectral_ad_exponentials_match_pade(spaces):
                 assert np.abs(E - accel.expm(-t * A)).max() <= 1e-13
 
 
+def test_spectral_evaluate_matches_pade_product(spaces):
+    """The ambient lift, from one eigendecomposition per factor, agrees
+    with the product of Pade exponentials on the 21-point grid in [0, 2]."""
+    for dec in spaces.values():
+        fs = _factors(dec, 10) + [dec.random_module_vector("k", make_rng(11))]
+        curve = ProductExpCurve(dec, fs)
+        for t in np.linspace(0.0, 2.0, 21):
+            ref = np.eye(dec.context.ambient_size)
+            for f in fs:
+                ref = ref @ accel.expm(t * f.matrix)
+            assert np.abs(curve.evaluate(t).matrix - ref).max() <= 1e-13
+
+
 def test_twist_of_zeros_is_identity(stiefel3):
     ctx = stiefel3.context
     z = ctx.zero()

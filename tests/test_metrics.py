@@ -77,6 +77,28 @@ def test_u_map_closed_form_on_cross_module_pairs(spaces):
             assert np.abs(got.coeffs - expect.coeffs).max() < 1e-10
 
 
+def test_u_map_matches_gram_solve_reference(spaces):
+    """U from the per-metric operator Q agrees with the contraction against
+    c[m] followed by the inverse Gram matrix, for X != Y in m."""
+    rng = make_rng(12)
+    for dec in spaces.values():
+        g = DiagonalMetric(dec, rng.uniform(0.3, 3.0, 3))
+        c = dec.context.structure_constants
+        G_inv = np.linalg.inv(g.gram)
+        for _ in range(3):
+            X = dec.random_module_vector("m", rng)
+            Y = dec.random_module_vector("m", rng)
+            x, y = X.coeffs, Y.coeffs
+            gx, gy = g.gram_full @ x, g.gram_full @ y
+            rhs = np.einsum("jik,i,k->j", c[g.m_indices], x, gy) + np.einsum(
+                "jik,i,k->j", c[g.m_indices], y, gx
+            )
+            ref = np.zeros(dec.context.dim)
+            ref[g.m_indices] = 0.5 * (G_inv @ rhs)
+            got = u_map(g, X, Y).coeffs
+            assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
 def test_u_map_vanishes_on_single_module_arguments(stiefel3):
     rng = make_rng(3)
     g = DiagonalMetric(stiefel3, (1.0, 1.7, 0.6))
