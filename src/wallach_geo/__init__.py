@@ -39,7 +39,7 @@ from .core import (
     matrix_exp,
     project,
 )
-from .curves import ProductExpCurve, twist
+from .curves import ProductExpCurve
 from .geodesics import (
     RestrictionSolution,
     closed_form_geodesic,

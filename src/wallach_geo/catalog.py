@@ -55,10 +55,11 @@ class StructureReport:
 
 
 class ReductiveDecomposition:
-    """Adapted partition g = k + m1 + m2 + m3 with projectors and flags.
+    """Adapted partition g = k + m1 + m2 + m3 with part masks and flags.
 
-    Raises SpaceDefinitionError unless the ambient basis matrices are skew
-    (so the group is orthogonal) and -B is positive definite on g.
+    Compactness and orthogonality are gated by ``AlgebraContext``; this
+    checks the partition and, unless ``verify`` is false, the generalized
+    Wallach relations.
     """
 
     def __init__(
@@ -77,39 +78,13 @@ class ReductiveDecomposition:
             )
         self.part_indices["m"] = np.concatenate([self.part_indices[p] for p in _MODULES])
         self.part_masks = {}
-        self.projectors = {}
         for p, ix in self.part_indices.items():
             mask = np.zeros(context.dim)
             mask[ix] = 1.0
             self.part_masks[p] = mask
-            self.projectors[p] = np.diag(mask)
         self.equivalence_note = equivalence_note
         self.commuting_pairs = frozenset()
 
-        # metrics weigh -B per module, so g must be compact semisimple: -B positive
-        # definite, i.e. its Cholesky exists with no pivot at rounding level
-        neg_killing = -context.killing
-        try:
-            L = np.linalg.cholesky(neg_killing)
-        except np.linalg.LinAlgError:
-            L = None
-        scale = max(1.0, np.abs(neg_killing).max())
-        if L is None or L.diagonal().min() ** 2 <= context.tol_structural * scale:
-            raise SpaceDefinitionError(
-                f"{context.name}: -B is not positive definite (g is not compact semisimple)"
-            )
-        # the oracles' polar step, ambient exponentials and logarithm assume an
-        # orthogonal group, i.e. skew basis matrices
-        basis = context.basis
-        skew_res = np.abs(basis + basis.transpose(0, 2, 1)).max()
-        if skew_res > context.tol_structural * max(1.0, np.abs(basis).max()):
-            raise SpaceDefinitionError(
-                f"{context.name}: ambient basis matrices are not skew-symmetric "
-                f"(residual {skew_res:.3e}; the group is not orthogonal)"
-            )
-        # -B = L L^T: L^T maps coefficients to a -B-orthonormal frame
-        self.killing_chol = L
-        self.killing_chol_inv = np.linalg.inv(L)
         # m-row contraction operator: c_m_flat[j] @ (a (x) b) = sum_ik c[j, i, k] a_i b_k
         d = context.dim
         m = self.part_indices["m"]
@@ -170,19 +145,12 @@ def _inclusion_residual(dec, part_a, part_b, allowed) -> float:
     return float(np.abs(coeffs * (1.0 - mask)).max())
 
 
-def _bracket_magnitude(dec, part_a, part_b) -> float:
-    c = dec.context.structure_constants
-    ia, ib = dec.part_indices[part_a], dec.part_indices[part_b]
-    if len(ia) == 0 or len(ib) == 0:
-        return 0.0
-    return float(np.abs(c[np.ix_(ia, ib)]).max())
-
-
 def _find_commuting_pairs(dec) -> frozenset:
     tol = dec.context.tol_structural
     pairs = set()
     for i, j in ((1, 2), (1, 3), (2, 3)):
-        if _bracket_magnitude(dec, f"m{i}", f"m{j}") <= tol:
+        # with nothing allowed, the residual is the largest bracket coefficient
+        if _inclusion_residual(dec, f"m{i}", f"m{j}", ()) <= tol:
             pairs.add((i, j))
     return frozenset(pairs)
 

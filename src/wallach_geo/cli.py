@@ -34,8 +34,10 @@ from .core import (
 )
 from .curves import ProductExpCurve
 from .geodesics import (
+    applicable_families,
     closed_form_geodesic,
     gw_defect_all,
+    match_case,
     nonexistence_probe,
     restriction_residual,
     solution_families,
@@ -190,37 +192,6 @@ def cmd_verify_space(args) -> int:
     return EXIT_PASS if ok else EXIT_FAIL
 
 
-def _match_case(metric, requested):
-    """Normalize by lambda1 and match the closed-form metric patterns.
-
-    Returns (case, c) or raises InvalidMetricError when no pattern fits.
-    Ties prefer case 1 (c = 1 fits all three).
-    """
-    l1, l2, l3 = metric
-    u, v = l2 / l1, l3 / l1
-    tol = 1e-12
-    candidates = []
-    if abs(u - 1) <= tol:
-        candidates.append((1, v))
-    if abs(v - 1) <= tol:
-        candidates.append((2, u))
-    if abs(u - v) <= tol:
-        candidates.append((3, 1.0 / u))
-    if requested != "auto":
-        case = int(requested)
-        for cand in candidates:
-            if cand[0] == case:
-                return cand
-        raise InvalidMetricError(
-            f"metric {metric} does not match the case-{case} pattern"
-        )
-    if not candidates:
-        raise InvalidMetricError(
-            f"metric {metric} fits no closed-form case; see the restriction command"
-        )
-    return candidates[0]
-
-
 def cmd_geodesic(args) -> int:
     _require_trials(args)
     _require_finite(args, "--metric", "--t0", "--t1", "--tol-gw", "--tol-defect", "--tol-coset")
@@ -230,7 +201,7 @@ def cmd_geodesic(args) -> int:
     metric = tuple(args.metric)
     if min(metric) <= 0:
         raise InvalidMetricError("metric coefficients must be positive")
-    case, c = _match_case(metric, args.case)
+    case, c = match_case(metric, args.case)
     tols = {
         "gw": args.tol_gw,
         "defect": args.tol_defect,
@@ -317,16 +288,8 @@ def cmd_restriction(args) -> int:
     l2, l3 = args.lambda2, args.lambda3
     if l2 <= 0 or l3 <= 0:
         raise InvalidMetricError("lambda2 and lambda3 must be positive")
-    tol = 1e-12
-    applicable = []
-    if abs(l2 - 1) <= tol:
-        applicable += ["s1", "s2"]
-    if abs(l3 - 1) <= tol:
-        applicable += ["s3", "s4"]
-    if abs(l2 - l3) <= tol:
-        applicable += ["s5", "s6"]
+    applicable, lam = applicable_families(l2, l3)
     if applicable:
-        lam = l3 if abs(l2 - 1) <= tol or abs(l2 - l3) <= tol else l2
         rows = []
         for extra in (0.2, -0.4, 0.75):
             for sol in solution_families(lam, extra):

@@ -144,13 +144,18 @@ def _same_context(a, b) -> None:
         )
 
 
+_JACOBI_CHUNK = 2**17  # floats per chunk array of the Jacobi check; about five are live
+
+
 class AlgebraContext:
     """A finite-dimensional real matrix Lie algebra with a fixed basis.
 
     Construction computes structure constants, the Killing matrix from
     ad-traces and the trace-form Gram factorization, then verifies
     antisymmetry, the Jacobi identity, the commutator/structure-constant
-    match and ad-invariance of the Killing form on basis triples.
+    match and ad-invariance of the Killing form on basis triples.  Then -B
+    must be positive definite and the basis skew (SpaceDefinitionError), so
+    every context is compact semisimple with an orthogonal group.
     """
 
     def __init__(self, name: str, basis, tol_structural: float = 1e-12):
@@ -191,10 +196,22 @@ class AlgebraContext:
         if anti > self.tol_structural * max(1.0, np.abs(c).max()):
             raise StructureError(f"{name}: structure constants not antisymmetric ({anti:.3e})")
 
-        T = np.einsum("ijl,lkm->ijkm", c, c)
-        jac = T + np.transpose(T, (1, 2, 0, 3)) + np.transpose(T, (2, 0, 1, 3))
-        self._jacobi_residual = float(np.abs(jac).max())
-        if self._jacobi_residual > self.tol_structural * max(1.0, np.abs(T).max()):
+        # Jacobi sums T[i,j,k] + T[k,i,j] + T[j,k,i], T[i,j,k,m] the m-coefficient of
+        # [[e_i, e_j], e_k], over chunks of i so memory is O(d^3) rather than d^4
+        d = self.dim
+        rows = max(1, _JACOBI_CHUNK // d**3)
+        self._jacobi_residual = t_max = 0.0
+        for s in range(0, d, rows):
+            ix = slice(s, s + rows)
+            T = (c[ix].reshape(-1, d) @ c.reshape(d, -1)).reshape(-1, d, d, d)
+            T_kij = T_jki = T  # T[k, i, j] and T[j, k, i] for i in the chunk
+            if rows < d:
+                T_kij = (c[:, ix].reshape(-1, d) @ c.reshape(d, -1)).reshape(d, -1, d, d)
+                T_jki = (c.reshape(-1, d) @ c[:, ix].reshape(d, -1)).reshape(d, d, -1, d)
+            jac = T + T_kij.transpose(1, 2, 0, 3) + T_jki.transpose(2, 0, 1, 3)
+            self._jacobi_residual = max(self._jacobi_residual, float(np.abs(jac).max()))
+            t_max = max(t_max, float(np.abs(T).max()))
+        if self._jacobi_residual > self.tol_structural * max(1.0, t_max):
             raise StructureError(f"{name}: Jacobi identity fails ({self._jacobi_residual:.3e})")
 
         # ad matrices and the Killing form from ad-traces
@@ -213,6 +230,28 @@ class AlgebraContext:
             raise StructureError(
                 f"{name}: Killing form not ad-invariant ({self._ad_invariance_residual:.3e})"
             )
+
+        # metrics weigh -B per module, so g must be compact semisimple: -B positive
+        # definite, i.e. its Cholesky exists with no pivot at rounding level
+        try:
+            L = np.linalg.cholesky(-self.killing)
+        except np.linalg.LinAlgError:
+            L = None
+        if L is None or L.diagonal().min() ** 2 <= self.tol_structural * max(1.0, kb):
+            raise SpaceDefinitionError(
+                f"{name}: -B is not positive definite (g is not compact semisimple)"
+            )
+        # the spectral exponentials, the logarithm and the oracles' polar step
+        # assume an orthogonal group, i.e. skew basis matrices
+        skew_res = np.abs(basis + basis.transpose(0, 2, 1)).max()
+        if skew_res > self.tol_structural * max(1.0, np.abs(basis).max()):
+            raise SpaceDefinitionError(
+                f"{name}: ambient basis matrices are not skew-symmetric "
+                f"(residual {skew_res:.3e}; the group is not orthogonal)"
+            )
+        # -B = L L^T: L^T maps coefficients to a -B-orthonormal frame
+        self.killing_chol = L
+        self.killing_chol_inv = np.linalg.inv(L)
 
     def element(self, coeffs) -> AlgebraElement:
         return AlgebraElement(self, coeffs)
@@ -264,10 +303,13 @@ def killing_form(X: AlgebraElement, Y: AlgebraElement) -> float:
 
 
 def matrix_exp(X: AlgebraElement, t: float = 1.0) -> GroupElement:
-    """exp(t X) in the ambient matrix group."""
-    if t == 0.0:
+    """exp(t X) in the ambient matrix group, from one eigendecomposition of
+    the skew matrix X."""
+    factors = None if t == 0.0 else accel.exp_factors(X.matrix)
+    if factors is None:
         return X.context.identity()
-    return GroupElement(X.context, accel.expm(t * X.matrix))
+    # the factors give exp(-s X), so exp(t X) is their value at s = -t
+    return GroupElement(X.context, accel.spectral_exp(*factors, -t))
 
 
 def adjoint(g: GroupElement, X: AlgebraElement) -> AlgebraElement:

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import accel
 from .catalog import ReductiveDecomposition
-from .core import AlgebraElement, ContextMismatchError, GroupElement, _same_context
+from .core import AlgebraElement, ContextMismatchError, GroupElement
 
 
 class ProductExpCurve:
@@ -39,8 +39,8 @@ class ProductExpCurve:
         # Ad(exp(-t X_1)) enters neither the velocity nor the defects, so
         # only the later factors get an ad matrix and a spectrum
         self._ad_mats = [ctx.ad_matrix(f.coeffs) for f in self.factors[1:]]
-        L, L_inv = dec.killing_chol, dec.killing_chol_inv
-        self._spectra = [_exp_factors(A, L, L_inv) for A in self._ad_mats]
+        L, L_inv = ctx.killing_chol, ctx.killing_chol_inv
+        self._spectra = [accel.exp_factors(A, L, L_inv) for A in self._ad_mats]
         self._eye = np.eye(ctx.dim)
         self._amb_spectra = None  # built on the first evaluate
         # per-t caches of factor exponentials, reused across grid sweeps
@@ -55,7 +55,7 @@ class ProductExpCurve:
         exps = self._amb_cache.get(t)
         if exps is None:
             if self._amb_spectra is None:
-                self._amb_spectra = [_exp_factors(f.matrix) for f in self.factors]
+                self._amb_spectra = [accel.exp_factors(f.matrix) for f in self.factors]
             # the factors give exp(-s M), so exp(t M) is their value at s = -t
             exps = [
                 np.eye(self.context.ambient_size) if sp is None else accel.spectral_exp(*sp, -t)
@@ -104,24 +104,3 @@ class ProductExpCurve:
         """gamma_dot(0) pulled back to m: the m-part of the factor sum."""
         total = sum((f.coeffs for f in self.factors), np.zeros(self.context.dim))
         return AlgebraElement(self.context, total * self.dec.part_masks["m"])
-
-
-def _exp_factors(A, L=None, L_inv=None):
-    """(P, lam, Q) with exp(-t A) = Re(P diag(exp(i lam t)) Q) for
-    ``accel.spectral_exp``, or None when A = 0.  A is skew, or, given the
-    Cholesky factor L of -B, S = L^T A L^-T is skew and
-    exp(-t A) = L^-T exp(-t S) L^T."""
-    if not A.any():
-        return None
-    if L is None:
-        lam, V = accel.skew_eigh(A)
-        return V, lam, V.conj().T
-    lam, V = accel.skew_eigh(L.T @ A @ L_inv.T)
-    return L_inv.T @ V, lam, V.conj().T @ L.T
-
-
-def twist(Y: AlgebraElement, Z: AlgebraElement, t: float) -> np.ndarray:
-    """Operator T(t) = Ad(exp(-t Z) exp(-t Y)) as a matrix on coefficients."""
-    _same_context(Y, Z)
-    ctx = Y.context
-    return accel.expm(-t * ctx.ad_matrix(Z.coeffs)) @ accel.expm(-t * ctx.ad_matrix(Y.coeffs))

@@ -71,8 +71,37 @@ def _require_module(dec: ReductiveDecomposition, X: AlgebraElement, part: str) -
         raise WrongModuleError(f"vector is not in {part} (outside component {out:.3e})")
 
 
-_CASE_LAMBDAS = {1: lambda c: (1.0, 1.0, c), 2: lambda c: (1.0, c, 1.0), 3: lambda c: (c, 1.0, 1.0)}
-_CASE_MOVING = {1: "m3", 2: "m2", 3: "m1"}
+# closed-form case -> index into (m1, m2, m3) of the module whose metric
+# coefficient is c (the others are 1); it builds and recognises each case
+_CASE_SLOT = {1: 2, 2: 1, 3: 0}
+
+
+def match_case(metric, requested):
+    """Normalize by lambda1 and match the closed-form metric patterns.
+
+    Returns (case, c) or raises InvalidMetricError when no pattern fits.
+    Ties prefer case 1 (c = 1 fits all three).
+    """
+    n = (1.0, metric[1] / metric[0], metric[2] / metric[0])
+    tol = 1e-12
+    candidates = []
+    for case, slot in _CASE_SLOT.items():
+        a, b = (q for q in range(3) if q != slot)
+        if abs(n[a] - n[b]) <= tol:
+            candidates.append((case, n[slot] / n[a]))
+    if requested != "auto":
+        case = int(requested)
+        for cand in candidates:
+            if cand[0] == case:
+                return cand
+        raise InvalidMetricError(
+            f"metric {metric} does not match the case-{case} pattern"
+        )
+    if not candidates:
+        raise InvalidMetricError(
+            f"metric {metric} fits no closed-form case; see the restriction command"
+        )
+    return candidates[0]
 
 
 def closed_form_geodesic(
@@ -95,12 +124,13 @@ def closed_form_geodesic(
         raise ValueError("case must be 1, 2 or 3")
     for X, part in zip((X1, X2, X3), _MODULES):
         _require_module(dec, X, part)
-    moving = {1: X3, 2: X2, 3: X1}[case]
+    slot = _CASE_SLOT[case]
+    moving = (X1, X2, X3)[slot]
     others = sum(
         (X for X in (X1, X2, X3) if X is not moving), dec.context.zero()
     )
     curve = ProductExpCurve(dec, [others + c * moving, (1.0 - c) * moving])
-    metric = DiagonalMetric(dec, _CASE_LAMBDAS[case](c))
+    metric = DiagonalMetric(dec, tuple(c if q == slot else 1.0 for q in range(3)))
     return curve, metric
 
 
@@ -234,7 +264,19 @@ def solution_families(lambda_free: float, extra_free: float) -> list[Restriction
     return sols
 
 
+_FAMILY_LOCI = (("s1", "s2"), ("s3", "s4"), ("s5", "s6"))  # l2 = 1, l3 = 1, l2 = l3
 _GENERICITY_GAP = 0.05
+
+
+def applicable_families(lambda2: float, lambda3: float, tol: float = 1e-12):
+    """(families, lam): the solution families whose metric locus, lambda2 = 1
+    (s1, s2), lambda3 = 1 (s3, s4) or lambda2 = lambda3 (s5, s6), holds
+    within ``tol``, and the free metric coefficient that instantiates them
+    in ``solution_families``."""
+    gaps = (abs(lambda2 - 1), abs(lambda3 - 1), abs(lambda2 - lambda3))
+    families = [f for pair, gap in zip(_FAMILY_LOCI, gaps) if gap <= tol for f in pair]
+    # lambda3 is free on the s1/s2 and s5/s6 loci, lambda2 on the s3/s4 one
+    return families, lambda2 if families == ["s3", "s4"] else lambda3
 
 
 def nonexistence_probe(
@@ -252,11 +294,11 @@ def nonexistence_probe(
     """
     if lambda2 <= 0 or lambda3 <= 0:
         raise InvalidMetricError("lambda2 and lambda3 must be positive")
-    gaps = (abs(lambda2 - 1), abs(lambda3 - 1), abs(lambda2 - lambda3))
-    if min(gaps) < _GENERICITY_GAP:
+    if applicable_families(lambda2, lambda3, _GENERICITY_GAP)[0]:
         raise GenericityError(
-            f"metric ({lambda2}, {lambda3}) is not generic (a solution family "
-            "applies); use solution_families instead"
+            f"metric ({lambda2}, {lambda3}) lies within {_GENERICITY_GAP} of a "
+            "solution-family locus (lambda2 = 1, lambda3 = 1 or lambda2 = lambda3), "
+            "where the probe is not run"
         )
     rng = np.random.default_rng(np.random.Philox(seed))
     h = 1e-6

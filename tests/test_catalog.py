@@ -40,7 +40,7 @@ def test_parts_partition_the_algebra(spaces):
     for dec in spaces.values():
         total = sum(len(dec.part_indices[p]) for p in ("k", "m1", "m2", "m3"))
         assert total == dec.context.dim
-        proj_sum = sum(dec.projectors[p] for p in ("k", "m1", "m2", "m3"))
+        proj_sum = sum(np.diag(dec.part_masks[p]) for p in ("k", "m1", "m2", "m3"))
         assert np.abs(proj_sum - np.eye(dec.context.dim)).max() <= 1e-12
 
 

@@ -151,6 +151,16 @@ def test_restriction_probe_mode(capsys):
     assert report["best_residual_norm"] > 1e-4
 
 
+@pytest.mark.parametrize("l2, l3", [("1.01", "0.7"), ("1.3", "1.04"), ("0.7", "0.71")])
+def test_restriction_near_a_family_locus_exit_code(capsys, l2, l3):
+    """Between the 1e-12 family match and the 0.05 probe gap no family
+    applies and the probe is not run: exit 4 with one true line."""
+    code, out, err = run(capsys, "restriction", "--lambda2", l2, "--lambda3", l3)
+    assert code == 4
+    assert out == ""
+    assert err.count("\n") == 1 and "within 0.05 of a solution-family locus" in err
+
+
 def test_restriction_invalid_metric_exit_code(capsys):
     code, _, _ = run(capsys, "restriction", "--lambda2", "-1", "--lambda3", "0.7")
     assert code == 4

@@ -1,15 +1,20 @@
 """Algebra kernel tests against independent series-based oracles."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from wallach_geo import (
     AlgebraContext,
     NotInAlgebraError,
+    SpaceDefinitionError,
     StructureError,
     SubspaceSelectorError,
     adjoint,
     bracket,
+    build_so_blocks,
     killing_form,
     matrix_exp,
     project,
@@ -18,9 +23,14 @@ from wallach_geo import accel
 from .conftest import make_rng
 
 
+def _spectral_expm(A):
+    """exp(A) for a skew A from the package's spectral helper."""
+    return accel.spectral_exp(*accel.exp_factors(A), -1.0)
+
+
 def _expm_series(A, terms=30):
     """Plain Taylor series with scaling, an oracle independent of the
-    Pade implementation."""
+    spectral implementation."""
     s = 0
     norm = np.abs(A).sum(axis=0).max()
     while norm / 2**s > 0.5:
@@ -45,7 +55,7 @@ def test_expm_matches_taylor_series_oracle():
     rng = make_rng(1)
     for _ in range(10):
         A = _random_skew(rng, 6)
-        assert np.abs(accel.expm(A) - _expm_series(A)).max() < 1e-13
+        assert np.abs(_spectral_expm(A) - _expm_series(A)).max() < 1e-13
 
 
 def test_expm_flow_property():
@@ -54,8 +64,8 @@ def test_expm_flow_property():
         A = _random_skew(rng, 5)
         A /= np.linalg.norm(A, 2)
         s, t = rng.uniform(-5, 5, 2)
-        lhs = accel.expm((s + t) * A)
-        rhs = accel.expm(s * A) @ accel.expm(t * A)
+        lhs = _spectral_expm((s + t) * A)
+        rhs = _spectral_expm(s * A) @ _spectral_expm(t * A)
         assert np.abs(lhs - rhs).max() < 1e-11
 
 
@@ -63,7 +73,7 @@ def test_logm_inverts_expm():
     rng = make_rng(3)
     for scale in (0.1, 1.0, 1.5):
         A = scale * _random_skew(rng, 5)
-        assert np.abs(accel.logm(accel.expm(A)) - A).max() < 1e-12 * max(1.0, scale)
+        assert np.abs(accel.logm(expm(A)) - A).max() < 1e-12 * max(1.0, scale)
 
 
 def test_logm_recovers_skew_logarithms(spaces):
@@ -76,8 +86,20 @@ def test_logm_recovers_skew_logarithms(spaces):
     for S in draws:
         for norm in (1e-9, 1e-4, 0.1, 1.0, 2.0):
             A = S * (norm / np.linalg.norm(S, 2))
-            err = np.linalg.norm(accel.logm(accel.expm(A)) - A, 2)
+            err = np.linalg.norm(accel.logm(expm(A)) - A, 2)
             assert err <= 1e-14 * max(1.0, norm), (A.shape, norm, err)
+
+
+def test_matrix_exp_matches_scipy_on_suite_spaces(spaces):
+    """exp(tX) from one eigendecomposition agrees with scipy's Pade
+    exponential to 1e-13 max(1, ||tX||_2) on every suite space."""
+    rng = make_rng(13)
+    for dec in spaces.values():
+        X = dec.context.element(rng.standard_normal(dec.context.dim))
+        for t in (1e-3, 0.4, 2.5):
+            A = t * X.matrix
+            err = np.abs(matrix_exp(X, t).matrix - expm(A)).max()
+            assert err <= 1e-13 * max(1.0, np.linalg.norm(A, 2)), (dec.name, t, err)
 
 
 def test_matrix_exp_at_zero_is_identity(stiefel3):
@@ -206,6 +228,34 @@ def test_dependent_basis_rejected():
     M[0, 1], M[1, 0] = 1.0, -1.0
     with pytest.raises(StructureError):
         AlgebraContext("dependent", [M, 2.0 * M])
+
+
+def test_bare_context_with_non_skew_basis_rejected():
+    """so(3) conjugated by diag(1, 2, 3) is compact, but its basis is not
+    skew: the context itself refuses it, so no exponential ever meets a
+    non-orthogonal group."""
+    D = np.diag([1.0, 2.0, 3.0])
+    basis = []
+    for a, b in ((0, 1), (0, 2), (1, 2)):
+        E = np.zeros((3, 3))
+        E[a, b], E[b, a] = 1.0, -1.0
+        basis.append(D @ E @ np.linalg.inv(D))
+    with pytest.raises(SpaceDefinitionError, match="skew-symmetric"):
+        AlgebraContext("so3-conjugated", basis)
+
+
+def test_context_construction_memory_is_bounded():
+    """The Jacobi check runs over chunks of the first index: building the
+    so-blocks(3,3,4) context (d = 45), whose d^4 tensor alone would take
+    31 MiB, peaks at no more than 32 MiB."""
+    basis = build_so_blocks(3, 3, 4).context.basis
+    tracemalloc.start()
+    try:
+        AlgebraContext("so-blocks(3,3,4)", basis)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 32 * 2**20, peak
 
 
 def test_projection_selectors(stiefel3):

@@ -1,10 +1,10 @@
-"""Product-of-exponential curves, body velocities and the twist operator."""
+"""Product-of-exponential curves, body velocities and Ad-exponentials."""
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
-from wallach_geo import ContextMismatchError, ProductExpCurve, twist
-from wallach_geo import accel
+from wallach_geo import ContextMismatchError, ProductExpCurve, matrix_exp
 from .conftest import make_rng
 
 
@@ -65,7 +65,8 @@ def test_single_factor_velocity_is_constant(stiefel3):
 
 def test_spectral_ad_exponentials_match_pade(spaces):
     """The curve's Ad-exponentials, from one eigendecomposition per factor,
-    agree with Pade exponentials of -t ad F on the 21-point grid in [0, 2]."""
+    agree with scipy's Pade exponentials of -t ad F on the 21-point grid
+    in [0, 2]."""
     for dec in spaces.values():
         fs = _factors(dec, 6)
         curve = ProductExpCurve(dec, fs)
@@ -74,38 +75,31 @@ def test_spectral_ad_exponentials_match_pade(spaces):
             stack = curve.ad_exps(t)
             assert len(stack) == len(ads)
             for A, E in zip(ads, stack):
-                assert np.abs(E - accel.expm(-t * A)).max() <= 1e-13
+                assert np.abs(E - expm(-t * A)).max() <= 1e-13
 
 
 def test_spectral_evaluate_matches_pade_product(spaces):
     """The ambient lift, from one eigendecomposition per factor, agrees
-    with the product of Pade exponentials on the 21-point grid in [0, 2]."""
+    with the product of scipy's Pade exponentials on the 21-point grid in
+    [0, 2]."""
     for dec in spaces.values():
         fs = _factors(dec, 10) + [dec.random_module_vector("k", make_rng(11))]
         curve = ProductExpCurve(dec, fs)
         for t in np.linspace(0.0, 2.0, 21):
             ref = np.eye(dec.context.ambient_size)
             for f in fs:
-                ref = ref @ accel.expm(t * f.matrix)
+                ref = ref @ expm(t * f.matrix)
             assert np.abs(curve.evaluate(t).matrix - ref).max() <= 1e-13
 
 
-def test_twist_of_zeros_is_identity(stiefel3):
-    ctx = stiefel3.context
-    z = ctx.zero()
-    for t in (0.0, 1.0, 4.2):
-        assert np.abs(twist(z, z, t) - np.eye(ctx.dim)).max() < 1e-15
-
-
-def test_twist_is_composed_adjoint(su3):
-    """T(t) acting on coefficients equals Ad(exp(-tZ)exp(-tY)) computed
-    through the ambient conjugation."""
-    from wallach_geo import matrix_exp
-
+def test_ad_exps_are_composed_ambient_adjoint(su3):
+    """The product of a curve's Ad-exponentials acting on coefficients
+    equals Ad(exp(-tZ)exp(-tY)) computed through the ambient conjugation;
+    a zero factor's Ad-exponential is the identity."""
     ctx = su3.context
     Y, Z = _factors(su3, 7)[:2]
     t = 0.8
-    T = twist(Y, Z, t)
+    AY, AZ = ProductExpCurve(su3, [ctx.zero(), Y, Z]).ad_exps(t)
     g = matrix_exp(Z, -t) @ matrix_exp(Y, -t)
     rng = make_rng(8)
     x = rng.standard_normal(ctx.dim)
@@ -113,7 +107,11 @@ def test_twist_is_composed_adjoint(su3):
     via_ambient = ctx.coefficients_of(
         g.matrix @ X.matrix @ np.linalg.inv(g.matrix)
     )
-    assert np.abs(T @ x - via_ambient).max() < 1e-11
+    assert np.abs(AZ @ AY @ x - via_ambient).max() < 1e-11
+    z = ctx.zero()
+    for t in (0.0, 1.0, 4.2):
+        for A in ProductExpCurve(su3, [z, z, z]).ad_exps(t):
+            assert np.abs(A - np.eye(ctx.dim)).max() < 1e-15
 
 
 def test_evaluation_cache_is_consistent(stiefel3):

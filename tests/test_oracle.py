@@ -2,13 +2,13 @@
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from wallach_geo import (
     DiagonalMetric,
     IntegrationFailureError,
     OutOfChartError,
     ProductExpCurve,
-    accel,
     closed_form_geodesic,
     connection_defect,
     coset_distance,
@@ -18,11 +18,8 @@ from wallach_geo import (
     inner,
     matrix_exp,
     shoot_geodesic,
-    twist,
 )
 from .conftest import make_rng
-
-GRID = np.linspace(0.0, 2.0, 21)
 
 
 def _draws(dec, seed):
@@ -31,8 +28,8 @@ def _draws(dec, seed):
 
 
 def test_cross_oracle_identity_on_arbitrary_curves(spaces):
-    """<W, D(t)> reproduces the twist-based defect for every basis W, on
-    curves that are not geodesics."""
+    """<W, D(t)> reproduces the defect G_W for every basis W, on curves
+    that are not geodesics."""
     rng = make_rng(0)
     for dec in spaces.values():
         curve = ProductExpCurve(dec, _draws(dec, 1))
@@ -47,8 +44,8 @@ def test_cross_oracle_identity_on_arbitrary_curves(spaces):
 
 def _reference_defects(curve, g, t):
     """(G_W over the m-basis, D(t)) of a curve of at most three factors,
-    from Pade exponentials, the twist operator, einsum contractions and a
-    dense Gram solve."""
+    from scipy's Pade exponentials, einsum contractions and a dense Gram
+    solve."""
     ctx = curve.context
     c = ctx.structure_constants
     mi = g.m_indices
@@ -59,14 +56,15 @@ def _reference_defects(curve, g, t):
     def br(a, b):
         return np.einsum("i,ijk,j->k", a, c, b)
 
-    T = twist(Y, Z, t)
+    # T(t) = Ad(exp(-tZ) exp(-tY))
+    adY, adZ = ctx.ad_matrix(y), ctx.ad_matrix(z)
+    AY, AZ = expm(-t * adY), expm(-t * adZ)
+    T = AZ @ AY
     Tx, Ty = T @ x, T @ y
     s = Tx + Ty + z
     gw = np.einsum("wjk,j,k->w", c[mi], s, G @ s) + (G @ (br(Tx, Ty + z) + br(Ty, z)))[mi]
 
     # w = Ad(exp(-tZ) exp(-tY)) x + Ad(exp(-tZ)) y + z and its derivative
-    adY, adZ = ctx.ad_matrix(y), ctx.ad_matrix(z)
-    AY, AZ = accel.expm(-t * adY), accel.expm(-t * adZ)
     w = Tx + AZ @ y + z
     wdot = -(AZ @ adY @ AY @ x) - adZ @ (Tx + AZ @ y)
     mask = curve.dec.part_masks["m"]
@@ -78,8 +76,8 @@ def _reference_defects(curve, g, t):
 
 
 def test_defects_match_pade_reference_on_non_geodesics(spaces):
-    """gw_defect_all, gw_defect and connection_defect reproduce the Pade /
-    twist formulas to 1e-12 relative on two- and three-factor curves whose
+    """gw_defect_all, gw_defect and connection_defect reproduce the scipy
+    Pade formulas to 1e-12 relative on two- and three-factor curves whose
     defects are far from zero."""
     rng = make_rng(16)
     for dec in spaces.values():
@@ -97,31 +95,6 @@ def test_defects_match_pade_reference_on_non_geodesics(spaces):
                     assert abs(gw_defect(curve, g, W, t) - gw_ref[pos]) <= 1e-12 * scale
                 D = connection_defect(curve, g, t).coeffs
                 assert np.abs(D - D_ref).max() <= 1e-12 * np.abs(D_ref).max()
-
-
-def test_closed_form_defects_form_no_pade_exponential(spaces, monkeypatch):
-    """The defects, the ambient lift, shooting and the coset distance form
-    no Pade exponential."""
-    calls = []
-    pade = accel.expm
-
-    def counting_expm(A):
-        calls.append(A.shape)
-        return pade(A)
-
-    monkeypatch.setattr(accel, "expm", counting_expm)
-    for dec in spaces.values():
-        for case in (1, 2, 3):
-            curve, g = closed_form_geodesic(dec, case, *_draws(dec, 17), 0.5)
-            for t in GRID:
-                gw_defect_all(curve, g, t)
-                connection_defect(curve, g, t)
-        shot = shoot_geodesic(dec, g, curve.initial_velocity(), 2.0, 20)
-        for k, t in enumerate(GRID):
-            coset_distance(shot.samples[k].group_point, curve.evaluate(t), dec)
-    assert calls == []
-    matrix_exp(curve.factors[0], 0.5)  # matrix_exp still takes the counted Pade path
-    assert len(calls) == 1
 
 
 def test_defect_vanishes_on_biinvariant_single_exponential(stiefel3):
