@@ -36,6 +36,7 @@ from .core import (
     adjoint,
     bracket,
     killing_form,
+    killing_norm,
     matrix_exp,
     project,
 )

@@ -14,7 +14,8 @@ import numpy as np
 
 
 def logm(A, sym_eigh=None):
-    """Principal logarithm of a real orthogonal A with no eigenvalue -1.
+    """Principal logarithm of a real orthogonal A with no eigenvalue -1, or
+    of each matrix in a (T, n, n) stack.
 
     The symmetric and skew parts S = (A + A^T)/2 and K = (A - A^T)/2 of a
     normal A commute, and K = i sin(theta) where S = cos(theta), so
@@ -24,9 +25,10 @@ def logm(A, sym_eigh=None):
     formed eigh(S) passes it as ``sym_eigh``.
     """
     A = np.asarray(A, dtype=np.float64)
-    cos_theta, V = np.linalg.eigh(0.5 * (A + A.T)) if sym_eigh is None else sym_eigh
+    At = np.swapaxes(A, -1, -2)
+    cos_theta, V = np.linalg.eigh(0.5 * (A + At)) if sym_eigh is None else sym_eigh
     theta = np.arccos(np.clip(cos_theta, -1.0, 1.0))
-    return (0.5 * (A - A.T)) @ (V / np.sinc(theta / np.pi)) @ V.T
+    return (0.5 * (A - At)) @ (V / np.sinc(theta / np.pi)[..., None, :]) @ np.swapaxes(V, -1, -2)
 
 
 def skew_eigh(S):
@@ -39,9 +41,12 @@ def skew_eigh(S):
 
 
 def spectral_exp(P, lam, Q, t):
-    """Re(P diag(exp(i lam t)) Q): a matrix exponential at t from its
-    spectral factors, one complex matrix product."""
-    return ((P * np.exp(1j * t * lam)) @ Q).real
+    """Re(P diag(exp(i lam t)) Q): a matrix exponential at t from its spectral
+    factors, one complex product (one for the (T, d, d) stack at T times)."""
+    if not is_grid(t):
+        return ((P * np.exp(1j * t * lam)) @ Q).real
+    scaled = P * np.exp(1j * np.multiply.outer(t, lam))[:, None, :]
+    return (scaled.reshape(-1, len(lam)) @ Q).real.reshape(len(t), len(P), -1)
 
 
 def exp_factors(A, L=None, L_inv=None):
@@ -57,10 +62,32 @@ def exp_factors(A, L=None, L_inv=None):
     return L_inv.T @ V, lam, V.conj().T @ L.T
 
 
+def is_grid(t) -> bool:
+    """Whether t is a 1-D array of times rather than a scalar time."""
+    return isinstance(t, np.ndarray) and t.ndim > 0
+
+
+def apply(A, x):
+    """A x for a matrix or (T, d, d) stack A and a vector or (T, d) stack x."""
+    if x.ndim == 1:
+        return A @ x
+    if A.ndim == 2:
+        return x @ A.T
+    return (A @ x[..., None])[..., 0]
+
+
+def outer_flat(x, y):
+    """x (x) y flattened to d^2 entries, per row when x or y is a (T, d) stack."""
+    if x.ndim == y.ndim == 1:
+        return (x[:, None] * y).ravel()
+    xy = x[..., :, None] * y[..., None, :]
+    return xy.reshape(xy.shape[:-2] + (-1,))
+
+
 def bracket_coeffs(c, x, y):
-    """Coefficients of [x, y] from the structure-constant tensor:
-    (x (x) y) against c viewed as a d^2 x d matrix, one matrix-vector product."""
-    return (x[:, None] * y).ravel() @ c.reshape(-1, c.shape[-1])
+    """Coefficients of [x, y] (per row for (T, d) stacks): x (x) y against c
+    viewed as a d^2 x d matrix, one product."""
+    return outer_flat(x, y) @ c.reshape(-1, c.shape[-1])
 
 
 def ad_matrix(c, x):

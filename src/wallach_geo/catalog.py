@@ -41,7 +41,6 @@ class StructureReport:
     checks: list[CheckResult] = field(default_factory=list)
     commuting_pairs: frozenset = frozenset()
     module_dims: tuple = ()
-    fibration: dict = field(default_factory=dict)
 
     @property
     def verdict(self) -> bool:
@@ -83,7 +82,6 @@ class ReductiveDecomposition:
             mask[ix] = 1.0
             self.part_masks[p] = mask
         self.equivalence_note = equivalence_note
-        self.commuting_pairs = frozenset()
 
         # m-row contraction operator: c_m_flat[j] @ (a (x) b) = sum_ik c[j, i, k] a_i b_k
         d = context.dim
@@ -92,14 +90,14 @@ class ReductiveDecomposition:
         # the c[m, m, m] block with rows (j, i): c_mmm[j * d_m + i, k] = c[j, i, k]
         self.c_mmm = context.structure_constants[np.ix_(m, m, m)].reshape(len(m) ** 2, len(m))
         context.decomposition = self
-        if verify:
-            report = verify_structure(self)
-            if not report.verdict:
-                failed = [c.name for c in report.checks if not c.passed]
-                raise StructureError(
-                    f"{context.name}: structure verification failed: {failed}"
-                )
-        self.commuting_pairs = _find_commuting_pairs(self)
+        if not verify:
+            self.commuting_pairs = _find_commuting_pairs(self)
+            return
+        report = verify_structure(self)
+        if not report.verdict:
+            failed = [c.name for c in report.checks if not c.passed]
+            raise StructureError(f"{context.name}: structure verification failed: {failed}")
+        self.commuting_pairs = report.commuting_pairs
 
     @property
     def name(self) -> str:
@@ -123,11 +121,8 @@ class ReductiveDecomposition:
     def module_of(self, X: AlgebraElement, tol: float = 1e-9) -> str | None:
         """Name of the single part containing X, or None if mixed."""
         scale = max(np.abs(X.coeffs).max(), 1e-300)
-        hits = [
-            p
-            for p in ("k",) + _MODULES
-            if np.abs(X.coeffs * self.part_masks[p]).max() > tol * scale
-        ]
+        parts = ("k",) + _MODULES
+        hits = [p for p in parts if np.abs(X.coeffs * self.part_masks[p]).max() > tol * scale]
         return hits[0] if len(hits) == 1 else None
 
 
@@ -143,6 +138,11 @@ def _inclusion_residual(dec, part_a, part_b, allowed) -> float:
     for p in allowed:
         mask = np.maximum(mask, dec.part_masks[p])
     return float(np.abs(coeffs * (1.0 - mask)).max())
+
+
+def _pairs_residual(dec, parts_a, parts_b, allowed) -> float:
+    """_inclusion_residual maximized over the part pairs of parts_a x parts_b."""
+    return max(_inclusion_residual(dec, a, b, allowed) for a in parts_a for b in parts_b)
 
 
 def _find_commuting_pairs(dec) -> frozenset:
@@ -170,24 +170,12 @@ def verify_structure(dec: ReductiveDecomposition) -> StructureReport:
                 ortho = max(ortho, np.abs(K[np.ix_(ia, ib)]).max())
     report.add("B-orthogonality of parts", ortho, tol * max(1.0, np.abs(K).max()))
 
-    for i in (1, 2, 3):
-        report.add(
-            f"reductivity [k, m{i}] in m{i}",
-            _inclusion_residual(dec, "k", f"m{i}", (f"m{i}",)),
-            tol,
-        )
-    for i in (1, 2, 3):
-        report.add(
-            f"Wallach [m{i}, m{i}] in k",
-            _inclusion_residual(dec, f"m{i}", f"m{i}", ("k",)),
-            tol,
-        )
-    for (i, j, k) in ((1, 2, 3), (1, 3, 2), (2, 3, 1)):
-        report.add(
-            f"derived [m{i}, m{j}] in m{k}",
-            _inclusion_residual(dec, f"m{i}", f"m{j}", (f"m{k}",)),
-            tol,
-        )
+    for mi in _MODULES:
+        report.add(f"reductivity [k, {mi}] in {mi}", _inclusion_residual(dec, "k", mi, (mi,)), tol)
+    for mi in _MODULES:
+        report.add(f"Wallach [{mi}, {mi}] in k", _inclusion_residual(dec, mi, mi, ("k",)), tol)
+    for mi, mj, mk in (("m1", "m2", "m3"), ("m1", "m3", "m2"), ("m2", "m3", "m1")):
+        report.add(f"derived [{mi}, {mj}] in {mk}", _inclusion_residual(dec, mi, mj, (mk,)), tol)
     report.add("k is a subalgebra", _inclusion_residual(dec, "k", "k", ("k",)), tol)
     report.commuting_pairs = _find_commuting_pairs(dec)
     return report
@@ -201,23 +189,9 @@ def verify_fibration(dec: ReductiveDecomposition, i: int) -> StructureReport:
     mprime = (f"m{j}", f"m{k}")
     report = StructureReport(space=f"{dec.name} fibration i={i}", module_dims=dec.module_dims())
 
-    res = 0.0
-    for a in gi:
-        for b in gi:
-            res = max(res, _inclusion_residual(dec, a, b, gi))
-    report.add(f"g{i} = k+m{i} is a subalgebra", res, tol)
-
-    res = 0.0
-    for a in mprime:
-        for b in mprime:
-            res = max(res, _inclusion_residual(dec, a, b, gi))
-    report.add(f"[m', m'] in g{i}", res, tol)
-
-    res = 0.0
-    for a in gi:
-        for b in mprime:
-            res = max(res, _inclusion_residual(dec, a, b, mprime))
-    report.add(f"[g{i}, m'] in m'", res, tol)
+    report.add(f"g{i} = k+m{i} is a subalgebra", _pairs_residual(dec, gi, gi, gi), tol)
+    report.add(f"[m', m'] in g{i}", _pairs_residual(dec, mprime, mprime, gi), tol)
+    report.add(f"[g{i}, m'] in m'", _pairs_residual(dec, gi, mprime, mprime), tol)
 
     # [[m_i, m_i], m_i] subset m_i: Lie triple system
     ctx = dec.context
@@ -245,33 +219,21 @@ class TwoSummandView:
         j, k = [q for q in (1, 2, 3) if q != i]
         self.M1_parts = (f"m{j}", f"m{k}")
         self.M2_part = f"m{i}"
-        self.M1_indices = np.concatenate([parent.part_indices[p] for p in self.M1_parts])
-        self.M2_indices = parent.part_indices[self.M2_part]
-        tol = parent.context.tol_structural
+        M1, M2 = self.M1_parts, (self.M2_part,)
         checks = [
-            ("[M2, M2] in k", self._incl((self.M2_part,), (self.M2_part,), ("k",))),
-            ("[M1, M1] in k+M2", self._incl(self.M1_parts, self.M1_parts, ("k", self.M2_part))),
-            ("[M1, M2] in M1", self._incl(self.M1_parts, (self.M2_part,), self.M1_parts)),
-            ("[k, M1] in M1", self._incl(("k",), self.M1_parts, self.M1_parts)),
-            ("[k, M2] in M2", self._incl(("k",), (self.M2_part,), (self.M2_part,))),
+            ("[M2, M2] in k", _pairs_residual(parent, M2, M2, ("k",))),
+            ("[M1, M1] in k+M2", _pairs_residual(parent, M1, M1, ("k",) + M2)),
+            ("[M1, M2] in M1", _pairs_residual(parent, M1, M2, M1)),
+            ("[k, M1] in M1", _pairs_residual(parent, ("k",), M1, M1)),
+            ("[k, M2] in M2", _pairs_residual(parent, ("k",), M2, M2)),
         ]
         for name, res in checks:
-            if res > tol:
+            if res > parent.context.tol_structural:
                 raise GroupingInvalidError(
                     f"{parent.name}: grouping M2=m{i} violates {name} (residual {res:.3e})"
                 )
-        mask1 = np.zeros(parent.context.dim)
-        mask1[self.M1_indices] = 1.0
-        mask2 = np.zeros(parent.context.dim)
-        mask2[self.M2_indices] = 1.0
-        self.M1_mask, self.M2_mask = mask1, mask2
-
-    def _incl(self, pa, pb, allowed) -> float:
-        res = 0.0
-        for a in pa:
-            for b in pb:
-                res = max(res, _inclusion_residual(self.parent, a, b, allowed))
-        return res
+        self.M1_mask = sum(parent.part_masks[p] for p in M1)
+        self.M2_mask = parent.part_masks[self.M2_part]
 
     def in_M1(self, X: AlgebraElement, tol: float = 1e-10) -> bool:
         return float(np.abs(X.coeffs * (1.0 - self.M1_mask)).max()) <= tol
@@ -407,11 +369,13 @@ def load_space_json(path) -> ReductiveDecomposition:
             data = json.load(f)
     except (OSError, json.JSONDecodeError) as exc:
         raise SpaceDefinitionError(f"cannot read space definition: {exc}") from exc
+    if not isinstance(data, dict):
+        raise SpaceDefinitionError("space definition must be a JSON object")
     for key in ("name", "ambient_size", "basis", "parts"):
         if key not in data:
             raise SpaceDefinitionError(f"space definition missing field {key!r}")
     n = data["ambient_size"]
-    if not isinstance(n, int) or n < 1:
+    if type(n) is not int or n < 1:
         raise SpaceDefinitionError("ambient_size must be a positive integer")
     try:
         basis = np.asarray(
@@ -419,10 +383,13 @@ def load_space_json(path) -> ReductiveDecomposition:
         )
     except (ValueError, TypeError) as exc:
         raise SpaceDefinitionError(f"basis rows must be {n * n} reals (row-major)") from exc
+    if len(basis) == 0 or not np.isfinite(basis).all():
+        raise SpaceDefinitionError("basis must hold at least one matrix of finite reals")
     parts = data["parts"]
     for p in ("k", "m1", "m2", "m3"):
-        if p not in parts:
-            raise SpaceDefinitionError(f"parts missing {p!r}")
+        ix = parts.get(p) if isinstance(parts, dict) else None
+        if not isinstance(ix, list) or any(type(i) is not int for i in ix):
+            raise SpaceDefinitionError(f"parts must map {p!r} to a list of basis indices")
     try:
         ctx = AlgebraContext(str(data["name"]), basis)
         dec = ReductiveDecomposition(ctx, {p: parts[p] for p in ("k", "m1", "m2", "m3")})

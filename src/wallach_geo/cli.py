@@ -31,6 +31,7 @@ from .core import (
     StructureError,
     WallachGeoError,
     bracket,
+    killing_norm,
 )
 from .curves import ProductExpCurve
 from .geodesics import (
@@ -53,6 +54,7 @@ EXIT_METRIC = 4
 
 DEFAULT_TOL = {"gw": 1e-9, "defect": 1e-9, "coset": 1e-6, "structural": 1e-12}
 GRID_POINTS = 21
+MAX_COUNT = 100_000  # largest --trials and --steps
 
 
 def _fmt_float(x: float) -> str:
@@ -66,9 +68,7 @@ def _dump_json(obj, indent: int = 0) -> str:
     if isinstance(obj, dict):
         if not obj:
             return "{}"
-        items = [
-            f'{pad}  "{k}": {_dump_json(v, indent + 1)}' for k, v in obj.items()
-        ]
+        items = [f'{pad}  "{k}": {_dump_json(v, indent + 1)}' for k, v in obj.items()]
         return "{\n" + ",\n".join(items) + "\n" + pad + "}"
     if isinstance(obj, (list, tuple)):
         if not obj:
@@ -79,6 +79,9 @@ def _dump_json(obj, indent: int = 0) -> str:
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
     if isinstance(obj, (float, np.floating)):
+        if not np.isfinite(obj):
+            # a bare inf/nan is not JSON; only extreme inputs overflow like this
+            raise UsageError(f"a report value is {obj}: the inputs are out of floating-point range")
         return _fmt_float(obj)
     if obj is None:
         return "null"
@@ -103,15 +106,15 @@ class UsageError(WallachGeoError):
     """A command-line value is out of its documented range."""
 
 
-def _require_trials(args) -> None:
-    # zero trials would check nothing and still report a pass
-    if args.trials < 1:
-        raise UsageError(f"--trials must be at least 1, got {args.trials}")
-
-
-def _require_finite(args, *flags) -> None:
+def _require_valid(args, counts=(), finite=()) -> None:
+    # a zero count checks nothing and still reports a pass; a huge one never
+    # ends (shooting keeps every step)
+    for flag in counts:
+        value = getattr(args, flag.lstrip("-"))
+        if not 1 <= value <= MAX_COUNT:
+            raise UsageError(f"{flag} must be between 1 and {MAX_COUNT}, got {value}")
     # a non-finite value would reach the report as a bare inf/nan, which is not JSON
-    for flag in flags:
+    for flag in finite:
         value = getattr(args, flag.lstrip("-").replace("-", "_"))
         if not np.all(np.isfinite(value)):
             raise UsageError(f"{flag} must be finite, got {value}")
@@ -167,10 +170,8 @@ def cmd_catalog(args) -> int:
 
 
 def _report_checks(report) -> list:
-    return [
-        {"name": c.name, "passed": c.passed, "max_residual": c.max_residual}
-        for c in report.checks
-    ]
+    checks = report.checks
+    return [{"name": c.name, "passed": c.passed, "max_residual": c.max_residual} for c in checks]
 
 
 def cmd_verify_space(args) -> int:
@@ -193,10 +194,10 @@ def cmd_verify_space(args) -> int:
 
 
 def cmd_geodesic(args) -> int:
-    _require_trials(args)
-    _require_finite(args, "--metric", "--t0", "--t1", "--tol-gw", "--tol-defect", "--tol-coset")
-    if args.steps < 1:
-        raise UsageError(f"--steps must be at least 1, got {args.steps}")
+    _require_valid(
+        args, ("--trials", "--steps"),
+        ("--metric", "--t0", "--t1", "--tol-gw", "--tol-defect", "--tol-coset"),
+    )
     dec = resolve_space(args.space)
     metric = tuple(args.metric)
     if min(metric) <= 0:
@@ -218,7 +219,6 @@ def cmd_geodesic(args) -> int:
     compare_shot = args.t0 == 0.0
     if not compare_shot:
         notes.append("shooting comparison skipped (grid does not start at t = 0)")
-    max_gw = max_defect = max_coset = 0.0
     per_t = np.zeros((GRID_POINTS, 3))  # defect, gw, coset maxima per grid point
     for trial in range(args.trials):
         draws = [dec.random_module_vector(p, rng) for p in ("m1", "m2", "m3")]
@@ -235,21 +235,16 @@ def cmd_geodesic(args) -> int:
             notes.append(f"trial {trial}: degenerate draw redrawn ({degenerate})")
             draws = [dec.random_module_vector(p, rng) for p in ("m1", "m2", "m3")]
         curve, g = closed_form_geodesic(dec, case, *draws, c)
-        shot = None
+        cd = np.zeros(GRID_POINTS)
         if compare_shot:
             shot = shoot_geodesic(dec, g, draws[0] + draws[1] + draws[2], args.t1, steps)
-        for k, t in enumerate(grid):
-            gw = float(np.abs(gw_defect_all(curve, g, t)).max())
-            dn = connection_defect(curve, g, t).norm_b()
-            cd = 0.0
-            if shot is not None:
-                cd = coset_distance(shot.samples[k * stride].group_point, curve.evaluate(t), dec)
-            per_t[k] = np.maximum(per_t[k], (dn, gw, cd))
-            max_gw, max_defect, max_coset = (
-                max(max_gw, gw),
-                max(max_defect, dn),
-                max(max_coset, cd),
-            )
+            shot_points = np.stack([s.group_point.matrix for s in shot.samples[::stride]])
+            cd = coset_distance(shot_points, curve.evaluate(grid), dec)
+        # one call each for the whole grid: per-t arrays
+        gw = np.abs(gw_defect_all(curve, g, grid)).max(axis=1)
+        dn = killing_norm(dec.context, connection_defect(curve, g, grid))
+        per_t = np.maximum(per_t, np.column_stack((dn, gw, cd)))
+    max_defect, max_gw, max_coset = per_t.max(axis=0)
     verdict = max_gw <= tols["gw"] and max_defect <= tols["defect"] and max_coset <= tols["coset"]
     report = {
         "space": dec.name,
@@ -283,8 +278,7 @@ def cmd_geodesic(args) -> int:
 
 
 def cmd_restriction(args) -> int:
-    _require_trials(args)
-    _require_finite(args, "--lambda2", "--lambda3")
+    _require_valid(args, ("--trials",), ("--lambda2", "--lambda3"))
     l2, l3 = args.lambda2, args.lambda3
     if l2 <= 0 or l3 <= 0:
         raise InvalidMetricError("lambda2 and lambda3 must be positive")
@@ -329,8 +323,7 @@ def cmd_restriction(args) -> int:
 
 
 def cmd_go_check(args) -> int:
-    _require_trials(args)
-    _require_finite(args, "--tol-defect")
+    _require_valid(args, ("--trials",), ("--tol-defect",))
     dec = resolve_space(args.space)
     if not dec.commuting_pairs:
         print(_dump_json({"space": dec.name, "result": "hypothesis not met",
@@ -347,9 +340,9 @@ def cmd_go_check(args) -> int:
             dec.context.zero(),
         )
         curve = ProductExpCurve(dec, [X])
-        for t in grid:
-            worst = max(worst, connection_defect(curve, g, t).norm_b())
-            worst = max(worst, float(np.abs(gw_defect_all(curve, g, t)).max()))
+        defect = killing_norm(dec.context, connection_defect(curve, g, grid))
+        # np.max, unlike max, carries a nan through to the report
+        worst = np.max([worst, defect.max(), np.abs(gw_defect_all(curve, g, grid)).max()])
     ok = worst <= args.tol_defect
     print(
         _dump_json(
@@ -374,8 +367,14 @@ def cmd_identities(args) -> int:
     return EXIT_PASS if report.verdict else EXIT_FAIL
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        # a malformed command line is an input error: exit 3 with one line
+        raise UsageError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="wallach-geo",
         description="Geodesics on generalized Wallach spaces: catalog, "
         "verification and restriction-system tools.",
@@ -427,22 +426,27 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+# the first matching entry gives an error's exit code
+_EXIT_CODES = (
+    (UnknownSpaceError, EXIT_UNKNOWN_SPACE),
+    ((SpaceDefinitionError, StructureError, UsageError), EXIT_INPUT),
+    ((InvalidMetricError, GenericityError), EXIT_METRIC),
+    (WallachGeoError, EXIT_FAIL),
+)
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except UnknownSpaceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_UNKNOWN_SPACE
-    except (SpaceDefinitionError, StructureError, UsageError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except (InvalidMetricError, GenericityError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_METRIC
+        args = build_parser().parse_args(argv)
+        if getattr(args, "seed", 0) < 0:
+            raise UsageError(f"--seed must be non-negative, got {args.seed}")
+        # extreme inputs can overflow; the report then holds a non-finite value,
+        # which _dump_json turns into a one-line error instead of numpy warnings
+        with np.errstate(all="ignore"):
+            return args.func(args)
     except WallachGeoError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FAIL
+        return next(code for kinds, code in _EXIT_CODES if isinstance(exc, kinds))
 
 
 if __name__ == "__main__":

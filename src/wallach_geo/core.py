@@ -105,8 +105,7 @@ class AlgebraElement:
 
     def norm_b(self) -> float:
         """Norm in the -B form (real and nonnegative on compact algebras)."""
-        q = self.coeffs @ (-self.context.killing) @ self.coeffs
-        return float(np.sqrt(max(q, 0.0)))
+        return float(killing_norm(self.context, self.coeffs))
 
     def __repr__(self) -> str:
         return f"AlgebraElement({self.context.name}, {self.coeffs})"
@@ -124,9 +123,6 @@ class GroupElement:
             raise ValueError(f"matrix has shape {matrix.shape}, expected ({n}, {n})")
         self.context = context
         self.matrix = matrix
-
-    def inverse(self) -> "GroupElement":
-        return GroupElement(self.context, np.linalg.inv(self.matrix))
 
     def __matmul__(self, other: "GroupElement") -> "GroupElement":
         _same_context(self, other)
@@ -268,9 +264,10 @@ class AlgebraContext:
         return GroupElement(self, np.eye(self.ambient_size))
 
     def coefficients_of(self, matrix: np.ndarray, check: bool = True) -> np.ndarray:
-        """Expand an ambient matrix in the basis via the Gram factorization."""
-        rhs = np.einsum("aij,ij->a", self.basis, matrix)
-        coeffs = self._gram_inv @ rhs
+        """Expand an ambient matrix, or each of a (T, n, n) stack, in the basis
+        via the Gram factorization."""
+        rhs = np.einsum("aij,...ij->...a", self.basis, matrix)
+        coeffs = rhs @ self._gram_inv.T
         if check:
             residual = np.abs(np.tensordot(coeffs, self.basis, axes=1) - matrix).max()
             scale = max(1.0, np.abs(matrix).max())
@@ -280,9 +277,6 @@ class AlgebraContext:
                     f"(re-expansion residual {residual:.3e})"
                 )
         return coeffs
-
-    def from_matrix(self, matrix) -> AlgebraElement:
-        return AlgebraElement(self, self.coefficients_of(np.asarray(matrix, dtype=np.float64)))
 
     def ad_matrix(self, x: np.ndarray) -> np.ndarray:
         """Matrix of ad(x) acting on coefficient vectors."""
@@ -294,6 +288,13 @@ def bracket(X: AlgebraElement, Y: AlgebraElement) -> AlgebraElement:
     _same_context(X, Y)
     ctx = X.context
     return AlgebraElement(ctx, accel.bracket_coeffs(ctx.structure_constants, X.coeffs, Y.coeffs))
+
+
+def killing_norm(ctx: AlgebraContext, coeffs: np.ndarray):
+    """-B norm of a coefficient vector, or of each row of a (T, d) stack."""
+    y = coeffs @ (-ctx.killing)
+    q = y @ coeffs if coeffs.ndim == 1 else np.einsum("ti,ti->t", y, coeffs)
+    return np.sqrt(np.maximum(q, 0.0))
 
 
 def killing_form(X: AlgebraElement, Y: AlgebraElement) -> float:

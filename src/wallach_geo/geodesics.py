@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import accel
-from .catalog import ReductiveDecomposition, TwoSummandView
+from .catalog import _MODULES, ReductiveDecomposition, TwoSummandView
 from .core import (
     AlgebraElement,
     GenericityError,
@@ -26,33 +26,34 @@ from .core import (
     WrongModuleError,
     project,
 )
-from .curves import ProductExpCurve
+from .curves import ProductExpCurve, along_time
 from .metrics import DiagonalMetric
 
-_MODULES = ("m1", "m2", "m3")
 
-
-def _defect_terms(curve: ProductExpCurve, t: float):
+def _defect_terms(curve: ProductExpCurve, t):
     """s = TX + TY + Z and d = [TX, TY + Z] + [TY, Z] for the factors
     (X, Y, Z), absent ones zero, with T(t) = A[r-1] ... A[1] taken from the
-    curve's Ad-exponentials."""
+    curve's Ad-exponentials; (T, d) stacks at a 1-D array of T times."""
     r = len(curve.factors)
     if r > 3:
         raise ValueError("defect formula supports at most three factors")
-    Tx, Ty, z = [f.coeffs for f in curve.factors] + [np.zeros(curve.context.dim)] * (3 - r)
+    x, *yz = [f.coeffs for f in curve.factors]
+    Tx, Ty, z = [along_time(t, x)] + yz + [np.zeros(curve.context.dim)] * (3 - r)
     for A in curve.ad_exps(t):
-        Tx, Ty = A @ Tx, A @ Ty
+        Tx, Ty = accel.apply(A, Tx), accel.apply(A, Ty)
     # [TX, TY + Z] + [TY, Z] = [TX + TY, TY + Z], as [TY, TY] = 0
     d = accel.bracket_coeffs(curve.context.structure_constants, Tx + Ty, Ty + z)
     return Tx + Ty + z, d
 
 
-def gw_defect_all(curve: ProductExpCurve, g: DiagonalMetric, t: float) -> np.ndarray:
-    """G_W(t) for every m-basis vector W at once (vector over m indices)."""
+def gw_defect_all(curve: ProductExpCurve, g: DiagonalMetric, t) -> np.ndarray:
+    """G_W(t) for every m-basis vector W at once (vector over m indices),
+    or a (T, d_m) array of them at a 1-D array of T times."""
     s, d = _defect_terms(curve, t)
     # term 1 per basis W: <s_m, [e_w, s]_m> = sum_jk c[w, j, k] s_j (G s)_k
-    term1 = curve.dec.c_m_flat @ (s[:, None] * (g.gram_full @ s)).ravel()
-    return term1 + (g.gram_full @ d)[g.m_indices]
+    term1 = accel.apply(curve.dec.c_m_flat, accel.outer_flat(s, accel.apply(g.gram_full, s)))
+    # .T[m] picks the m-coordinates of a vector or of each row of a stack
+    return term1 + accel.apply(g.gram_full, d).T[g.m_indices].T
 
 
 def gw_defect(curve: ProductExpCurve, g: DiagonalMetric, W: AlgebraElement, t: float) -> float:
@@ -60,9 +61,8 @@ def gw_defect(curve: ProductExpCurve, g: DiagonalMetric, W: AlgebraElement, t: f
     Wm = project(W, "m")
     if np.abs(W.coeffs - Wm.coeffs).max() > 1e-14 * max(1.0, np.abs(W.coeffs).max()):
         warnings.warn("gw_defect: W had a k-component; projected to m", stacklevel=2)
-    s, d = _defect_terms(curve, t)
-    ws = accel.bracket_coeffs(curve.context.structure_constants, Wm.coeffs, s)
-    return g.inner_coeffs(s, ws) + g.inner_coeffs(Wm.coeffs, d)
+    # G_W is linear in W: the m-coordinates of W against G_W over the m-basis
+    return float(Wm.coeffs[g.m_indices] @ gw_defect_all(curve, g, t))
 
 
 def _require_module(dec: ReductiveDecomposition, X: AlgebraElement, part: str) -> None:
@@ -83,6 +83,9 @@ def match_case(metric, requested):
     Ties prefer case 1 (c = 1 fits all three).
     """
     n = (1.0, metric[1] / metric[0], metric[2] / metric[0])
+    # beyond this range the curves' spectra and defects overflow
+    if not all(1e-100 <= q <= 1e100 for q in n):
+        raise InvalidMetricError(f"metric {metric} has a ratio outside [1e-100, 1e100]")
     tol = 1e-12
     candidates = []
     for case, slot in _CASE_SLOT.items():
@@ -94,9 +97,7 @@ def match_case(metric, requested):
         for cand in candidates:
             if cand[0] == case:
                 return cand
-        raise InvalidMetricError(
-            f"metric {metric} does not match the case-{case} pattern"
-        )
+        raise InvalidMetricError(f"metric {metric} does not match the case-{case} pattern")
     if not candidates:
         raise InvalidMetricError(
             f"metric {metric} fits no closed-form case; see the restriction command"
@@ -126,9 +127,7 @@ def closed_form_geodesic(
         _require_module(dec, X, part)
     slot = _CASE_SLOT[case]
     moving = (X1, X2, X3)[slot]
-    others = sum(
-        (X for X in (X1, X2, X3) if X is not moving), dec.context.zero()
-    )
+    others = sum((X for X in (X1, X2, X3) if X is not moving), dec.context.zero())
     curve = ProductExpCurve(dec, [others + c * moving, (1.0 - c) * moving])
     metric = DiagonalMetric(dec, tuple(c if q == slot else 1.0 for q in range(3)))
     return curve, metric
@@ -310,14 +309,10 @@ def nonexistence_probe(
         mu = 1e-3
         for _ in range(max_iter):
             J = np.empty((9, 6))
-            for j in range(6):
-                xp = x.copy()
-                xp[j] += h
-                xm = x.copy()
-                xm[j] -= h
+            for j, e in enumerate(h * np.eye(6)):  # central differences, one step per column
                 J[:, j] = (
-                    restriction_residual(xp, lambda2, lambda3)
-                    - restriction_residual(xm, lambda2, lambda3)
+                    restriction_residual(x + e, lambda2, lambda3)
+                    - restriction_residual(x - e, lambda2, lambda3)
                 ) / (2 * h)
             try:
                 p = np.linalg.solve(J.T @ J + mu * np.eye(6), -J.T @ r)

@@ -11,6 +11,7 @@ import functools
 
 import numpy as np
 
+from . import accel
 from .catalog import ReductiveDecomposition
 from .core import AlgebraElement, ContextMismatchError, InvalidMetricError, project
 from .curves import ProductExpCurve
@@ -51,9 +52,6 @@ class DiagonalMetric:
         # costs several times more
         return np.linalg.inv(self.gram) @ (self.dec.c_mmm @ self.gram).reshape(dm, dm * dm)
 
-    def inner_coeffs(self, x: np.ndarray, y: np.ndarray) -> float:
-        return float(x @ self.gram_full @ y)
-
     def scaled(self, c: float) -> "DiagonalMetric":
         return DiagonalMetric(self.dec, tuple(c * l for l in self.lambdas))
 
@@ -62,7 +60,17 @@ def inner(g: DiagonalMetric, X: AlgebraElement, Y: AlgebraElement) -> float:
     """The Ad(K)-invariant inner product of the m-parts of X and Y."""
     if X.context is not g.context or Y.context is not g.context:
         raise ContextMismatchError("elements do not belong to the metric's context")
-    return g.inner_coeffs(X.coeffs, Y.coeffs)
+    return float(X.coeffs @ g.gram_full @ Y.coeffs)
+
+
+def u_coeffs(g: DiagonalMetric, x: np.ndarray, y: np.ndarray | None = None) -> np.ndarray:
+    """m-coordinates of U(X, Y) from the m-coordinates x and y of X and Y
+    (vectors or (T, d_m) stacks): 0.5 Q (x (x) y + y (x) x), or Q (x (x) x)
+    for U(X, X) when y is omitted."""
+    # (G U)_j = 0.5 sum_ik c[j, i, k] (x_i (G y)_k + y_i (G x)_k) over m
+    if y is None:
+        return accel.apply(g.u_operator, accel.outer_flat(x, x))
+    return 0.5 * accel.apply(g.u_operator, accel.outer_flat(x, y) + accel.outer_flat(y, x))
 
 
 def u_map(g: DiagonalMetric, X: AlgebraElement, Y: AlgebraElement) -> AlgebraElement:
@@ -72,12 +80,9 @@ def u_map(g: DiagonalMetric, X: AlgebraElement, Y: AlgebraElement) -> AlgebraEle
     metric's precomputed operator Q."""
     if X.context is not g.context or Y.context is not g.context:
         raise ContextMismatchError("elements do not belong to the metric's context")
-    # (G U)_j = 0.5 sum_ik c[j, i, k] (x_i (G y)_k + y_i (G x)_k) over m,
-    # so U = 0.5 Q (x (x) y + y (x) x)
     mi = g.m_indices
-    xy = X.coeffs[mi][:, None] * Y.coeffs[mi]
     u = np.zeros(X.context.dim)
-    u[mi] = 0.5 * (g.u_operator @ (xy + xy.T).ravel())
+    u[mi] = u_coeffs(g, X.coeffs[mi], Y.coeffs[mi])
     return AlgebraElement(X.context, u)
 
 

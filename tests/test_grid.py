@@ -1,0 +1,160 @@
+"""Time-stacked kernels: a 1-D array of times gives the per-t values with a
+leading time axis, and shooting on bare arrays reproduces the
+element-wise RK4."""
+
+import numpy as np
+import pytest
+
+from wallach_geo import (
+    AlgebraElement,
+    DiagonalMetric,
+    GroupElement,
+    OutOfChartError,
+    ProductExpCurve,
+    closed_form_geodesic,
+    connection_defect,
+    coset_distance,
+    gw_defect_all,
+    identity_checks,
+    matrix_exp,
+    shoot_geodesic,
+    u_map,
+)
+from wallach_geo.catalog import ReductiveDecomposition, _find_commuting_pairs
+from wallach_geo.oracle import _polar_orthonormalize
+from .conftest import make_rng
+
+GRID = np.linspace(0.0, 2.0, 21)
+
+
+def _curves(dec, rng):
+    """(curve, metric, geodesic?) for one-, two- and three-factor curves on
+    a generic metric, and a closed-form geodesic."""
+    out = []
+    for r in (1, 2, 3):
+        factors = [dec.random_module_vector("m", rng) for _ in range(r)]
+        g = DiagonalMetric(dec, rng.uniform(0.3, 3.0, 3))
+        out.append((ProductExpCurve(dec, factors), g, False))
+    draws = [dec.random_module_vector(p, rng) for p in ("m1", "m2", "m3")]
+    out.append(closed_form_geodesic(dec, 2, *draws, 1.7) + (True,))
+    return out
+
+
+def test_grid_defects_match_per_t_calls(spaces):
+    """One grid call gives G_W, D(t), the velocities, the Ad-exponentials
+    and the lift at every t, within 1e-12 relative of the per-t calls."""
+    rng = make_rng(500)
+    for dec in spaces.values():
+        for curve, g, geodesic in _curves(dec, rng):
+            ref = ProductExpCurve(dec, curve.factors)  # fresh caches
+            gw = np.array([gw_defect_all(ref, g, t) for t in GRID])
+            D = np.array([connection_defect(ref, g, t).coeffs for t in GRID])
+            scale = np.abs(gw).max()
+            if geodesic:
+                assert scale <= 1e-12
+            elif dec.name != "product-spheres":  # there every exp(tX) is a geodesic
+                assert 1e-2 <= scale <= 8.0
+            tol = 1e-12 * max(scale, 1e-3)
+            assert gw_defect_all(curve, g, GRID).shape == gw.shape
+            assert np.abs(gw_defect_all(curve, g, GRID) - gw).max() <= tol
+            assert np.abs(connection_defect(curve, g, GRID) - D).max() <= tol
+            w, wdot = curve.body_velocity(GRID)
+            for k, t in enumerate(GRID):
+                wt, wdt = ref.body_velocity(t)
+                assert np.abs(w[k] - wt).max() <= 1e-12 * np.abs(wt).max()
+                assert np.abs(wdot[k] - wdt).max() <= 1e-12 * max(np.abs(wdt).max(), 1e-3)
+                for A, At in zip(curve.ad_exps(GRID), ref.ad_exps(t)):
+                    assert np.abs(A[k] - At).max() <= 1e-13
+            lift = curve.evaluate(GRID)
+            assert lift.shape == (len(GRID),) + (dec.context.ambient_size,) * 2
+            for k, t in enumerate(GRID):
+                assert np.abs(lift[k] - ref.evaluate(t).matrix).max() <= 1e-13
+
+
+def test_grid_coset_distances_match_per_pair(spaces):
+    """Batched coset distances agree with per-pair calls within 1e-12
+    relative; a single pair still gives a float."""
+    rng = make_rng(501)
+    for dec in spaces.values():
+        ctx = dec.context
+        curve = ProductExpCurve(dec, [dec.random_module_vector(p, rng) for p in ("m1", "m2")])
+        a = curve.evaluate(GRID)
+        b = np.array([m @ matrix_exp(dec.random_module_vector("m", rng), 0.3).matrix for m in a])
+        batched = coset_distance(a, b, dec)
+        assert batched.shape == (len(GRID),)
+        for k in range(len(GRID)):
+            single = coset_distance(GroupElement(ctx, a[k]), GroupElement(ctx, b[k]), dec)
+            assert isinstance(single, float)
+            assert abs(batched[k] - single) <= 1e-12 * single
+            assert single > 0.1
+
+
+def test_grid_coset_distance_rejects_one_out_of_chart_pair(stiefel3):
+    rng = make_rng(502)
+    curve = ProductExpCurve(stiefel3, [stiefel3.random_module_vector("m", rng)])
+    a = curve.evaluate(GRID)
+    b = a.copy()
+    b[7] = a[7] @ matrix_exp(stiefel3.random_module_vector("m1", rng), 7.0).matrix
+    coset_distance(a, a, stiefel3)
+    with pytest.raises(OutOfChartError, match="outside the principal-logarithm chart"):
+        coset_distance(a, b, stiefel3)
+
+
+def _element_wise_shot(dec, g, v0, t_end, steps):
+    """RK4 on (a, v) with full coefficient vectors and one u_map per stage."""
+    ctx = dec.context
+    n = ctx.ambient_size
+    basis_flat = ctx.basis.reshape(ctx.dim, n * n)
+    a, v = np.eye(n), v0.coeffs * dec.part_masks["m"]
+    h = t_end / steps
+
+    def stage(am, vc):
+        V = AlgebraElement(ctx, vc)
+        return am @ (vc @ basis_flat).reshape(n, n), -u_map(g, V, V).coeffs
+
+    points = [(a, v)]
+    for _ in range(steps):
+        k1a, k1v = stage(a, v)
+        k2a, k2v = stage(a + 0.5 * h * k1a, v + 0.5 * h * k1v)
+        k3a, k3v = stage(a + 0.5 * h * k2a, v + 0.5 * h * k2v)
+        k4a, k4v = stage(a + h * k3a, v + h * k3v)
+        a = _polar_orthonormalize(a + (h / 6.0) * (k1a + 2 * k2a + 2 * k3a + k4a))
+        v = v + (h / 6.0) * (k1v + 2 * k2v + 2 * k3v + k4v)
+        points.append((a, v))
+    return points
+
+
+def test_shooting_matches_element_wise_rk4(spaces):
+    for name in ("stiefel(3)", "su3-flag", "so-blocks(2,2,2)", "so-blocks(2,3,4)"):
+        dec = spaces[name]
+        rng = make_rng(503)
+        g = DiagonalMetric(dec, rng.uniform(0.3, 3.0, 3))
+        v0 = dec.random_module_vector("m", rng)
+        shot = shoot_geodesic(dec, g, v0, 2.0, 40)
+        ref = _element_wise_shot(dec, g, v0, 2.0, 40)
+        assert len(shot.samples) == len(ref)
+        for k, (s, (a, v)) in enumerate(zip(shot.samples, ref)):
+            assert s.t == pytest.approx(k * 2.0 / 40, abs=1e-15)
+            assert np.abs(s.group_point.matrix - a).max() <= 1e-15
+            assert np.abs(s.v.coeffs - v).max() <= 1e-15
+
+
+def test_projection_identity_check_compares_two_computations(spaces):
+    """The projected difference quotient and the projected bracket differ
+    by the finite-difference error, which is nonzero and small."""
+    for dec in spaces.values():
+        check = next(
+            c for c in identity_checks(dec).checks
+            if c.name == "projection commutes with differentiation"
+        )
+        assert 0.0 < check.max_residual <= 1e-6
+        assert check.passed
+
+
+def test_verified_decomposition_takes_commuting_pairs_from_its_report(spaces):
+    for dec in spaces.values():
+        try:
+            bare = ReductiveDecomposition(dec.context, dec.part_indices, verify=False)
+            assert bare.commuting_pairs == dec.commuting_pairs == _find_commuting_pairs(dec)
+        finally:
+            dec.context.decomposition = dec  # the bare split attached itself to the context
