@@ -24,6 +24,7 @@ from .core import (
 )
 
 _MODULES = ("m1", "m2", "m3")
+_PARTS = ("k",) + _MODULES
 
 
 @dataclass
@@ -70,7 +71,7 @@ class ReductiveDecomposition:
     ):
         self.context = context
         self.part_indices = {p: np.asarray(ix, dtype=np.intp) for p, ix in part_indices.items()}
-        all_ix = np.concatenate([self.part_indices[p] for p in ("k",) + _MODULES])
+        all_ix = np.concatenate([self.part_indices[p] for p in _PARTS])
         if sorted(all_ix) != list(range(context.dim)):
             raise SpaceDefinitionError(
                 f"{context.name}: parts must partition the basis index range"
@@ -89,6 +90,7 @@ class ReductiveDecomposition:
         self.c_m_flat = context.structure_constants[m].reshape(-1, d * d)
         # the c[m, m, m] block with rows (j, i): c_mmm[j * d_m + i, k] = c[j, i, k]
         self.c_mmm = context.structure_constants[np.ix_(m, m, m)].reshape(len(m) ** 2, len(m))
+        self.block_max = _part_block_max(context.structure_constants, self.part_indices).tolist()
         context.decomposition = self
         if not verify:
             self.commuting_pairs = _find_commuting_pairs(self)
@@ -121,28 +123,30 @@ class ReductiveDecomposition:
     def module_of(self, X: AlgebraElement, tol: float = 1e-9) -> str | None:
         """Name of the single part containing X, or None if mixed."""
         scale = max(np.abs(X.coeffs).max(), 1e-300)
-        parts = ("k",) + _MODULES
-        hits = [p for p in parts if np.abs(X.coeffs * self.part_masks[p]).max() > tol * scale]
+        hits = [p for p in _PARTS if np.abs(X.coeffs * self.part_masks[p]).max() > tol * scale]
         return hits[0] if len(hits) == 1 else None
 
-
-def _inclusion_residual(dec, part_a, part_b, allowed) -> float:
-    """max residual of [part_a, part_b] outside the allowed parts, over basis pairs."""
-    c = dec.context.structure_constants
-    ia, ib = dec.part_indices[part_a], dec.part_indices[part_b]
-    if len(ia) == 0 or len(ib) == 0:
-        return 0.0
-    # brackets of all basis pairs: c[ia, ib, :] directly
-    coeffs = c[np.ix_(ia, ib)]
-    mask = np.zeros(dec.context.dim)
-    for p in allowed:
-        mask = np.maximum(mask, dec.part_masks[p])
-    return float(np.abs(coeffs * (1.0 - mask)).max())
+    def bracket_residual(self, parts_a, parts_b, allowed) -> float:
+        """Largest |c[i, j, l]| over i in parts_a, j in parts_b and l outside
+        the allowed parts: how far [parts_a, parts_b] leaves the allowed span."""
+        B, ix = self.block_max, _PARTS.index
+        out = [r for r, p in enumerate(_PARTS) if p not in allowed]
+        return max((B[ix(p)][ix(q)][r] for p in parts_a for q in parts_b for r in out), default=0.0)
 
 
-def _pairs_residual(dec, parts_a, parts_b, allowed) -> float:
-    """_inclusion_residual maximized over the part pairs of parts_a x parts_b."""
-    return max(_inclusion_residual(dec, a, b, allowed) for a in parts_a for b in parts_b)
+def _part_block_max(c, part_indices) -> np.ndarray:
+    """B[p, q, r] = max |c[i, j, l]| over i in p, j in q, l in r for the parts
+    (k, m1, m2, m3); 0 where a part is empty."""
+    sizes = [len(part_indices[p]) for p in _PARTS]
+    order = np.concatenate([part_indices[p] for p in _PARTS])
+    nonempty = [q for q, size in enumerate(sizes) if size]
+    starts = np.cumsum([0] + sizes[:-1])[nonempty]
+    block = np.abs(c[np.ix_(order, order, order)])
+    for axis in range(3):
+        block = np.maximum.reduceat(block, starts, axis=axis)
+    out = np.zeros((4, 4, 4))
+    out[np.ix_(nonempty, nonempty, nonempty)] = block
+    return out
 
 
 def _find_commuting_pairs(dec) -> frozenset:
@@ -150,7 +154,7 @@ def _find_commuting_pairs(dec) -> frozenset:
     pairs = set()
     for i, j in ((1, 2), (1, 3), (2, 3)):
         # with nothing allowed, the residual is the largest bracket coefficient
-        if _inclusion_residual(dec, f"m{i}", f"m{j}", ()) <= tol:
+        if dec.bracket_residual((f"m{i}",), (f"m{j}",), ()) <= tol:
             pairs.add((i, j))
     return frozenset(pairs)
 
@@ -161,22 +165,22 @@ def verify_structure(dec: ReductiveDecomposition) -> StructureReport:
     K = dec.context.killing
     report = StructureReport(space=dec.name, module_dims=dec.module_dims())
 
-    parts = ("k",) + _MODULES
     ortho = 0.0
     for a in range(4):
         for b in range(a + 1, 4):
-            ia, ib = dec.part_indices[parts[a]], dec.part_indices[parts[b]]
+            ia, ib = dec.part_indices[_PARTS[a]], dec.part_indices[_PARTS[b]]
             if len(ia) and len(ib):
                 ortho = max(ortho, np.abs(K[np.ix_(ia, ib)]).max())
     report.add("B-orthogonality of parts", ortho, tol * max(1.0, np.abs(K).max()))
 
+    k = ("k",)
     for mi in _MODULES:
-        report.add(f"reductivity [k, {mi}] in {mi}", _inclusion_residual(dec, "k", mi, (mi,)), tol)
+        report.add(f"reductivity [k, {mi}] in {mi}", dec.bracket_residual(k, (mi,), (mi,)), tol)
     for mi in _MODULES:
-        report.add(f"Wallach [{mi}, {mi}] in k", _inclusion_residual(dec, mi, mi, ("k",)), tol)
+        report.add(f"Wallach [{mi}, {mi}] in k", dec.bracket_residual((mi,), (mi,), k), tol)
     for mi, mj, mk in (("m1", "m2", "m3"), ("m1", "m3", "m2"), ("m2", "m3", "m1")):
-        report.add(f"derived [{mi}, {mj}] in {mk}", _inclusion_residual(dec, mi, mj, (mk,)), tol)
-    report.add("k is a subalgebra", _inclusion_residual(dec, "k", "k", ("k",)), tol)
+        report.add(f"derived [{mi}, {mj}] in {mk}", dec.bracket_residual((mi,), (mj,), (mk,)), tol)
+    report.add("k is a subalgebra", dec.bracket_residual(k, k, k), tol)
     report.commuting_pairs = _find_commuting_pairs(dec)
     return report
 
@@ -189,9 +193,9 @@ def verify_fibration(dec: ReductiveDecomposition, i: int) -> StructureReport:
     mprime = (f"m{j}", f"m{k}")
     report = StructureReport(space=f"{dec.name} fibration i={i}", module_dims=dec.module_dims())
 
-    report.add(f"g{i} = k+m{i} is a subalgebra", _pairs_residual(dec, gi, gi, gi), tol)
-    report.add(f"[m', m'] in g{i}", _pairs_residual(dec, mprime, mprime, gi), tol)
-    report.add(f"[g{i}, m'] in m'", _pairs_residual(dec, gi, mprime, mprime), tol)
+    report.add(f"g{i} = k+m{i} is a subalgebra", dec.bracket_residual(gi, gi, gi), tol)
+    report.add(f"[m', m'] in g{i}", dec.bracket_residual(mprime, mprime, gi), tol)
+    report.add(f"[g{i}, m'] in m'", dec.bracket_residual(gi, mprime, mprime), tol)
 
     # [[m_i, m_i], m_i] subset m_i: Lie triple system
     ctx = dec.context
@@ -221,11 +225,11 @@ class TwoSummandView:
         self.M2_part = f"m{i}"
         M1, M2 = self.M1_parts, (self.M2_part,)
         checks = [
-            ("[M2, M2] in k", _pairs_residual(parent, M2, M2, ("k",))),
-            ("[M1, M1] in k+M2", _pairs_residual(parent, M1, M1, ("k",) + M2)),
-            ("[M1, M2] in M1", _pairs_residual(parent, M1, M2, M1)),
-            ("[k, M1] in M1", _pairs_residual(parent, ("k",), M1, M1)),
-            ("[k, M2] in M2", _pairs_residual(parent, ("k",), M2, M2)),
+            ("[M2, M2] in k", parent.bracket_residual(M2, M2, ("k",))),
+            ("[M1, M1] in k+M2", parent.bracket_residual(M1, M1, ("k",) + M2)),
+            ("[M1, M2] in M1", parent.bracket_residual(M1, M2, M1)),
+            ("[k, M1] in M1", parent.bracket_residual(("k",), M1, M1)),
+            ("[k, M2] in M2", parent.bracket_residual(("k",), M2, M2)),
         ]
         for name, res in checks:
             if res > parent.context.tol_structural:
@@ -254,6 +258,13 @@ def _skew(n: int, a: int, b: int) -> np.ndarray:
     return M
 
 
+def _adapted(name: str, entries, tol_structural: float, note: str = "") -> ReductiveDecomposition:
+    """Verified decomposition from (part, basis matrix) pairs in basis order."""
+    parts = {p: [q for q, (part, _) in enumerate(entries) if part == p] for p in _PARTS}
+    ctx = AlgebraContext(name, [M for _, M in entries], tol_structural)
+    return ReductiveDecomposition(ctx, parts, equivalence_note=note)
+
+
 def build_so_blocks(l: int, m: int, n: int, tol_structural: float = 1e-12) -> ReductiveDecomposition:
     """so(l+m+n) with k the block-diagonal so(l)+so(m)+so(n); off-diagonal
     blocks (1,2) -> m1, (1,3) -> m2, (2,3) -> m3."""
@@ -261,24 +272,10 @@ def build_so_blocks(l: int, m: int, n: int, tol_structural: float = 1e-12) -> Re
         raise DegenerateSpaceError("need l, m, n >= 1 and l+m+n >= 3")
     N = l + m + n
     ranges = [range(0, l), range(l, l + m), range(l + m, N)]
-    basis = []
-    parts = {"k": [], "m1": [], "m2": [], "m3": []}
-
-    def add(part, a, b):
-        parts[part].append(len(basis))
-        basis.append(_skew(N, a, b))
-
-    for r in ranges:
-        for a in r:
-            for b in r:
-                if a < b:
-                    add("k", a, b)
+    entries = [("k", _skew(N, a, b)) for r in ranges for a in r for b in r if a < b]
     for part, (ra, rb) in (("m1", (0, 1)), ("m2", (0, 2)), ("m3", (1, 2))):
-        for a in ranges[ra]:
-            for b in ranges[rb]:
-                add(part, a, b)
-    ctx = AlgebraContext(f"so-blocks({l},{m},{n})", basis, tol_structural)
-    return ReductiveDecomposition(ctx, parts)
+        entries += [(part, _skew(N, a, b)) for a in ranges[ra] for b in ranges[rb]]
+    return _adapted(f"so-blocks({l},{m},{n})", entries, tol_structural)
 
 
 def build_stiefel(n: int, tol_structural: float = 1e-12) -> ReductiveDecomposition:
@@ -287,25 +284,11 @@ def build_stiefel(n: int, tol_structural: float = 1e-12) -> ReductiveDecompositi
     if n < 2:
         raise DegenerateSpaceError("need n >= 2; use build_so_blocks(1, 1, 1) for n = 1")
     N = n + 2
-    basis = []
-    parts = {"k": [], "m1": [], "m2": [], "m3": []}
-
-    def add(part, a, b):
-        parts[part].append(len(basis))
-        basis.append(_skew(N, a, b))
-
-    for a in range(2, N):
-        for b in range(a + 1, N):
-            add("k", a, b)
-    for b in range(2, N):
-        add("m1", 0, b)
-    for b in range(2, N):
-        add("m2", 1, b)
-    add("m3", 1, 0)
-    ctx = AlgebraContext(f"stiefel({n})", basis, tol_structural)
-    return ReductiveDecomposition(
-        ctx, parts, equivalence_note="m1 and m2 are equivalent K-modules"
-    )
+    entries = [("k", _skew(N, a, b)) for a in range(2, N) for b in range(a + 1, N)]
+    entries += [("m1", _skew(N, 0, b)) for b in range(2, N)]
+    entries += [("m2", _skew(N, 1, b)) for b in range(2, N)]
+    entries.append(("m3", _skew(N, 1, 0)))
+    return _adapted(f"stiefel({n})", entries, tol_structural, "m1 and m2 are equivalent K-modules")
 
 
 def _realify(A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -322,46 +305,25 @@ def _realify(A: np.ndarray, B: np.ndarray) -> np.ndarray:
 def build_su3_flag(tol_structural: float = 1e-12) -> ReductiveDecomposition:
     """Realified su(3) with k the diagonal torus and the three root-pair
     planes (1,2) -> m1, (1,3) -> m2, (2,3) -> m3."""
-    basis = []
-    parts = {"k": [], "m1": [], "m2": [], "m3": []}
-
-    def add(part, A, B):
-        parts[part].append(len(basis))
-        basis.append(_realify(A, B))
-
     Z = np.zeros((3, 3))
-    add("k", Z, np.diag([1.0, -1.0, 0.0]))
-    add("k", Z, np.diag([0.0, 1.0, -1.0]))
+    entries = [("k", _realify(Z, np.diag(h))) for h in ([1.0, -1.0, 0.0], [0.0, 1.0, -1.0])]
     for part, (j, k) in (("m1", (0, 1)), ("m2", (0, 2)), ("m3", (1, 2))):
         E = np.zeros((3, 3))
         E[j, k] = 1.0
-        add(part, E - E.T, Z)
-        add(part, Z, E + E.T)
-    ctx = AlgebraContext("su3-flag", basis, tol_structural)
-    return ReductiveDecomposition(ctx, parts)
+        entries += [(part, _realify(E - E.T, Z)), (part, _realify(Z, E + E.T))]
+    return _adapted("su3-flag", entries, tol_structural)
 
 
 def build_product_spheres(tol_structural: float = 1e-12) -> ReductiveDecomposition:
     """so(3)+so(3)+so(3) block-diagonal in 9x9; k takes one rotation
     generator per factor, m_i the remaining two generators of factor i."""
-    basis = []
-    parts = {"k": [], "m1": [], "m2": [], "m3": []}
-
-    def add(part, factor, a, b):
-        parts[part].append(len(basis))
-        off = 3 * factor
-        basis.append(_skew(9, off + a, off + b))
-
-    for f in range(3):
-        add("k", f, 1, 0)
+    entries = [("k", _skew(9, 3 * f + 1, 3 * f)) for f in range(3)]
     for f, part in enumerate(_MODULES):
-        add(part, f, 2, 1)
-        add(part, f, 0, 2)
-    ctx = AlgebraContext("product-spheres", basis, tol_structural)
-    return ReductiveDecomposition(ctx, parts)
+        entries += [(part, _skew(9, 3 * f + 2, 3 * f + 1)), (part, _skew(9, 3 * f, 3 * f + 2))]
+    return _adapted("product-spheres", entries, tol_structural)
 
 
-def load_space_json(path) -> ReductiveDecomposition:
+def load_space_json(path, tol_structural: float = 1e-12) -> ReductiveDecomposition:
     """Load a space definition { name, ambient_size, basis, parts } and
     verify its structure before use."""
     try:
@@ -391,7 +353,7 @@ def load_space_json(path) -> ReductiveDecomposition:
         if not isinstance(ix, list) or any(type(i) is not int for i in ix):
             raise SpaceDefinitionError(f"parts must map {p!r} to a list of basis indices")
     try:
-        ctx = AlgebraContext(str(data["name"]), basis)
+        ctx = AlgebraContext(str(data["name"]), basis, tol_structural)
         dec = ReductiveDecomposition(ctx, {p: parts[p] for p in ("k", "m1", "m2", "m3")})
     except StructureError as exc:
         raise SpaceDefinitionError(str(exc)) from exc

@@ -9,6 +9,8 @@ Exit codes: 0 pass, 1 verification failure, 2 unknown space,
 from __future__ import annotations
 
 import argparse
+import functools
+import json
 import os
 import re
 import sys
@@ -85,7 +87,7 @@ def _dump_json(obj, indent: int = 0) -> str:
         return _fmt_float(obj)
     if obj is None:
         return "null"
-    return '"' + str(obj).replace("\\", "\\\\").replace('"', '\\"') + '"'
+    return json.dumps(str(obj))
 
 
 def _structural_tol() -> float:
@@ -93,9 +95,13 @@ def _structural_tol() -> float:
     if raw is None:
         return DEFAULT_TOL["structural"]
     try:
-        return float(raw)
+        tol = float(raw)
     except ValueError:
-        raise SpaceDefinitionError(f"WALLACH_GEO_TOL is not a number: {raw!r}") from None
+        tol = np.nan
+    # a tolerance of 0, below 0, inf or nan would fail or pass every check
+    if not (np.isfinite(tol) and tol > 0):
+        raise UsageError(f"WALLACH_GEO_TOL must be a finite number > 0, got {raw!r}")
+    return tol
 
 
 class UnknownSpaceError(WallachGeoError):
@@ -126,11 +132,11 @@ def resolve_space(tokens):
     if isinstance(tokens, str):
         tokens = [tokens]
     joined = " ".join(str(t) for t in tokens).strip()
+    tol = _structural_tol()
     if joined.endswith(".json"):
-        return load_space_json(joined)
+        return load_space_json(joined, tol_structural=tol)
     norm = re.sub(r"[(),]", " ", joined).strip().lower()
     m = re.fullmatch(r"(so-blocks|stiefel)[\s-]*([\d\s-]*)", norm)
-    tol = _structural_tol()
     if m:
         name = m.group(1)
         nums = [int(q) for q in re.split(r"[\s-]+", m.group(2).strip()) if q]
@@ -373,7 +379,10 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(f"{self.prog}: {message}")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and then shared: parsing
+    leaves it unchanged, and building it costs more than a short command."""
     p = _Parser(
         prog="wallach-geo",
         description="Geodesics on generalized Wallach spaces: catalog, "
@@ -445,7 +454,9 @@ def main(argv=None) -> int:
         with np.errstate(all="ignore"):
             return args.func(args)
     except WallachGeoError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # a control character (say, a newline in a JSON space name) would split the line
+        message = re.sub(r"[\x00-\x1f\x7f]", lambda m: repr(m.group())[1:-1], str(exc))
+        print(f"error: {message}", file=sys.stderr)
         return next(code for kinds, code in _EXIT_CODES if isinstance(exc, kinds))
 
 

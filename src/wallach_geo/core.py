@@ -174,12 +174,17 @@ class AlgebraContext:
         if np.linalg.cond(self.gram) > 1e12:
             raise StructureError(f"{name}: basis matrices are (numerically) dependent")
 
-        comms = np.einsum("aij,bjk->abik", basis, basis)
-        comms = comms - np.transpose(comms, (1, 0, 2, 3))
-        rhs = np.einsum("cij,abij->abc", basis, comms)
-        self.structure_constants = rhs @ self._gram_inv.T
+        # each contraction below is one GEMM: rows (a, i) of the stacked basis
+        # against columns (b, k) give all products e_a e_b at once
+        d, n = self.dim, self.ambient_size
+        flat = basis.reshape(d, n * n)
+        prods = basis.reshape(d * n, n) @ basis.transpose(1, 0, 2).reshape(n, d * n)
+        prods = prods.reshape(d, n, d, n).transpose(0, 2, 1, 3)
+        comms = prods - prods.transpose(1, 0, 2, 3)
+        rhs = comms.reshape(d * d, n * n) @ flat.T
+        self.structure_constants = (rhs @ self._gram_inv.T).reshape(d, d, d)
 
-        recon = np.einsum("abc,cij->abij", self.structure_constants, basis)
+        recon = (self.structure_constants.reshape(d * d, d) @ flat).reshape(d, d, n, n)
         self._commutator_residual = float(np.abs(recon - comms).max())
         if self._commutator_residual > self.tol_structural * max(1.0, np.abs(comms).max()):
             raise StructureError(
@@ -194,7 +199,6 @@ class AlgebraContext:
 
         # Jacobi sums T[i,j,k] + T[k,i,j] + T[j,k,i], T[i,j,k,m] the m-coefficient of
         # [[e_i, e_j], e_k], over chunks of i so memory is O(d^3) rather than d^4
-        d = self.dim
         rows = max(1, _JACOBI_CHUNK // d**3)
         self._jacobi_residual = t_max = 0.0
         for s in range(0, d, rows):
@@ -210,17 +214,16 @@ class AlgebraContext:
         if self._jacobi_residual > self.tol_structural * max(1.0, t_max):
             raise StructureError(f"{name}: Jacobi identity fails ({self._jacobi_residual:.3e})")
 
-        # ad matrices and the Killing form from ad-traces
-        self.ad_basis = np.transpose(c, (0, 2, 1))  # ad_basis[i][k, j] = c[i, j, k]
-        self.killing = np.einsum("ikl,jlk->ij", self.ad_basis, self.ad_basis)
+        # the Killing form from ad-traces, ad(e_i)[k, j] = c[i, j, k]:
+        # B[i, j] = tr(ad_i ad_j) = sum_lk c[i, l, k] c[j, k, l]
+        self.killing = c.reshape(d, -1) @ c.transpose(0, 2, 1).reshape(d, -1).T
 
         kb = max(1.0, np.abs(self.killing).max())
         sym = np.abs(self.killing - self.killing.T).max()
         if sym > self.tol_structural * kb:
             raise StructureError(f"{name}: Killing matrix not symmetric ({sym:.3e})")
-        adinv = np.einsum("ijl,lk->ijk", c, self.killing) + np.einsum(
-            "jl,ikl->ijk", self.killing, c
-        )
+        K = self.killing
+        adinv = (c.reshape(-1, d) @ K).reshape(d, d, d) + K @ c.transpose(0, 2, 1)
         self._ad_invariance_residual = float(np.abs(adinv).max())
         if self._ad_invariance_residual > 10 * self.tol_structural * kb:
             raise StructureError(

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from wallach_geo import (
+    AlgebraContext,
     DegenerateSpaceError,
     GroupingInvalidError,
     SpaceDefinitionError,
@@ -17,7 +18,7 @@ from wallach_geo import (
     verify_fibration,
     verify_structure,
 )
-from wallach_geo.catalog import counterexample_swapped
+from wallach_geo.catalog import ReductiveDecomposition, counterexample_swapped
 from .conftest import make_rng
 
 EXPECTED_DIMS = {
@@ -150,3 +151,81 @@ def test_corrupted_decomposition_fails_verification():
     report = verify_structure(bad)
     assert not report.verdict
     assert report.max_residual() > 0.1
+
+
+def _inclusion_residual(dec, part_a, part_b, allowed):
+    """Largest coefficient of [part_a, part_b] outside the allowed parts, by a
+    scan of every basis pair: the reference for the part-block table."""
+    c = dec.context.structure_constants
+    ia, ib = dec.part_indices[part_a], dec.part_indices[part_b]
+    if len(ia) == 0 or len(ib) == 0:
+        return 0.0
+    mask = np.zeros(dec.context.dim)
+    for p in allowed:
+        mask = np.maximum(mask, dec.part_masks[p])
+    return float(np.abs(c[np.ix_(ia, ib)] * (1.0 - mask)).max())
+
+
+def _pairs_residual(dec, parts_a, parts_b, allowed):
+    return max(_inclusion_residual(dec, a, b, allowed) for a in parts_a for b in parts_b)
+
+
+PARTS = ("k", "m1", "m2", "m3")
+
+
+def _scattered(dec, seed):
+    """The same split with its basis in a random order, so that no part is
+    a contiguous index range."""
+    perm = make_rng(seed).permutation(dec.context.dim)
+    where = np.argsort(perm)  # new position of each old basis index
+    ctx = AlgebraContext(dec.name + " (scattered)", dec.context.basis[perm])
+    parts = {p: sorted(where[dec.part_indices[p]].tolist()) for p in PARTS}
+    return ReductiveDecomposition(ctx, parts, verify=False)
+
+
+def test_part_block_residuals_match_basis_pair_scan(spaces):
+    """Every residual read from the part-block table equals the basis-pair
+    scan exactly, on contiguous parts and on scattered (gathered) ones."""
+    swapped = counterexample_swapped()
+    scattered = [_scattered(spaces["so-blocks(2,3,4)"], 1), _scattered(swapped, 2)]
+    for dec in [*spaces.values(), swapped, *scattered]:
+        for a in PARTS:
+            for b in PARTS:
+                for n in range(16):
+                    allowed = tuple(p for q, p in enumerate(PARTS) if n >> q & 1)
+                    got = dec.bracket_residual((a,), (b,), allowed)
+                    assert got == _inclusion_residual(dec, a, b, allowed), (dec.name, a, b, allowed)
+
+        tol = dec.context.tol_structural
+        want = [_inclusion_residual(dec, "k", m, (m,)) for m in PARTS[1:]]
+        want += [_inclusion_residual(dec, m, m, ("k",)) for m in PARTS[1:]]
+        want += [_inclusion_residual(dec, a, b, (c,))
+                 for a, b, c in (("m1", "m2", "m3"), ("m1", "m3", "m2"), ("m2", "m3", "m1"))]
+        want.append(_inclusion_residual(dec, "k", "k", ("k",)))
+        assert [c.max_residual for c in verify_structure(dec).checks[1:]] == want, dec.name
+        pairs = {(i, j) for i, j in ((1, 2), (1, 3), (2, 3))
+                 if _inclusion_residual(dec, f"m{i}", f"m{j}", ()) <= tol}
+        assert dec.commuting_pairs == verify_structure(dec).commuting_pairs == pairs, dec.name
+
+        for i in (1, 2, 3):
+            gi = ("k", f"m{i}")
+            mprime = tuple(f"m{q}" for q in (1, 2, 3) if q != i)
+            want = [_pairs_residual(dec, gi, gi, gi), _pairs_residual(dec, mprime, mprime, gi),
+                    _pairs_residual(dec, gi, mprime, mprime)]
+            assert [c.max_residual for c in verify_fibration(dec, i).checks[:3]] == want
+            M1, M2 = mprime, (f"m{i}",)
+            view = [
+                ("[M2, M2] in k", _pairs_residual(dec, M2, M2, ("k",))),
+                ("[M1, M1] in k+M2", _pairs_residual(dec, M1, M1, ("k",) + M2)),
+                ("[M1, M2] in M1", _pairs_residual(dec, M1, M2, M1)),
+                ("[k, M1] in M1", _pairs_residual(dec, ("k",), M1, M1)),
+                ("[k, M2] in M2", _pairs_residual(dec, ("k",), M2, M2)),
+            ]
+            failed = [(name, res) for name, res in view if res > tol]
+            if not failed:
+                assert two_summand_view(dec, i).M2_part == f"m{i}"
+                continue
+            name, res = failed[0]
+            with pytest.raises(GroupingInvalidError) as info:
+                two_summand_view(dec, i)
+            assert str(info.value).endswith(f"violates {name} (residual {res:.3e})")

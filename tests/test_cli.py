@@ -1,11 +1,17 @@
 """Command-line interface: exit codes, report schema and determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from wallach_geo.cli import main
+import wallach_geo
+from wallach_geo import build_so_blocks
+from wallach_geo.cli import build_parser, main
 
 GEO_ARGS = [
     "geodesic",
@@ -249,10 +255,14 @@ def test_go_check_rejects_nonpositive_trials(capsys):
 
 
 def test_bad_structural_tol_env(capsys, monkeypatch):
-    monkeypatch.setenv("WALLACH_GEO_TOL", "not-a-number")
-    code, _, err = run(capsys, "verify-space", "stiefel", "2")
-    assert code == 3
-    assert "WALLACH_GEO_TOL" in err
+    """A tolerance that is not a finite number > 0 is a one-line usage error."""
+    for value in ("not-a-number", "nan", "inf", "-1", "0"):
+        for argv in (["verify-space", "stiefel", "2"], GEO_ARGS):
+            monkeypatch.setenv("WALLACH_GEO_TOL", value)
+            code, out, err = run(capsys, *argv)
+            assert code == 3, (value, argv)
+            assert out == ""
+            assert err.count("\n") == 1 and "WALLACH_GEO_TOL" in err
 
 
 def test_structural_tol_env_applied(capsys, monkeypatch):
@@ -345,3 +355,79 @@ def test_reports_are_strict_json(capsys, argv):
     code, out, _ = run(capsys, *argv)
     assert code == 0
     assert isinstance(_strict_json(out), dict)
+
+
+def _fresh_call(argv):
+    """(exit code, stdout) of one command in a new interpreter."""
+    src = str(Path(wallach_geo.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    code = "import sys; from wallach_geo.cli import main; sys.exit(main(sys.argv[1:]))"
+    proc = subprocess.run([sys.executable, "-c", code, *argv], env=env, capture_output=True,
+                          text=True, timeout=120)
+    return proc.returncode, proc.stdout
+
+
+def test_parser_is_shared_and_calls_match_fresh_interpreters(capsys):
+    """One parser serves every call of a process, and a call after others,
+    a malformed one among them, prints what it prints as a process's first."""
+    sequence = [
+        ["geodesic", "--space", "su3-flag", "--metric", "1", "0.7", "1", "--trials", "1",
+         "--steps", "40"],
+        ["geodesic", "--space", "su3-flag", "--case", "7"],
+        ["restriction", "--lambda2", "1", "--lambda3", "0.7"],
+        ["verify-space", "stiefel", "3"],
+        ["geodesic", "--space", "stiefel3", "--metric", "1", "1", "0.5", "--trials", "1",
+         "--steps", "40"],
+    ]
+    assert build_parser() is build_parser()
+    in_process = []
+    for argv in sequence:
+        code, out, _ = run(capsys, *argv)
+        in_process.append((code, out))
+    assert [code for code, _ in in_process] == [0, 3, 0, 0, 0]
+    assert in_process == [_fresh_call(argv) for argv in sequence]
+
+
+def _write_space(path, name, basis, dec):
+    data = {
+        "name": name,
+        "ambient_size": dec.context.ambient_size,
+        "basis": [M.tolist() for M in basis],
+        "parts": {p: [int(i) for i in dec.part_indices[p]] for p in ("k", "m1", "m2", "m3")},
+    }
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+def test_structural_tol_env_applies_to_json_spaces(capsys, monkeypatch, tmp_path):
+    """so-blocks(1,1,2) with 1e-9 of an m2 vector leaked into an m1 vector
+    fails at the default tolerance and passes at 1e-6."""
+    dec = build_so_blocks(1, 1, 2)
+    basis = dec.context.basis.copy()
+    basis[dec.part_indices["m1"][0]] += 1e-9 * basis[dec.part_indices["m2"][0]]
+    path = _write_space(tmp_path / "leaky.json", "leaky", basis, dec)
+    code, out, err = run(capsys, "verify-space", path)
+    assert code == 3 and out == "" and "structure verification failed" in err
+    monkeypatch.setenv("WALLACH_GEO_TOL", "1e-6")
+    code, out, _ = run(capsys, "verify-space", path)
+    assert code == 0
+    assert json.loads(out)["verdict"] is True
+
+
+def test_control_characters_in_names_are_escaped(capsys, tmp_path):
+    """A space name with a newline, tab, quote or non-ASCII characters gives
+    ASCII reports that parse back to that name, and errors on one line."""
+    name = 'two\nlines\t"quoted" \\ ünïcødé ∑'
+    dec = build_so_blocks(1, 1, 1)
+    path = _write_space(tmp_path / "named.json", name, dec.context.basis, dec)
+    for argv in (
+        ("verify-space", path),
+        ("geodesic", "--space", path, "--metric", "1", "1", "0.5", "--trials", "1"),
+    ):
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert out.isascii() and json.loads(out)["space"] == name
+    path = _write_space(tmp_path / "flat.json", name, 0.0 * dec.context.basis, dec)
+    code, out, err = run(capsys, "verify-space", path)
+    assert code == 3 and out == ""
+    assert err.count("\n") == 1 and "two\\nlines\\t" in err

@@ -284,3 +284,63 @@ def test_group_element_orthogonality_drift(stiefel3):
     X = stiefel3.random_module_vector("m1", make_rng(12))
     g = matrix_exp(X, 1.3)
     assert g.orthogonality_drift() < 1e-13
+
+
+def _einsum_context(basis):
+    """Structure constants, Killing matrix and its Cholesky factor by the
+    plain einsum formulas, a reference for the GEMM construction."""
+    gram_inv = np.linalg.inv(np.einsum("aij,bij->ab", basis, basis))
+    comms = np.einsum("aij,bjk->abik", basis, basis)
+    comms = comms - np.transpose(comms, (1, 0, 2, 3))
+    c = np.einsum("cij,abij->abc", basis, comms) @ gram_inv.T
+    ad = np.transpose(c, (0, 2, 1))
+    killing = np.einsum("ikl,jlk->ij", ad, ad)
+    return c, killing, np.linalg.cholesky(-killing)
+
+
+def test_context_matches_einsum_formulas(spaces):
+    """On the catalog bases every product is exact, so the GEMMs give the
+    einsum values bit for bit; on a conjugated so(5) basis they agree to
+    rounding."""
+    for name, dec in spaces.items():
+        ctx = dec.context
+        for got, want in zip(
+            (ctx.structure_constants, ctx.killing, ctx.killing_chol), _einsum_context(ctx.basis)
+        ):
+            assert np.array_equal(got, want), name
+    Q = np.linalg.qr(make_rng(13).standard_normal((5, 5)))[0]
+    basis = np.array([Q @ M @ Q.T for M in build_so_blocks(1, 2, 2).context.basis])
+    ctx = AlgebraContext("so5-conjugated", basis)
+    for got, want in zip(
+        (ctx.structure_constants, ctx.killing, ctx.killing_chol), _einsum_context(basis)
+    ):
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+def _so3_skew(a, b):
+    M = np.zeros((3, 3))
+    M[a, b], M[b, a] = 1.0, -1.0
+    return M
+
+
+_D = np.diag([1.0, 2.0, 3.0])
+_CONJUGATED = [_D @ _so3_skew(a, b) @ np.linalg.inv(_D) for a, b in ((0, 1), (0, 2), (1, 2))]
+_BOOSTS = [np.array([[0, 0, 1], [0, 0, 0], [1, 0, 0]]), np.array([[0, 0, 0], [0, 0, 1], [0, 1, 0]])]
+
+
+@pytest.mark.parametrize(
+    "name, basis, error, message",
+    [
+        ("dependent", [_so3_skew(0, 1), 2.0 * _so3_skew(0, 1)], StructureError,
+         "dependent: basis matrices are linearly dependent"),
+        ("not-closed", [_so3_skew(0, 1), _so3_skew(0, 2)], StructureError,
+         r"not-closed: commutators leave the basis span \(residual 1\.000e\+00\)"),
+        ("non-skew", _CONJUGATED, SpaceDefinitionError,
+         r"non-skew: ambient basis matrices are not skew-symmetric \("),
+        ("so(2,1)", [_so3_skew(0, 1)] + _BOOSTS, SpaceDefinitionError,
+         r"so\(2,1\): -B is not positive definite \(g is not compact semisimple\)"),
+    ],
+)
+def test_context_errors_keep_their_messages(name, basis, error, message):
+    with pytest.raises(error, match=f"^{message}"):
+        AlgebraContext(name, basis)

@@ -6,7 +6,7 @@ import json
 import math
 import warnings
 
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from wallach_geo import build_so_blocks
@@ -116,6 +116,12 @@ _junk = st.one_of(
     st.text(max_size=3), st.lists(st.integers(-1, 4), max_size=3),
     st.dictionaries(st.text(max_size=2), st.integers(), max_size=2),
 )
+# names that a report must escape: control characters, quotes, non-ASCII
+_names = st.one_of(
+    _junk,
+    st.sampled_from(["two\nlines", "tab\there", 'say "so"', "back\\slash", "ünïcødé ∑"]),
+    st.text(max_size=6),
+)
 _rows = st.lists(st.one_of(floats, _junk), max_size=10)
 _bases = st.one_of(
     _junk,
@@ -135,7 +141,7 @@ _parts = st.one_of(
 def _definitions(draw):
     """The valid so(3) definition with some fields dropped or replaced."""
     data = dict(_VALID)
-    for key, values in (("name", _junk), ("ambient_size", _junk), ("basis", _bases), ("parts", _parts)):
+    for key, values in (("name", _names), ("ambient_size", _junk), ("basis", _bases), ("parts", _parts)):
         action = draw(st.sampled_from(["keep", "keep", "drop", "replace"]))
         if action == "drop":
             del data[key]
@@ -146,6 +152,8 @@ def _definitions(draw):
 
 @FUZZ
 @given(data=_definitions(), command=st.sampled_from(["verify-space", "geodesic"]))
+@example(data={**_VALID, "name": 'two\nlines\t"ü"'}, command="verify-space")
+@example(data={**_VALID, "name": "two\nlines", "basis": [[[0.0] * 3] * 3]}, command="geodesic")
 def test_fuzz_json_space_definitions(capsys, tmp_path, data, command):
     path = tmp_path / "space.json"
     path.write_text(json.dumps(data))
