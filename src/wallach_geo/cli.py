@@ -244,8 +244,7 @@ def cmd_geodesic(args) -> int:
         cd = np.zeros(GRID_POINTS)
         if compare_shot:
             shot = shoot_geodesic(dec, g, draws[0] + draws[1] + draws[2], args.t1, steps)
-            shot_points = np.stack([s.group_point.matrix for s in shot.samples[::stride]])
-            cd = coset_distance(shot_points, curve.evaluate(grid), dec)
+            cd = coset_distance(shot.points[::stride], curve.evaluate(grid), dec)
         # one call each for the whole grid: per-t arrays
         gw = np.abs(gw_defect_all(curve, g, grid)).max(axis=1)
         dn = killing_norm(dec.context, connection_defect(curve, g, grid))

@@ -5,7 +5,12 @@ D(t) = v_dot + [w_k, v] + U(v, v) along a lifted curve; it vanishes iff
 the curve is a geodesic, and <W, D(t)> must reproduce the defect G_W of
 ``geodesics`` for every W.  Geodesic shooting integrates the same
 equation forward with RK4 as a second, fully independent check, on bare
-arrays: the lift and the m-coordinates of its velocity.
+arrays.  Its velocity equation v_dot = -U(v, v) does not involve the lift
+a, so the v recurrence runs alone; the lift's RK4 step is linear in a,
+a_{k+1} = a_k Phi_k, and as polar(a Phi) = a polar(Phi) for orthogonal a,
+re-orthonormalizing every step becomes one batched SVD of all the Phi_k
+and their running product, the same map in exact arithmetic.  A last
+batched polar takes out the drift that rounding gives that product.
 
 ``connection_defect`` takes a scalar t or a 1-D array of T times, and
 ``coset_distance`` a pair of group elements or two (T, n, n) stacks, so a
@@ -15,13 +20,15 @@ and logarithm for the distances).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import functools
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import accel
 from .catalog import ReductiveDecomposition, StructureReport
 from .core import (
+    AlgebraContext,
     AlgebraElement,
     GroupElement,
     IntegrationFailureError,
@@ -58,17 +65,53 @@ class CurveSample:
     v: AlgebraElement
 
 
-@dataclass
+@dataclass(eq=False)
 class ShotGeodesic:
-    samples: list = field(default_factory=list)
-    step: float = 0.0
-    energy_drift: float = 0.0
+    """A shot on bare arrays: ``points`` (steps + 1, n, n) holds the lift at
+    t = k ``step`` and ``velocities`` (steps + 1, d_m) the m-coordinates of
+    its body velocity; ``samples`` wraps them as CurveSamples when read."""
+
+    context: AlgebraContext
+    m_indices: np.ndarray
+    points: np.ndarray
+    velocities: np.ndarray
+    step: float
+    energy_drift: float
+
+    @functools.cached_property
+    def samples(self) -> list:
+        ctx = self.context
+        coeffs = np.zeros((len(self.velocities), ctx.dim))
+        coeffs[:, self.m_indices] = self.velocities
+        return [
+            CurveSample(t=k * self.step, group_point=GroupElement(ctx, a), v=AlgebraElement(ctx, c))
+            for k, (a, c) in enumerate(zip(self.points, coeffs))
+        ]
+
+
+# steps per chunk of the lift passes, whose working arrays are O(_CHUNK n^2)
+_CHUNK = 256
 
 
 def _polar_orthonormalize(M: np.ndarray) -> np.ndarray:
-    # nearest orthogonal matrix in Frobenius norm
+    # nearest orthogonal matrix in Frobenius norm, per matrix of a stack
     U, _, Vt = np.linalg.svd(M)
     return U @ Vt
+
+
+def _prefix_products(R: np.ndarray) -> np.ndarray:
+    """R_0, R_0 R_1, ..., R_0 ... R_{C-1} for a (C, n, n) stack by recursive
+    doubling: ceil(log2 C) stacked products instead of C single ones."""
+    P = R.copy()
+    s = 1
+    while s < len(P):
+        P[s:] = P[:-s] @ P[s:]
+        s *= 2
+    return P
+
+
+def _overflow(step: int) -> IntegrationFailureError:
+    return IntegrationFailureError(f"state overflow at step {step}; reduce the step size")
 
 
 def shoot_geodesic(
@@ -79,51 +122,80 @@ def shoot_geodesic(
     steps: int,
 ) -> ShotGeodesic:
     """Classic RK4 on (a, v) with a_dot = a v, v_dot = -U(v, v), using the
-    horizontal lift (zero k-gauge) and polar re-orthonormalization of a."""
+    horizontal lift (zero k-gauge) and polar re-orthonormalization of a
+    after every step, in three passes over bare arrays.
+
+    (i) v does not involve a, so its recurrence runs alone, keeping the
+    four stage states of every step.  (ii) The RK4 update of a is linear
+    in a: a + h/6 (k1 + 2 k2 + 2 k3 + k4) = a Phi_k with
+    Phi_k = I + h/6 (V1 + 2 P2 + 2 P3 + P4), P2 = (I + h/2 V1) V2,
+    P3 = (I + h/2 P2) V3, P4 = (I + h P3) V4 and V_s the stage velocities
+    in the ambient basis; one product expands all V_s of a chunk of steps
+    and three stacked products give its Phi_k.  (iii) For orthogonal a,
+    polar(a Phi) = a polar(Phi) (Higham, "Functions of Matrices", 2008,
+    ch. 8), so one batched SVD gives every R_k = polar(Phi_k) and the lift
+    is the running product a_{k+1} = a_k R_k: the per-step projection map
+    in exact arithmetic, reassociated.  A product of many orthogonal
+    factors drifts off the group by rounding, so a last batched polar
+    returns each lift to it; a chunk starts from its predecessor's
+    projected last lift.
+    """
     if steps < 10:
         raise ValueError("steps must be at least 10")
     ctx = dec.context
     mi = g.m_indices
     n = ctx.ambient_size
-    # the state is (a, v_m): the lift and the m-coordinates of its body velocity
-    basis_m_flat = ctx.basis[mi].reshape(len(mi), n * n)
-    v = v0.coeffs[mi]
-    a = np.eye(n)
     h = t_end / steps
+    half, sixth = 0.5 * h, h / 6.0
+    velocities = np.empty((steps + 1, len(mi)))
+    stages = np.empty((steps, 4, len(mi)))
+    v = velocities[0] = v0.coeffs[mi]
+    # an overflow is reported below, at the step where it first shows
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(steps):
+            s = stages[k]
+            s[0] = v
+            k1 = -u_coeffs(g, v)
+            s[1] = v + half * k1
+            k2 = -u_coeffs(g, s[1])
+            s[2] = v + half * k2
+            k3 = -u_coeffs(g, s[2])
+            s[3] = v + h * k3
+            k4 = -u_coeffs(g, s[3])
+            v = velocities[k + 1] = v + sixth * (k1 + 2 * k2 + 2 * k3 + k4)
+        energy = ((velocities @ g.gram) * velocities).sum(axis=1)
+    finite = np.isfinite(stages).all(axis=(1, 2)) & np.isfinite(energy[1:])
+    good_steps = steps if finite.all() else int(np.argmin(finite))
 
-    def stage(am, vm):
-        # (a_dot, v_dot) = (a v, -U(v, v)); v is expanded in the ambient basis by one product
-        return am @ (vm @ basis_m_flat).reshape(n, n), -u_coeffs(g, vm)
-
-    def sample(t, am, vm):
-        coeffs = np.zeros(ctx.dim)
-        coeffs[mi] = vm
-        return CurveSample(t=t, group_point=GroupElement(ctx, am), v=AlgebraElement(ctx, coeffs))
-
-    e0 = v @ g.gram @ v
-    shot = ShotGeodesic(step=h)
-    # a is rebound, never updated in place, so samples can share it
-    shot.samples.append(sample(0.0, a, v))
-    drift = 0.0
-    for k in range(steps):
-        k1a, k1v = stage(a, v)
-        k2a, k2v = stage(a + 0.5 * h * k1a, v + 0.5 * h * k1v)
-        k3a, k3v = stage(a + 0.5 * h * k2a, v + 0.5 * h * k2v)
-        k4a, k4v = stage(a + h * k3a, v + h * k3v)
-        a = a + (h / 6.0) * (k1a + 2 * k2a + 2 * k3a + k4a)
-        v = v + (h / 6.0) * (k1v + 2 * k2v + 2 * k3v + k4v)
-        e = v @ g.gram @ v
-        if not (np.isfinite(e) and np.isfinite(a).all()):
-            raise IntegrationFailureError(f"state overflow at step {k + 1}; reduce the step size")
-        a = _polar_orthonormalize(a)
-        drift = max(drift, abs(e - e0))
-        shot.samples.append(sample((k + 1) * h, a, v))
-    shot.energy_drift = drift
+    basis_m_flat = ctx.basis[mi].reshape(len(mi), n * n)
+    eye = np.eye(n)
+    points = np.empty((steps + 1, n, n))
+    a = points[0] = eye
+    for lo in range(0, good_steps, _CHUNK):
+        hi = min(lo + _CHUNK, good_steps)
+        with np.errstate(over="ignore", invalid="ignore"):
+            # the stage velocities V_s of the chunk in the ambient basis, one product
+            V = (stages[lo:hi] @ basis_m_flat).reshape(hi - lo, 4, n, n)
+            V1, V2, V3, V4 = np.moveaxis(V, 1, 0)
+            P2 = (eye + half * V1) @ V2
+            P3 = (eye + half * P2) @ V3
+            P4 = (eye + h * P3) @ V4
+            phi = eye + sixth * (V1 + 2 * P2 + 2 * P3 + P4)
+        # finite stages can still give a Phi_k that overflows, as a would
+        bad = ~np.isfinite(phi).all(axis=(1, 2))
+        if bad.any():
+            raise _overflow(lo + int(np.argmax(bad)) + 1)
+        lifts = a @ _prefix_products(_polar_orthonormalize(phi))
+        points[lo + 1 : hi + 1] = _polar_orthonormalize(lifts)
+        a = points[hi]
+    if good_steps < steps:
+        raise _overflow(good_steps + 1)
+    drift = float(np.abs(energy[1:] - energy[0]).max())
     if drift > 1e-6:
         raise IntegrationFailureError(
             f"energy drift {drift:.3e} exceeds 1e-6; reduce the step size"
         )
-    return shot
+    return ShotGeodesic(ctx, mi, points, velocities, h, drift)
 
 
 def coset_distance(a, b, dec: ReductiveDecomposition):

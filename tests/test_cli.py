@@ -357,14 +357,36 @@ def test_reports_are_strict_json(capsys, argv):
     assert isinstance(_strict_json(out), dict)
 
 
-def _fresh_call(argv):
-    """(exit code, stdout) of one command in a new interpreter."""
+def _fresh_process(argv):
+    """One command run in a new interpreter, its output captured."""
     src = str(Path(wallach_geo.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
     code = "import sys; from wallach_geo.cli import main; sys.exit(main(sys.argv[1:]))"
-    proc = subprocess.run([sys.executable, "-c", code, *argv], env=env, capture_output=True,
+    return subprocess.run([sys.executable, "-c", code, *argv], env=env, capture_output=True,
                           text=True, timeout=120)
+
+
+def _fresh_call(argv):
+    """(exit code, stdout) of one command in a new interpreter."""
+    proc = _fresh_process(argv)
     return proc.returncode, proc.stdout
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["geodesic", "--space", "su3-flag", "--metric", "1", "1e100", "1", "--trials", "1",
+          "--steps", "40"], "state overflow at step 1; reduce the step size"),
+        (["geodesic", "--space", "stiefel3", "--metric", "1", "1", "0.5", "--trials", "1",
+          "--t1", "20", "--steps", "20"], "energy drift 3.998e-05 exceeds 1e-6; reduce the step size"),
+    ],
+    ids=["overflow", "energy-drift"],
+)
+def test_shooting_failure_is_one_error_line(argv, message):
+    """A shot that overflows or drifts ends the process with exit code 1 and
+    one stderr line, no traceback or numpy warning."""
+    proc = _fresh_process(argv)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", f"error: {message}\n")
 
 
 def test_parser_is_shared_and_calls_match_fresh_interpreters(capsys):

@@ -19,6 +19,7 @@ from wallach_geo import (
     matrix_exp,
     shoot_geodesic,
 )
+from wallach_geo import oracle
 from .conftest import make_rng
 
 
@@ -168,6 +169,36 @@ def test_shot_frames_stay_orthogonal(so222):
     v0 = so222.random_module_vector("m", make_rng(9))
     shot = shoot_geodesic(so222, g, v0, 1.0, 200)
     assert shot.samples[-1].group_point.orthogonality_drift() < 1e-12
+
+
+def test_long_shot_lifts_stay_orthogonal(so222):
+    """5,000 steps, not a whole number of lift chunks: every lift is
+    orthogonal to rounding, and the samples read the shot's arrays."""
+    steps = 5000
+    assert steps % oracle._CHUNK
+    g = DiagonalMetric(so222, (1.0, 1.7, 0.4))
+    v0 = so222.random_module_vector("m", make_rng(13))
+    shot = shoot_geodesic(so222, g, v0, 5.0, steps)
+    n = so222.context.ambient_size
+    assert shot.points.shape == (steps + 1, n, n)
+    assert shot.velocities.shape == (steps + 1, len(g.m_indices))
+    assert len(shot.samples) == steps + 1
+    k_part = so222.part_indices["k"]
+    for k, s in enumerate(shot.samples):
+        assert s.group_point.orthogonality_drift() <= 1e-14
+        assert s.t == k * shot.step
+        assert np.array_equal(s.group_point.matrix, shot.points[k])
+        assert np.array_equal(s.v.coeffs[g.m_indices], shot.velocities[k])
+        assert not s.v.coeffs[k_part].any()
+
+
+def test_shot_reports_a_lift_overflow_at_its_step(stiefel3):
+    """Finite velocities whose per-step lift factor overflows end in the
+    overflow error at that step, never in a failed SVD."""
+    g = DiagonalMetric(stiefel3, (1.0, 1.0, 1.0))
+    v0 = stiefel3.random_module_vector("m1", make_rng(14)) * 1e80
+    with pytest.raises(IntegrationFailureError, match="^state overflow at step 1; reduce the step size$"):
+        shoot_geodesic(stiefel3, g, v0, 100.0, 10)
 
 
 def test_coset_distance_basics(stiefel3):
