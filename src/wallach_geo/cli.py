@@ -27,6 +27,7 @@ from .catalog import (
     verify_structure,
 )
 from .core import (
+    DegenerateSpaceError,
     GenericityError,
     InvalidMetricError,
     SpaceDefinitionError,
@@ -437,7 +438,7 @@ def build_parser() -> argparse.ArgumentParser:
 # the first matching entry gives an error's exit code
 _EXIT_CODES = (
     (UnknownSpaceError, EXIT_UNKNOWN_SPACE),
-    ((SpaceDefinitionError, StructureError, UsageError), EXIT_INPUT),
+    ((DegenerateSpaceError, SpaceDefinitionError, StructureError, UsageError), EXIT_INPUT),
     ((InvalidMetricError, GenericityError), EXIT_METRIC),
     (WallachGeoError, EXIT_FAIL),
 )

@@ -335,6 +335,22 @@ def test_non_finite_values_are_rejected(capsys, argv):
     assert err.count("\n") == 1 and "must be finite" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify-space", "so-blocks", "0", "1", "2"],
+        ["verify-space", "stiefel", "1"],
+        ["go-check", "so-blocks", "1", "1", "0"],
+    ],
+)
+def test_degenerate_space_is_an_input_error(capsys, argv):
+    """A catalog family asked for a space it cannot build is bad input."""
+    code, out, err = run(capsys, *argv)
+    assert code == 3
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("error: need ")
+
+
 def _strict_json(text):
     def reject(name):
         raise ValueError(f"non-finite JSON constant {name}")

@@ -234,6 +234,80 @@ def test_probe_finds_residual_floor():
     assert floor > 1e-4
 
 
+def test_residual_rows_match_single_calls():
+    """An (S, 6) stack gives (S, 9) rows equal to the one-vector calls to
+    1e-15 of each row's largest entry: a scalar's ``**2`` and an array's can
+    round apart in the last bit, which cancellation may lift within a row."""
+    x = make_rng(13).uniform(-5.0, 5.0, (2000, 6))
+    rows = restriction_residual(x, 1.3, 0.7)
+    assert rows.shape == (2000, 9)
+    singles = np.array([restriction_residual(p, 1.3, 0.7) for p in x])
+    assert (np.abs(rows - singles) <= 1e-15 * np.abs(singles).max(axis=1, keepdims=True)).all()
+
+
+@pytest.mark.parametrize(
+    "l2, l3, floor",
+    [(1.3, 0.7, 0.10149906884859027), (1.1, 0.9, 0.003466536821987761),
+     (0.25, 1.8, 1.0839121662357103)],
+)
+def test_probe_floors_pinned(l2, l3, floor):
+    """Three of acceptance criterion 5's floors (seed 50, 200 starts)."""
+    assert nonexistence_probe(l2, l3, multistarts=200, seed=50) == pytest.approx(floor, rel=1e-9)
+
+
+def _probe_one_start_at_a_time(lambda2, lambda3, multistarts, seed, max_iter=200):
+    """Reference probe: the same Levenberg-Marquardt descent as plain loops
+    over starts and Jacobian columns."""
+    rng = np.random.default_rng(np.random.Philox(seed))
+    best, h = np.inf, 1e-6
+    for _ in range(multistarts):
+        x = rng.uniform(-5.0, 5.0, 6)
+        r = restriction_residual(x, lambda2, lambda3)
+        f, mu = r @ r, 1e-3
+        for _ in range(max_iter):
+            J = np.empty((9, 6))
+            for j, e in enumerate(h * np.eye(6)):
+                J[:, j] = (restriction_residual(x + e, lambda2, lambda3)
+                           - restriction_residual(x - e, lambda2, lambda3)) / (2 * h)
+            try:
+                p = np.linalg.solve(J.T @ J + mu * np.eye(6), -J.T @ r)
+            except np.linalg.LinAlgError:
+                break
+            rn = restriction_residual(x + p, lambda2, lambda3)
+            if rn @ rn < f:
+                x, r, f, mu = x + p, rn, rn @ rn, max(mu * 0.3, 1e-12)
+            else:
+                mu *= 3.0
+                if mu > 1e8:
+                    break
+        best = min(best, float(np.sqrt(f)))
+    return best
+
+
+@pytest.mark.parametrize("l2, l3", [(1.3, 0.7), (1.6, 2.4)])
+def test_probe_matches_one_start_at_a_time(l2, l3):
+    """Single starts (one per seed) and an 8-start floor end where the loops do."""
+    for seed, starts in [(0, 1), (2, 1), (4, 8)]:
+        expected = _probe_one_start_at_a_time(l2, l3, starts, seed)
+        assert nonexistence_probe(l2, l3, starts, seed) == pytest.approx(expected, rel=1e-9)
+
+
+def test_probe_singular_system_stops_only_its_start(monkeypatch):
+    """A singular LM system stops its own start; the others go on."""
+    floor = nonexistence_probe(1.3, 0.7, multistarts=20, seed=0)
+    solve, sizes = np.linalg.solve, []
+
+    def singular_first(A, b):
+        if not sizes:
+            A[0] = 0.0  # the first start's first system, zeroed in place
+        sizes.append(len(A))
+        return solve(A, b)
+
+    monkeypatch.setattr(np.linalg, "solve", singular_first)
+    assert nonexistence_probe(1.3, 0.7, multistarts=20, seed=0) == floor
+    assert sizes[:3] == [20, 19, 19]
+
+
 def test_probe_is_deterministic():
     a = nonexistence_probe(2.0, 0.5, multistarts=5, seed=3)
     b = nonexistence_probe(2.0, 0.5, multistarts=5, seed=3)
