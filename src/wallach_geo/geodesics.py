@@ -279,8 +279,9 @@ def nonexistence_probe(
 
     All starts advance as one (multistarts, 6) array: O(multistarts)
     memory. Each iteration solves (J^T J + mu I) p = -J^T r per start with
-    a central-difference Jacobian (step 1e-6); mu falls by 0.3 (floor
-    1e-12) on a step that lowers the residual and otherwise rises by 3.
+    a central-difference Jacobian (step 1e-6), whose J^T J and J^T r are
+    kept until a step moves x; mu falls by 0.3 (floor 1e-12) on a step
+    that lowers the residual and otherwise rises by 3.
     A start stops when mu exceeds 1e8, after ``max_iter`` iterations or
     when its system is singular; a start with a nan residual never counts.
 
@@ -301,23 +302,29 @@ def nonexistence_probe(
     f = (r[:, None] @ r[..., None])[:, 0, 0]  # r @ r per start
     mu = np.full(multistarts, 1e-3)
     live = np.arange(multistarts)  # the starts still descending
+    # J^T J and -J^T r per start, formed again only where a step moved x
+    JtJ, g = np.empty((multistarts, 6, 6)), np.empty((multistarts, 6, 1))
+    moved = live
     h, eye = 1e-6, np.eye(6)
     for _ in range(max_iter):
         if not live.size:
             break
-        xl = x[live, None]  # row j of xl +- h I is x +- h e_j, giving J's column j
-        d = restriction_residual(xl + h * eye, lambda2, lambda3)
-        d -= restriction_residual(xl - h * eye, lambda2, lambda3)
-        # C-ordered (9, 6) Jacobians round J^T J and J^T r as one start would
-        J = np.ascontiguousarray((d / (2 * h)).swapaxes(1, 2))
-        A = J.swapaxes(1, 2) @ J + mu[live, None, None] * eye
-        g = -J.swapaxes(1, 2) @ r[live, :, None]
+        if moved.size:
+            xm = x[moved, None]  # row j of xm +- h I is x +- h e_j, giving J's column j
+            d = restriction_residual(xm + h * eye, lambda2, lambda3)
+            d -= restriction_residual(xm - h * eye, lambda2, lambda3)
+            # C-ordered (9, 6) Jacobians round J^T J and J^T r as one start would
+            J = np.ascontiguousarray((d / (2 * h)).swapaxes(1, 2))
+            JtJ[moved] = J.swapaxes(1, 2) @ J
+            g[moved] = -J.swapaxes(1, 2) @ r[moved, :, None]
+        A = JtJ[live] + mu[live, None, None] * eye
+        gl = g[live]
         try:
-            step = np.linalg.solve(A, g)
+            step = np.linalg.solve(A, gl)
         except np.linalg.LinAlgError:  # a singular system stops only its own start
             ok = np.linalg.slogdet(A)[0] != 0
-            live, A, g = live[ok], A[ok], g[ok]
-            step = np.linalg.solve(A, g)
+            live, A, gl = live[ok], A[ok], gl[ok]
+            step = np.linalg.solve(A, gl)
         xn = x[live] + step[..., 0]
         rn = restriction_residual(xn, lambda2, lambda3)
         fn = (rn[:, None] @ rn[..., None])[:, 0, 0]
@@ -326,5 +333,6 @@ def nonexistence_probe(
         x[won], r[won], f[won] = xn[down], rn[down], fn[down]
         mu[live] = np.where(down, np.maximum(mu[live] * 0.3, 1e-12), mu[live] * 3.0)
         live = live[mu[live] <= 1e8]
+        moved = won  # mu fell on these, so they are all still live
     # fmin passes over the nan residual norm of a start that overflowed
     return float(np.fmin.reduce(np.sqrt(f), initial=np.inf))

@@ -8,14 +8,16 @@ equation forward with RK4 as a second, fully independent check, on bare
 arrays.  Its velocity equation v_dot = -U(v, v) does not involve the lift
 a, so the v recurrence runs alone; the lift's RK4 step is linear in a,
 a_{k+1} = a_k Phi_k, and as polar(a Phi) = a polar(Phi) for orthogonal a,
-re-orthonormalizing every step becomes one batched SVD of all the Phi_k
-and their running product, the same map in exact arithmetic.  A last
-batched polar takes out the drift that rounding gives that product.
+re-orthonormalizing every step becomes Newton-Schulz steps on the stack of
+all the Phi_k and their running product, the same map in exact
+arithmetic.  A last Newton-Schulz step takes out the drift that rounding
+gives that product; a step size so large that the iteration does not
+converge is an IntegrationFailureError.
 
 ``connection_defect`` takes a scalar t or a 1-D array of T times, and
 ``coset_distance`` a pair of group elements or two (T, n, n) stacks, so a
-whole t-grid is checked with one call each (batched ``solve``, ``eigh``
-and logarithm for the distances).
+whole t-grid is checked with one call each (a^-1 b as the product a^T b of
+orthogonal matrices, then a batched ``eigh`` and logarithm).
 """
 
 from __future__ import annotations
@@ -91,12 +93,28 @@ class ShotGeodesic:
 
 # steps per chunk of the lift passes, whose working arrays are O(_CHUNK n^2)
 _CHUNK = 256
+# Newton-Schulz stops one step after max|I - X^T X| falls below _POLAR_TOL,
+# when that last step leaves a residual at rounding level
+_POLAR_TOL = 1e-8
+_POLAR_MAX_STEPS = 16
 
 
 def _polar_orthonormalize(M: np.ndarray) -> np.ndarray:
-    # nearest orthogonal matrix in Frobenius norm, per matrix of a stack
-    U, _, Vt = np.linalg.svd(M)
-    return U @ Vt
+    """The orthogonal polar factor of a near-orthogonal matrix, or of each
+    matrix of a stack, by Newton-Schulz steps X <- X + X (I - X^T X) / 2
+    on the whole stack (Higham, "Functions of Matrices", 2008, ch. 8;
+    Bjorck & Bowie, 1971); a matrix that has not converged after
+    _POLAR_MAX_STEPS steps comes back as nan."""
+    eye = np.eye(M.shape[-1])
+    X = M
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(_POLAR_MAX_STEPS):
+            E = eye - np.swapaxes(X, -1, -2) @ X
+            converged = np.abs(E).max(axis=(-2, -1)) < _POLAR_TOL
+            X = X + 0.5 * (X @ E)
+            if converged.all():
+                return X
+    return np.where(converged[..., None, None], X, np.nan)
 
 
 def _prefix_products(R: np.ndarray) -> np.ndarray:
@@ -133,12 +151,14 @@ def shoot_geodesic(
     in the ambient basis; one product expands all V_s of a chunk of steps
     and three stacked products give its Phi_k.  (iii) For orthogonal a,
     polar(a Phi) = a polar(Phi) (Higham, "Functions of Matrices", 2008,
-    ch. 8), so one batched SVD gives every R_k = polar(Phi_k) and the lift
-    is the running product a_{k+1} = a_k R_k: the per-step projection map
-    in exact arithmetic, reassociated.  A product of many orthogonal
-    factors drifts off the group by rounding, so a last batched polar
-    returns each lift to it; a chunk starts from its predecessor's
-    projected last lift.
+    ch. 8), so Newton-Schulz steps on the whole stack give every
+    R_k = polar(Phi_k) (Phi_k is orthogonal to O(h^5)) and the lift is the
+    running product a_{k+1} = a_k R_k: the per-step projection map in
+    exact arithmetic, reassociated.  A product of many orthogonal factors
+    drifts off the group by rounding, so a last Newton-Schulz step returns
+    each lift to it; a chunk starts from its predecessor's projected last
+    lift.  A Phi_k too far from orthogonal for the iteration to converge
+    is reported at its step, after any overflow or energy drift.
     """
     if steps < 10:
         raise ValueError("steps must be at least 10")
@@ -147,23 +167,26 @@ def shoot_geodesic(
     n = ctx.ambient_size
     h = t_end / steps
     half, sixth = 0.5 * h, h / 6.0
-    velocities = np.empty((steps + 1, len(mi)))
-    stages = np.empty((steps, 4, len(mi)))
-    v = velocities[0] = v0.coeffs[mi]
+    # row k holds v_k and the three stage states of step k that follow it;
+    # each stage is v - c U(w, w), the bits of v + c k_s with k_s = -U(w, w)
+    states = np.empty((steps + 1, 4, len(mi)))
+    states[0, 0] = v0.coeffs[mi]
+    Q, outer, sub = g.u_operator, np.multiply.outer, np.subtract
     # an overflow is reported below, at the step where it first shows
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(steps):
-            s = stages[k]
-            s[0] = v
-            k1 = -u_coeffs(g, v)
-            s[1] = v + half * k1
-            k2 = -u_coeffs(g, s[1])
-            s[2] = v + half * k2
-            k3 = -u_coeffs(g, s[2])
-            s[3] = v + h * k3
-            k4 = -u_coeffs(g, s[3])
-            v = velocities[k + 1] = v + sixth * (k1 + 2 * k2 + 2 * k3 + k4)
+            v, s1, s2, s3 = states[k]
+            u1 = Q @ outer(v, v).ravel()
+            sub(v, half * u1, out=s1)
+            u2 = Q @ outer(s1, s1).ravel()
+            sub(v, half * u2, out=s2)
+            u3 = Q @ outer(s2, s2).ravel()
+            sub(v, h * u3, out=s3)
+            u4 = Q @ outer(s3, s3).ravel()
+            sub(v, sixth * (u1 + 2 * u2 + 2 * u3 + u4), out=states[k + 1, 0])
+        velocities = states[:, 0]
         energy = ((velocities @ g.gram) * velocities).sum(axis=1)
+    stages = states[:-1]
     finite = np.isfinite(stages).all(axis=(1, 2)) & np.isfinite(energy[1:])
     good_steps = steps if finite.all() else int(np.argmin(finite))
 
@@ -185,6 +208,7 @@ def shoot_geodesic(
         bad = ~np.isfinite(phi).all(axis=(1, 2))
         if bad.any():
             raise _overflow(lo + int(np.argmax(bad)) + 1)
+        # a Phi_k that did not converge makes its lift and all later ones nan
         lifts = a @ _prefix_products(_polar_orthonormalize(phi))
         points[lo + 1 : hi + 1] = _polar_orthonormalize(lifts)
         a = points[hi]
@@ -195,7 +219,18 @@ def shoot_geodesic(
         raise IntegrationFailureError(
             f"energy drift {drift:.3e} exceeds 1e-6; reduce the step size"
         )
+    lost = np.isnan(points[:, 0, 0])
+    if lost.any():
+        raise IntegrationFailureError(
+            f"polar factor did not converge at step {int(np.argmax(lost))}; "
+            "reduce the step size"
+        )
     return ShotGeodesic(ctx, mi, points, velocities, h, drift)
+
+
+# bound on max|q^T q - I| for the inputs of coset_distance, in units of
+# n eps: the rounding of a product of a few exponentials or polar factors
+_ORTHOGONALITY_ULPS = 64
 
 
 def coset_distance(a, b, dec: ReductiveDecomposition):
@@ -204,11 +239,21 @@ def coset_distance(a, b, dec: ReductiveDecomposition):
 
     a and b are GroupElements or matrices (a float), or two (T, n, n) stacks
     (T separations; the chart test fails if any pair is out of chart).  They
-    must be orthogonal (shot points are re-orthonormalized): the chart test
-    and the logarithm both read the spectrum of the symmetric part of a^-1 b.
+    must be orthogonal to rounding (shot points are re-orthonormalized), or
+    a ValueError is raised: a^-1 b is then a^T b, and the chart test and the
+    logarithm both read the spectrum of its symmetric part.
     """
     ctx = dec.context
-    M = np.linalg.solve(*(getattr(q, "matrix", q) for q in (a, b)))
+    a, b = (np.asarray(getattr(q, "matrix", q), dtype=np.float64) for q in (a, b))
+    eye = np.eye(a.shape[-1])
+    for q in (a, b):
+        drift = np.abs(np.swapaxes(q, -1, -2) @ q - eye).max()
+        # a nan drift passes, so non-finite points give a non-finite distance
+        if drift > _ORTHOGONALITY_ULPS * len(eye) * np.finfo(float).eps:
+            raise ValueError(
+                f"coset_distance needs orthogonal matrices, max|q^T q - I| = {drift:.3e}"
+            )
+    M = np.swapaxes(a, -1, -2) @ b
     cos_theta, V = np.linalg.eigh(0.5 * (M + np.swapaxes(M, -1, -2)))
     # for orthogonal M, ||M - I||_2^2 = ||2I - M - M^T||_2 = 2 - 2 min cos(theta)
     if np.sqrt(max(2.0 - 2.0 * cos_theta[..., 0].min(), 0.0)) >= 1.9:

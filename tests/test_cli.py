@@ -469,3 +469,20 @@ def test_control_characters_in_names_are_escaped(capsys, tmp_path):
     code, out, err = run(capsys, "verify-space", path)
     assert code == 3 and out == ""
     assert err.count("\n") == 1 and "two\\nlines\\t" in err
+
+
+@pytest.mark.parametrize(
+    "metric, t1, message",
+    [
+        (["1", "1", "0.5"], "100", "energy drift 4.808e-01 exceeds 1e-6; reduce the step size"),
+        (["1", "1", "1"], "1000", "polar factor did not converge at step 1; reduce the step size"),
+    ],
+    ids=["energy-drift", "polar"],
+)
+def test_shot_with_too_large_a_step_is_one_error_line(metric, t1, message):
+    """The energy drift is reported before a polar step that does not
+    converge (with a bi-invariant metric the drift is zero): exit code 1,
+    one stderr line, no traceback or numpy warning."""
+    proc = _fresh_process(["geodesic", "--space", "stiefel3", "--metric", *metric,
+                           "--trials", "1", "--steps", "20", "--t1", t1])
+    assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", f"error: {message}\n")

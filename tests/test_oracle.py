@@ -20,6 +20,7 @@ from wallach_geo import (
     shoot_geodesic,
 )
 from wallach_geo import oracle
+from wallach_geo.metrics import u_coeffs
 from .conftest import make_rng
 
 
@@ -194,7 +195,8 @@ def test_long_shot_lifts_stay_orthogonal(so222):
 
 def test_shot_reports_a_lift_overflow_at_its_step(stiefel3):
     """Finite velocities whose per-step lift factor overflows end in the
-    overflow error at that step, never in a failed SVD."""
+    overflow error at that step, never in the error of a polar step that
+    does not converge."""
     g = DiagonalMetric(stiefel3, (1.0, 1.0, 1.0))
     v0 = stiefel3.random_module_vector("m1", make_rng(14)) * 1e80
     with pytest.raises(IntegrationFailureError, match="^state overflow at step 1; reduce the step size$"):
@@ -240,3 +242,127 @@ def test_identity_checks_pass_everywhere(spaces):
     for dec in spaces.values():
         report = identity_checks(dec)
         assert report.verdict, [c.name for c in report.checks if not c.passed]
+
+
+def _stage_velocities(g, v0, t_end, steps):
+    """The RK4 velocity recurrence through u_coeffs with negated stage
+    slopes k_s = -U(w, w): (velocities, the four stage states per step)."""
+    h = t_end / steps
+    v = v0.coeffs[g.m_indices]
+    velocities, stages = [v], []
+    for _ in range(steps):
+        k1 = -u_coeffs(g, v)
+        s1 = v + 0.5 * h * k1
+        k2 = -u_coeffs(g, s1)
+        s2 = v + 0.5 * h * k2
+        k3 = -u_coeffs(g, s2)
+        s3 = v + h * k3
+        k4 = -u_coeffs(g, s3)
+        stages.append((v, s1, s2, s3))
+        v = v + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        velocities.append(v)
+    return np.array(velocities), stages
+
+
+def _longdouble_polar(X):
+    eye = np.eye(len(X), dtype=np.longdouble)
+    for _ in range(60):
+        E = eye - X.T @ X
+        X = X + X @ E / 2
+        if np.abs(E).max() < 1e-17:
+            return X
+    raise AssertionError("reference polar did not converge")
+
+
+@pytest.mark.parametrize("steps", [40, 400])
+def test_shot_lifts_match_longdouble_per_step_polar(spaces, steps):
+    """Every lift lies within 1e-15 of a_{k+1} = polar(a_k Phi_k) formed per
+    step in extended precision from the same stage velocities (a batched
+    SVD polar in place of Newton-Schulz misses this by 6e-15 to 1.7e-13)."""
+    for name in ("stiefel(3)", "su3-flag", "so-blocks(2,2,2)"):
+        dec = spaces[name]
+        ctx = dec.context
+        rng = make_rng(503)
+        g = DiagonalMetric(dec, rng.uniform(0.3, 3.0, 3))
+        v0 = dec.random_module_vector("m", rng)
+        shot = shoot_geodesic(dec, g, v0, 2.0, steps)
+        _, stages = _stage_velocities(g, v0, 2.0, steps)
+        basis = ctx.basis[g.m_indices].astype(np.longdouble)
+        h = np.longdouble(2.0) / steps
+        a = np.eye(ctx.ambient_size, dtype=np.longdouble)
+        worst = 0.0
+        for k, states in enumerate(stages):
+            V1, V2, V3, V4 = (np.tensordot(s.astype(np.longdouble), basis, 1) for s in states)
+            k1 = a @ V1
+            k2 = (a + h / 2 * k1) @ V2
+            k3 = (a + h / 2 * k2) @ V3
+            k4 = (a + h * k3) @ V4
+            a = _longdouble_polar(a + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4))
+            worst = max(worst, float(np.abs(shot.points[k + 1] - a).max()))
+        assert worst <= 1e-15, (name, worst)
+
+
+@pytest.mark.parametrize("steps", [40, 400, 1000])
+def test_shot_velocities_keep_the_negated_stage_bits(spaces, steps):
+    """The shot's velocities and energy drift are bitwise those of the
+    u_coeffs recurrence with negated slopes."""
+    for name in ("stiefel(3)", "su3-flag", "so-blocks(2,2,2)", "so-blocks(2,3,4)"):
+        dec = spaces[name]
+        rng = make_rng(503)
+        g = DiagonalMetric(dec, rng.uniform(0.3, 3.0, 3))
+        v0 = dec.random_module_vector("m", rng)
+        shot = shoot_geodesic(dec, g, v0, 2.0, steps)
+        ref, _ = _stage_velocities(g, v0, 2.0, steps)
+        assert np.array_equal(shot.velocities, ref), name
+        energy = ((ref @ g.gram) * ref).sum(axis=1)
+        assert shot.energy_drift == float(np.abs(energy[1:] - energy[0]).max())
+
+
+def test_polar_marks_only_the_stack_entries_it_cannot_orthonormalize():
+    """Newton-Schulz diverges on singular values beyond sqrt(3): that
+    matrix comes back nan, its orthogonal neighbour to rounding."""
+    rng = make_rng(17)
+    q = np.linalg.qr(rng.standard_normal((4, 4)))[0]
+    R = oracle._polar_orthonormalize(np.stack((q + 1e-6 * rng.standard_normal((4, 4)), 3.0 * q)))
+    assert np.abs(R[0].T @ R[0] - np.eye(4)).max() <= 4 * np.finfo(float).eps
+    assert np.isnan(R[1]).all()
+
+
+def test_shot_reports_a_polar_that_does_not_converge(stiefel3):
+    """With a bi-invariant metric v stays constant, so the energy drift is
+    zero while h |v| is far too large for Phi_k to be near orthogonal."""
+    g = DiagonalMetric(stiefel3, (1.0, 1.0, 1.0))
+    v0 = stiefel3.random_module_vector("m", make_rng(18))
+    with pytest.raises(
+        IntegrationFailureError,
+        match="^polar factor did not converge at step 1; reduce the step size$",
+    ):
+        shoot_geodesic(stiefel3, g, v0, 1000.0, 20)
+
+
+def test_shot_and_grid_coset_distance_call_no_per_matrix_lapack(so222, monkeypatch):
+    """Neither a shot nor a grid coset distance calls np.linalg.svd or
+    np.linalg.solve."""
+    g = DiagonalMetric(so222, (0.6, 1.0, 1.0))
+    v0 = so222.random_module_vector("m", make_rng(19))
+    curve = ProductExpCurve(so222, [v0])
+    grid = np.linspace(0.0, 1.0, 21)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("per-matrix LAPACK call")
+
+    monkeypatch.setattr(np.linalg, "svd", forbidden)
+    monkeypatch.setattr(np.linalg, "solve", forbidden)
+    shot = shoot_geodesic(so222, g, v0, 1.0, 40)
+    assert coset_distance(shot.points[::2], curve.evaluate(grid), so222).shape == (21,)
+
+
+def test_coset_distance_rejects_non_orthogonal_stacks(stiefel3):
+    curve = ProductExpCurve(stiefel3, [stiefel3.random_module_vector("m", make_rng(20))])
+    a = curve.evaluate(np.linspace(0.0, 2.0, 21))
+    b = a.copy()
+    b[3] *= 1.0 + 1e-9
+    with pytest.raises(ValueError, match="needs orthogonal matrices"):
+        coset_distance(a, b, stiefel3)
+    with pytest.raises(ValueError, match="needs orthogonal matrices"):
+        coset_distance(b[3], a[3], stiefel3)
