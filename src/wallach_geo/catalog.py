@@ -188,9 +188,8 @@ def verify_structure(dec: ReductiveDecomposition) -> StructureReport:
 def verify_fibration(dec: ReductiveDecomposition, i: int) -> StructureReport:
     """Symmetric-pair and Lie-triple-system checks for g_i = k + m_i."""
     tol = dec.context.tol_structural
-    j, k = [q for q in (1, 2, 3) if q != i]
     gi = ("k", f"m{i}")
-    mprime = (f"m{j}", f"m{k}")
+    mprime = tuple(p for p in _MODULES if p != f"m{i}")
     report = StructureReport(space=f"{dec.name} fibration i={i}", module_dims=dec.module_dims())
 
     report.add(f"g{i} = k+m{i} is a subalgebra", dec.bracket_residual(gi, gi, gi), tol)
@@ -220,9 +219,8 @@ class TwoSummandView:
             raise ValueError("module index must be 1, 2 or 3")
         self.parent = parent
         self.i = i
-        j, k = [q for q in (1, 2, 3) if q != i]
-        self.M1_parts = (f"m{j}", f"m{k}")
         self.M2_part = f"m{i}"
+        self.M1_parts = tuple(p for p in _MODULES if p != self.M2_part)
         M1, M2 = self.M1_parts, (self.M2_part,)
         checks = [
             ("[M2, M2] in k", parent.bracket_residual(M2, M2, ("k",))),
@@ -236,14 +234,6 @@ class TwoSummandView:
                 raise GroupingInvalidError(
                     f"{parent.name}: grouping M2=m{i} violates {name} (residual {res:.3e})"
                 )
-        self.M1_mask = sum(parent.part_masks[p] for p in M1)
-        self.M2_mask = parent.part_masks[self.M2_part]
-
-    def in_M1(self, X: AlgebraElement, tol: float = 1e-10) -> bool:
-        return float(np.abs(X.coeffs * (1.0 - self.M1_mask)).max()) <= tol
-
-    def in_M2(self, X: AlgebraElement, tol: float = 1e-10) -> bool:
-        return float(np.abs(X.coeffs * (1.0 - self.M2_mask)).max()) <= tol
 
 
 def two_summand_view(dec: ReductiveDecomposition, i: int) -> TwoSummandView:
@@ -258,11 +248,22 @@ def _skew(n: int, a: int, b: int) -> np.ndarray:
     return M
 
 
-def _adapted(name: str, entries, tol_structural: float, note: str = "") -> ReductiveDecomposition:
-    """Verified decomposition from (part, basis matrix) pairs in basis order."""
-    parts = {p: [q for q, (part, _) in enumerate(entries) if part == p] for p in _PARTS}
-    ctx = AlgebraContext(name, [M for _, M in entries], tol_structural)
+def _adapted(name: str, blocks, tol_structural: float, note: str = "") -> ReductiveDecomposition:
+    """Verified decomposition from each part's basis matrices, in _PARTS order."""
+    ends = np.cumsum([len(blocks[p]) for p in _PARTS])
+    parts = {p: range(end - len(blocks[p]), end) for p, end in zip(_PARTS, ends)}
+    ctx = AlgebraContext(name, [M for p in _PARTS for M in blocks[p]], tol_structural)
     return ReductiveDecomposition(ctx, parts, equivalence_note=note)
+
+
+def _so_blocks(l: int, m: int, n: int) -> dict:
+    """The basis matrices of ``build_so_blocks`` by part."""
+    N = l + m + n
+    ranges = [range(0, l), range(l, l + m), range(l + m, N)]
+    blocks = {"k": [_skew(N, a, b) for r in ranges for a in r for b in r if a < b]}
+    for part, (ra, rb) in (("m1", (0, 1)), ("m2", (0, 2)), ("m3", (1, 2))):
+        blocks[part] = [_skew(N, a, b) for a in ranges[ra] for b in ranges[rb]]
+    return blocks
 
 
 def build_so_blocks(l: int, m: int, n: int, tol_structural: float = 1e-12) -> ReductiveDecomposition:
@@ -270,25 +271,20 @@ def build_so_blocks(l: int, m: int, n: int, tol_structural: float = 1e-12) -> Re
     blocks (1,2) -> m1, (1,3) -> m2, (2,3) -> m3."""
     if l < 1 or m < 1 or n < 1 or l + m + n < 3:
         raise DegenerateSpaceError("need l, m, n >= 1 and l+m+n >= 3")
-    N = l + m + n
-    ranges = [range(0, l), range(l, l + m), range(l + m, N)]
-    entries = [("k", _skew(N, a, b)) for r in ranges for a in r for b in r if a < b]
-    for part, (ra, rb) in (("m1", (0, 1)), ("m2", (0, 2)), ("m3", (1, 2))):
-        entries += [(part, _skew(N, a, b)) for a in ranges[ra] for b in ranges[rb]]
-    return _adapted(f"so-blocks({l},{m},{n})", entries, tol_structural)
+    return _adapted(f"so-blocks({l},{m},{n})", _so_blocks(l, m, n), tol_structural)
 
 
 def build_stiefel(n: int, tol_structural: float = 1e-12) -> ReductiveDecomposition:
     """so(n+2) with k = so(n) in the lower-right block; m1 and m2 are the
-    first two rows against the last n columns, m3 is the (1,2) rotation."""
+    first two rows against the last n columns, m3 is the (1,2) rotation:
+    the so-blocks(1, 1, n) basis with its modules relabelled."""
     if n < 2:
         raise DegenerateSpaceError("need n >= 2; use build_so_blocks(1, 1, 1) for n = 1")
-    N = n + 2
-    entries = [("k", _skew(N, a, b)) for a in range(2, N) for b in range(a + 1, N)]
-    entries += [("m1", _skew(N, 0, b)) for b in range(2, N)]
-    entries += [("m2", _skew(N, 1, b)) for b in range(2, N)]
-    entries.append(("m3", _skew(N, 1, 0)))
-    return _adapted(f"stiefel({n})", entries, tol_structural, "m1 and m2 are equivalent K-modules")
+    b = _so_blocks(1, 1, n)
+    # its m2, m3 become m1, m2 and its m1 rotation, negated, m3: the transpose
+    # negates a skew matrix exactly, with no -0.0 entries
+    blocks = {"k": b["k"], "m1": b["m2"], "m2": b["m3"], "m3": [b["m1"][0].T]}
+    return _adapted(f"stiefel({n})", blocks, tol_structural, "m1 and m2 are equivalent K-modules")
 
 
 def _realify(A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -306,21 +302,21 @@ def build_su3_flag(tol_structural: float = 1e-12) -> ReductiveDecomposition:
     """Realified su(3) with k the diagonal torus and the three root-pair
     planes (1,2) -> m1, (1,3) -> m2, (2,3) -> m3."""
     Z = np.zeros((3, 3))
-    entries = [("k", _realify(Z, np.diag(h))) for h in ([1.0, -1.0, 0.0], [0.0, 1.0, -1.0])]
+    blocks = {"k": [_realify(Z, np.diag(h)) for h in ([1.0, -1.0, 0.0], [0.0, 1.0, -1.0])]}
     for part, (j, k) in (("m1", (0, 1)), ("m2", (0, 2)), ("m3", (1, 2))):
         E = np.zeros((3, 3))
         E[j, k] = 1.0
-        entries += [(part, _realify(E - E.T, Z)), (part, _realify(Z, E + E.T))]
-    return _adapted("su3-flag", entries, tol_structural)
+        blocks[part] = [_realify(E - E.T, Z), _realify(Z, E + E.T)]
+    return _adapted("su3-flag", blocks, tol_structural)
 
 
 def build_product_spheres(tol_structural: float = 1e-12) -> ReductiveDecomposition:
     """so(3)+so(3)+so(3) block-diagonal in 9x9; k takes one rotation
     generator per factor, m_i the remaining two generators of factor i."""
-    entries = [("k", _skew(9, 3 * f + 1, 3 * f)) for f in range(3)]
+    blocks = {"k": [_skew(9, 3 * f + 1, 3 * f) for f in range(3)]}
     for f, part in enumerate(_MODULES):
-        entries += [(part, _skew(9, 3 * f + 2, 3 * f + 1)), (part, _skew(9, 3 * f, 3 * f + 2))]
-    return _adapted("product-spheres", entries, tol_structural)
+        blocks[part] = [_skew(9, 3 * f + 2, 3 * f + 1), _skew(9, 3 * f, 3 * f + 2)]
+    return _adapted("product-spheres", blocks, tol_structural)
 
 
 def load_space_json(path, tol_structural: float = 1e-12) -> ReductiveDecomposition:
@@ -354,10 +350,9 @@ def load_space_json(path, tol_structural: float = 1e-12) -> ReductiveDecompositi
             raise SpaceDefinitionError(f"parts must map {p!r} to a list of basis indices")
     try:
         ctx = AlgebraContext(str(data["name"]), basis, tol_structural)
-        dec = ReductiveDecomposition(ctx, {p: parts[p] for p in ("k", "m1", "m2", "m3")})
+        return ReductiveDecomposition(ctx, {p: parts[p] for p in _PARTS})
     except StructureError as exc:
         raise SpaceDefinitionError(str(exc)) from exc
-    return dec
 
 
 def counterexample_swapped(dec_builder=build_so_blocks, args=(2, 2, 2)):

@@ -7,6 +7,11 @@ A three-factor curve exp(tX)exp(tY)exp(tZ).o is a geodesic iff the defect
            + <W, [TX, TY+Z]_m + [TY, Z]_m>
 
 vanishes for every W in m and every t, where T(t) = Ad(exp(-tZ)exp(-tY)).
+
+For a free module m_i, the metrics whose two coefficients other than
+lambda_i are equal form one locus: closed-form case 4 - i, the two-summand
+grouping M2 = m_i and a pair of restriction families (i = 3: s1/s2, i = 2:
+s3/s4, i = 1: s5/s6).  The table ``_LOCI`` holds that map.
 """
 
 from __future__ import annotations
@@ -65,15 +70,24 @@ def gw_defect(curve: ProductExpCurve, g: DiagonalMetric, W: AlgebraElement, t: f
     return float(Wm.coeffs[g.m_indices] @ gw_defect_all(curve, g, t))
 
 
-def _require_module(dec: ReductiveDecomposition, X: AlgebraElement, part: str) -> None:
-    out = np.abs(X.coeffs * (1.0 - dec.part_masks[part])).max()
+def _require_module(dec: ReductiveDecomposition, X: AlgebraElement, *parts: str) -> None:
+    # the sum starts from the first part's mask, so one part adds nothing
+    inside = sum((dec.part_masks[p] for p in parts[1:]), dec.part_masks[parts[0]])
+    out = np.abs(X.coeffs * (1.0 - inside)).max()
     if out > 1e-10 * max(1.0, np.abs(X.coeffs).max()):
-        raise WrongModuleError(f"vector is not in {part} (outside component {out:.3e})")
+        raise WrongModuleError(f"vector is not in {'+'.join(parts)} (outside component {out:.3e})")
 
 
-# closed-form case -> index into (m1, m2, m3) of the module whose metric
-# coefficient is c (the others are 1); it builds and recognises each case
-_CASE_SLOT = {1: 2, 2: 1, 3: 0}
+# free module i -> (closed-form case, restriction families); the order ranks ties
+_LOCI = {3: (1, ("s1", "s2")), 2: (2, ("s3", "s4")), 1: (3, ("s5", "s6"))}
+_MODULE_OF_CASE = {case: i for i, (case, _) in _LOCI.items()}
+
+
+def _on_loci(n, tol: float) -> dict:
+    """{i: (n_i, n_j)} for the loci, in ``_LOCI`` order, of the normalized
+    metric n = (1, n2, n3): its n_j and n_k (j < k, both not i) differ by at most ``tol``."""
+    others = {i: [q for k, q in enumerate(n) if k != i - 1] for i in _LOCI}
+    return {i: (n[i - 1], a) for i, (a, b) in others.items() if abs(a - b) <= tol}
 
 
 def match_case(metric, requested):
@@ -86,12 +100,7 @@ def match_case(metric, requested):
     # beyond this range the curves' spectra and defects overflow
     if not all(1e-100 <= q <= 1e100 for q in n):
         raise InvalidMetricError(f"metric {metric} has a ratio outside [1e-100, 1e100]")
-    tol = 1e-12
-    candidates = []
-    for case, slot in _CASE_SLOT.items():
-        a, b = (q for q in range(3) if q != slot)
-        if abs(n[a] - n[b]) <= tol:
-            candidates.append((case, n[slot] / n[a]))
+    candidates = [(_LOCI[i][0], ni / nj) for i, (ni, nj) in _on_loci(n, 1e-12).items()]
     if requested != "auto":
         case = int(requested)
         for cand in candidates:
@@ -103,6 +112,15 @@ def match_case(metric, requested):
             f"metric {metric} fits no closed-form case; see the restriction command"
         )
     return candidates[0]
+
+
+def _two_factor_geodesic(dec: ReductiveDecomposition, i: int, c: float, others, moving):
+    """The geodesic on the locus of free module m_i: metric c on m_i and 1
+    on the other two, factors (others + c moving, (1 - c) moving)."""
+    if c <= 0:
+        raise InvalidMetricError(f"c must be positive, got {c}")
+    curve = ProductExpCurve(dec, [others + c * moving, (1.0 - c) * moving])
+    return curve, DiagonalMetric(dec, tuple(c if q == i else 1.0 for q in (1, 2, 3)))
 
 
 def closed_form_geodesic(
@@ -119,33 +137,22 @@ def closed_form_geodesic(
     case 2: metric (1,c,1), factors (X1+cX2+X3, (1-c)X2);
     case 3: metric (c,1,1), factors (cX1+X2+X3, (1-c)X1).
     """
-    if c <= 0:
-        raise InvalidMetricError(f"c must be positive, got {c}")
-    if case not in (1, 2, 3):
+    if case not in _MODULE_OF_CASE:
         raise ValueError("case must be 1, 2 or 3")
-    for X, part in zip((X1, X2, X3), _MODULES):
+    Xs = (X1, X2, X3)
+    for X, part in zip(Xs, _MODULES):
         _require_module(dec, X, part)
-    slot = _CASE_SLOT[case]
-    moving = (X1, X2, X3)[slot]
-    others = sum((X for X in (X1, X2, X3) if X is not moving), dec.context.zero())
-    curve = ProductExpCurve(dec, [others + c * moving, (1.0 - c) * moving])
-    metric = DiagonalMetric(dec, tuple(c if q == slot else 1.0 for q in range(3)))
-    return curve, metric
+    i = _MODULE_OF_CASE[case]
+    others = sum((X for q, X in enumerate(Xs, 1) if q != i), dec.context.zero())
+    return _two_factor_geodesic(dec, i, c, others, Xs[i - 1])
 
 
 def dohira_geodesic(view: TwoSummandView, c: float, X1: AlgebraElement, X2: AlgebraElement):
     """Two-summand geodesic on the grouped view: metric (1, c) on (M1, M2),
     factors (X1 + cX2, (1-c)X2)."""
-    if c <= 0:
-        raise InvalidMetricError(f"c must be positive, got {c}")
-    if not view.in_M1(X1):
-        raise WrongModuleError("X1 is not in M1")
-    if not view.in_M2(X2):
-        raise WrongModuleError("X2 is not in M2")
-    dec = view.parent
-    lambdas = [c if f"m{q}" == view.M2_part else 1.0 for q in (1, 2, 3)]
-    curve = ProductExpCurve(dec, [X1 + c * X2, (1.0 - c) * X2])
-    return curve, DiagonalMetric(dec, lambdas)
+    _require_module(view.parent, X1, *view.M1_parts)
+    _require_module(view.parent, X2, view.M2_part)
+    return _two_factor_geodesic(view.parent, view.i, c, X1, X2)
 
 
 def homogeneous_geodesic(
@@ -223,7 +230,7 @@ def solution_families(lambda_free: float, extra_free: float) -> list[Restriction
     lam, f = float(lambda_free), float(extra_free)
     if lam <= 0:
         raise InvalidMetricError("free metric coefficient must be positive")
-    sols = [
+    return [
         RestrictionSolution(
             "s1", (0.0, 0.0, f), (0.0, 0.0, 1 - f - lam), 1.0, lam,
             {"lambda3": lam, "a3": f},
@@ -249,11 +256,10 @@ def solution_families(lambda_free: float, extra_free: float) -> list[Restriction
             {"lambda3": lam, "a1": f},
         ),
     ]
-    return sols
 
 
-_FAMILY_LOCI = (("s1", "s2"), ("s3", "s4"), ("s5", "s6"))  # l2 = 1, l3 = 1, l2 = l3
 _GENERICITY_GAP = 0.05
+_PROBE_BLOCK = 4096  # starts that descend together, about 3 KB each
 
 
 def applicable_families(lambda2: float, lambda3: float, tol: float = 1e-12):
@@ -261,10 +267,10 @@ def applicable_families(lambda2: float, lambda3: float, tol: float = 1e-12):
     (s1, s2), lambda3 = 1 (s3, s4) or lambda2 = lambda3 (s5, s6), holds
     within ``tol``, and the free metric coefficient that instantiates them
     in ``solution_families``."""
-    gaps = (abs(lambda2 - 1), abs(lambda3 - 1), abs(lambda2 - lambda3))
-    families = [f for pair, gap in zip(_FAMILY_LOCI, gaps) if gap <= tol for f in pair]
+    loci = list(_on_loci((1.0, lambda2, lambda3), tol))
+    families = [f for i in loci for f in _LOCI[i][1]]
     # lambda3 is free on the s1/s2 and s5/s6 loci, lambda2 on the s3/s4 one
-    return families, lambda2 if families == ["s3", "s4"] else lambda3
+    return families, lambda2 if loci == [2] else lambda3
 
 
 def nonexistence_probe(
@@ -277,9 +283,10 @@ def nonexistence_probe(
     """Best residual norm found by multistart Levenberg-Marquardt descent
     on the nine restriction equations from uniform starts in [-5, 5]^6.
 
-    All starts advance as one (multistarts, 6) array: O(multistarts)
-    memory. Each iteration solves (J^T J + mu I) p = -J^T r per start with
-    a central-difference Jacobian (step 1e-6), whose J^T J and J^T r are
+    The starts advance in blocks of at most 4,096, each block as one
+    (block, 6) array, so memory is bounded whatever ``multistarts`` is.
+    Each iteration solves (J^T J + mu I) p = -J^T r per start with a
+    central-difference Jacobian (step 1e-6), whose J^T J and J^T r are
     kept until a step moves x; mu falls by 0.3 (floor 1e-12) on a step
     that lowers the residual and otherwise rises by 3.
     A start stops when mu exceeds 1e8, after ``max_iter`` iterations or
@@ -298,12 +305,21 @@ def nonexistence_probe(
         )
     rng = np.random.default_rng(np.random.Philox(seed))
     x = rng.uniform(-5.0, 5.0, (multistarts, 6))
+    # the starts are independent: each gets the same bits in any block
+    blocks = np.split(x, range(_PROBE_BLOCK, multistarts, _PROBE_BLOCK))
+    f = np.concatenate([_descend(b, lambda2, lambda3, max_iter) for b in blocks])
+    # fmin passes over the nan residual norm of a start that overflowed
+    return float(np.fmin.reduce(np.sqrt(f), initial=np.inf))
+
+
+def _descend(x, lambda2: float, lambda3: float, max_iter: int) -> np.ndarray:
+    """The probe's descent from the (starts, 6) array x, in place; r @ r per start."""
     r = restriction_residual(x, lambda2, lambda3)
     f = (r[:, None] @ r[..., None])[:, 0, 0]  # r @ r per start
-    mu = np.full(multistarts, 1e-3)
-    live = np.arange(multistarts)  # the starts still descending
+    mu = np.full(len(x), 1e-3)
+    live = np.arange(len(x))  # the starts still descending
     # J^T J and -J^T r per start, formed again only where a step moved x
-    JtJ, g = np.empty((multistarts, 6, 6)), np.empty((multistarts, 6, 1))
+    JtJ, g = np.empty((len(x), 6, 6)), np.empty((len(x), 6, 1))
     moved = live
     h, eye = 1e-6, np.eye(6)
     for _ in range(max_iter):
@@ -334,5 +350,4 @@ def nonexistence_probe(
         mu[live] = np.where(down, np.maximum(mu[live] * 0.3, 1e-12), mu[live] * 3.0)
         live = live[mu[live] <= 1e8]
         moved = won  # mu fell on these, so they are all still live
-    # fmin passes over the nan residual norm of a start that overflowed
-    return float(np.fmin.reduce(np.sqrt(f), initial=np.inf))
+    return f

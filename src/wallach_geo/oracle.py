@@ -297,7 +297,7 @@ def identity_checks(dec: ReductiveDecomposition, seed: int = 0, h: float = 1e-4)
 
         # (d/dt)|0 T(t)X = [X, Y+Z]
         fd = (T(h) @ x - T(-h) @ x) / (2 * h)
-        exact = np.einsum("i,ijk,j->k", x, c, y + z)
+        exact = accel.bracket_coeffs(c, x, y + z)
         err17 = max(err17, np.abs(fd - exact).max())
 
         # Ad(exp(tX))X = X, exact
@@ -308,7 +308,7 @@ def identity_checks(dec: ReductiveDecomposition, seed: int = 0, h: float = 1e-4)
         t0 = 0.4
         Ty = ad_exps(t0)[2] @ y
         fd = (ad_exps(t0 + h)[2] @ y - ad_exps(t0 - h)[2] @ y) / (2 * h)
-        exact = np.einsum("i,ijk,j->k", Ty, c, z)
+        exact = accel.bracket_coeffs(c, Ty, z)
         err19 = max(err19, np.abs(fd - exact).max())
 
         # (d/ds)|0 Ad(alpha(t+s)^-1)X = [TX, Z] + [TX, TY]
@@ -318,7 +318,7 @@ def identity_checks(dec: ReductiveDecomposition, seed: int = 0, h: float = 1e-4)
         fd = (ad_alpha_inv(t0 + h) @ x - ad_alpha_inv(t0 - h) @ x) / (2 * h)
         Tt = T(t0)
         Tx, Ty2 = Tt @ x, Tt @ y
-        exact = np.einsum("i,ijk,j->k", Tx, c, z) + np.einsum("i,ijk,j->k", Tx, c, Ty2)
+        exact = accel.bracket_coeffs(c, Tx, z) + accel.bracket_coeffs(c, Tx, Ty2)
         err20 = max(err20, np.abs(fd - exact).max())
 
         # (d/ds)|0 P_m(Ad(alpha(t+s)^-1)X) = P_m([TX, Z] + [TX, TY]): the

@@ -229,3 +229,27 @@ def test_part_block_residuals_match_basis_pair_scan(spaces):
             with pytest.raises(GroupingInvalidError) as info:
                 two_summand_view(dec, i)
             assert str(info.value).endswith(f"violates {name} (residual {res:.3e})")
+
+
+def _skew(N, a, b):
+    M = np.zeros((N, N))
+    M[a, b], M[b, a] = 1.0, -1.0
+    return M
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_stiefel_basis_matches_its_explicit_construction(n):
+    """build_stiefel(n), relabelled from so-blocks(1, 1, n), keeps the
+    explicit Stiefel basis and order bit for bit."""
+    N = n + 2
+    entries = [("k", _skew(N, a, b)) for a in range(2, N) for b in range(a + 1, N)]
+    entries += [("m1", _skew(N, 0, b)) for b in range(2, N)]
+    entries += [("m2", _skew(N, 1, b)) for b in range(2, N)]
+    entries.append(("m3", _skew(N, 1, 0)))
+    dec = build_stiefel(n)
+    assert dec.context.basis.tobytes() == np.array([M for _, M in entries]).tobytes()
+    for p in ("k", "m1", "m2", "m3"):
+        want = [q for q, (part, _) in enumerate(entries) if part == p]
+        assert dec.part_indices[p].tolist() == want
+    assert dec.name == f"stiefel({n})"
+    assert dec.equivalence_note == "m1 and m2 are equivalent K-modules"

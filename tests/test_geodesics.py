@@ -1,5 +1,7 @@
 """Closed-form geodesics, the defect functional and the restriction system."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -23,6 +25,8 @@ from wallach_geo import (
     solution_families,
     two_summand_view,
 )
+from wallach_geo import geodesics
+from wallach_geo.geodesics import applicable_families, match_case
 from wallach_geo.oracle import coset_distance
 from .conftest import make_rng
 
@@ -312,3 +316,129 @@ def test_probe_is_deterministic():
     a = nonexistence_probe(2.0, 0.5, multistarts=5, seed=3)
     b = nonexistence_probe(2.0, 0.5, multistarts=5, seed=3)
     assert a == b
+
+
+def test_probe_blocks_keep_every_floor(monkeypatch):
+    """Starts descend independently, so any block size gives the same floor."""
+    whole = nonexistence_probe(1.3, 0.7, multistarts=50, seed=5, max_iter=40)
+    monkeypatch.setattr(geodesics, "_PROBE_BLOCK", 7)
+    assert nonexistence_probe(1.3, 0.7, multistarts=50, seed=5, max_iter=40) == whole
+
+
+def test_probe_memory_is_bounded_by_its_block():
+    """All 20,000 starts at once peaked at 61 MB; blocks of 4,096 stay under 20 MB."""
+    nonexistence_probe(1.3, 0.7, multistarts=10, max_iter=3)  # first-call setup
+    tracemalloc.start()
+    try:
+        nonexistence_probe(1.3, 0.7, multistarts=20_000, max_iter=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 20e6
+
+
+# -- the metric loci: one table against the two it replaced -----------------
+
+def _reference_match_case(metric, requested):
+    """match_case as written with its own case -> slot table and gap test."""
+    case_slot = {1: 2, 2: 1, 3: 0}
+    n = (1.0, metric[1] / metric[0], metric[2] / metric[0])
+    if not all(1e-100 <= q <= 1e100 for q in n):
+        raise InvalidMetricError(f"metric {metric} has a ratio outside [1e-100, 1e100]")
+    candidates = []
+    for case, slot in case_slot.items():
+        a, b = (q for q in range(3) if q != slot)
+        if abs(n[a] - n[b]) <= 1e-12:
+            candidates.append((case, n[slot] / n[a]))
+    if requested != "auto":
+        case = int(requested)
+        for cand in candidates:
+            if cand[0] == case:
+                return cand
+        raise InvalidMetricError(f"metric {metric} does not match the case-{case} pattern")
+    if not candidates:
+        raise InvalidMetricError(
+            f"metric {metric} fits no closed-form case; see the restriction command"
+        )
+    return candidates[0]
+
+
+def _reference_applicable_families(lambda2, lambda3, tol=1e-12):
+    """applicable_families as written with its own family table and gaps."""
+    family_loci = (("s1", "s2"), ("s3", "s4"), ("s5", "s6"))
+    gaps = (abs(lambda2 - 1), abs(lambda3 - 1), abs(lambda2 - lambda3))
+    families = [f for pair, gap in zip(family_loci, gaps) if gap <= tol for f in pair]
+    return families, lambda2 if families == ["s3", "s4"] else lambda3
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except InvalidMetricError as exc:
+        return str(exc)
+
+
+def _near(x, ulps=3):
+    """x and its floating-point neighbours up to ``ulps`` steps either side."""
+    out = [x]
+    for direction in (np.inf, -np.inf):
+        y = x
+        for _ in range(ulps):
+            y = float(np.nextafter(y, direction))
+            out.append(y)
+    return out
+
+
+def _locus_pairs():
+    """(lambda2, lambda3) pairs: random, on each locus, at ties, at gaps of
+    exactly 1e-12 and 0.05, and within a few ulps of those gaps on either
+    side of every locus."""
+    rng = make_rng(101)
+    pairs = [tuple(p) for p in np.exp(rng.uniform(-3.0, 3.0, (300, 2)))]
+    pairs += [(1.0, 1.0), (1.0, 0.7), (0.7, 1.0), (0.8, 0.8), (1.3, 1.0), (2.5, 2.5)]
+    for tol in (1e-12, 0.05):
+        pairs += [(2 * tol, tol), (tol, 2 * tol)]  # lambda2 - lambda3 is exactly +-tol
+        for v in _near(1.0 + tol) + _near(1.0 - tol):
+            pairs += [(v, 0.7), (0.7, v), (v, 1.0), (1.0, v)]
+        for base in (0.7, 1.3):
+            for v in _near(base + tol) + _near(base - tol):
+                pairs += [(base, v), (v, base)]
+    return pairs
+
+
+def test_locus_table_matches_the_separate_case_and_family_tables():
+    """match_case and applicable_families read one locus table; their
+    results, order, lam and messages equal those of the two tables it
+    replaced, at 1e-12 and at the probe's 0.05."""
+    rng = make_rng(102)
+    for l2, l3 in _locus_pairs():
+        for tol in (1e-12, 0.05):
+            assert applicable_families(l2, l3, tol) == _reference_applicable_families(l2, l3, tol)
+        for l1 in (1.0, float(rng.uniform(0.2, 5.0))):
+            metric = (l1, l1 * l2, l1 * l3)
+            for requested in ("auto", "1", "2", "3"):
+                got = _outcome(match_case, metric, requested)
+                assert got == _outcome(_reference_match_case, metric, requested)
+    for metric in [(1.0, 1e-101, 1.0), (1.0, 1e101, 1e101), (1.0, float("nan"), 1.0)]:
+        for requested in ("auto", "2"):
+            got = _outcome(match_case, metric, requested)
+            assert got == _outcome(_reference_match_case, metric, requested)
+    assert match_case((1.0, 1.0, 1.0), "auto") == (1, 1.0)
+    assert applicable_families(1.0, 1.0) == (["s1", "s2", "s3", "s4", "s5", "s6"], 1.0)
+
+
+@pytest.mark.parametrize("case", [1, 2, 3])
+def test_closed_form_and_grouped_constructors_agree_bitwise(spaces, case):
+    """Case k and the grouping M2 = m_(4-k) build one curve and metric."""
+    i = 4 - case
+    for name, dec in spaces.items():
+        view = two_summand_view(dec, i)
+        Xs = _draws(dec, 200 + case)
+        grouped = sum((X for q, X in enumerate(Xs, 1) if q != i), dec.context.zero())
+        for c in (0.25, 0.5, 1.0, 1.5, 2.0):
+            curve, g = closed_form_geodesic(dec, case, *Xs, c)
+            curve2, g2 = dohira_geodesic(view, c, grouped, Xs[i - 1])
+            for f, f2 in zip(curve.factors, curve2.factors, strict=True):
+                assert f.coeffs.tobytes() == f2.coeffs.tobytes(), name
+            assert g.gram_full.tobytes() == g2.gram_full.tobytes(), name
+            assert g.lambdas == g2.lambdas == tuple(c if q == i else 1.0 for q in (1, 2, 3))
