@@ -2,6 +2,8 @@
 diagonal invariant metrics, closed-form product-of-exponential geodesics
 and independent verification oracles."""
 
+from types import ModuleType as _ModuleType
+
 from .catalog import (
     ReductiveDecomposition,
     StructureReport,
@@ -11,7 +13,6 @@ from .catalog import (
     build_stiefel,
     build_su3_flag,
     load_space_json,
-    two_summand_view,
     verify_fibration,
     verify_structure,
 )
@@ -35,10 +36,8 @@ from .core import (
     WrongModuleError,
     adjoint,
     bracket,
-    killing_form,
     killing_norm,
     matrix_exp,
-    project,
 )
 from .curves import ProductExpCurve
 from .geodesics import (
@@ -52,9 +51,8 @@ from .geodesics import (
     restriction_residual,
     solution_families,
 )
-from .metrics import DiagonalMetric, inner, pullback_velocity, u_map
+from .metrics import DiagonalMetric, inner, u_map
 from .oracle import (
-    CurveSample,
     ShotGeodesic,
     connection_defect,
     coset_distance,
@@ -64,4 +62,8 @@ from .oracle import (
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the names imported above, not the submodules that importing them bound
+__all__ = sorted(
+    name for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+)

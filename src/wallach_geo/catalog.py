@@ -20,7 +20,8 @@ from .core import (
     GroupingInvalidError,
     SpaceDefinitionError,
     StructureError,
-    bracket,
+    SubspaceSelectorError,
+    _same_context,
 )
 
 _MODULES = ("m1", "m2", "m3")
@@ -91,7 +92,6 @@ class ReductiveDecomposition:
         # the c[m, m, m] block with rows (j, i): c_mmm[j * d_m + i, k] = c[j, i, k]
         self.c_mmm = context.structure_constants[np.ix_(m, m, m)].reshape(len(m) ** 2, len(m))
         self.block_max = _part_block_max(context.structure_constants, self.part_indices).tolist()
-        context.decomposition = self
         if not verify:
             self.commuting_pairs = _find_commuting_pairs(self)
             return
@@ -120,11 +120,19 @@ class ReductiveDecomposition:
         n = v.norm_b()
         return v * (1.0 / n) if n > 0 else v
 
-    def module_of(self, X: AlgebraElement, tol: float = 1e-9) -> str | None:
-        """Name of the single part containing X, or None if mixed."""
-        scale = max(np.abs(X.coeffs).max(), 1e-300)
-        hits = [p for p in _PARTS if np.abs(X.coeffs * self.part_masks[p]).max() > tol * scale]
-        return hits[0] if len(hits) == 1 else None
+    def project(self, X: AlgebraElement, part: str) -> AlgebraElement:
+        """B-orthogonal projection onto a part (k, m, m1, m2, m3) of an X
+        from this decomposition's context (else ContextMismatchError).
+
+        The adapted bases are part-wise, so in coordinates the projection is a
+        truncation; B-orthogonality of the parts is verified at build.
+        """
+        _same_context(self, X)
+        try:
+            mask = self.part_masks[part]
+        except KeyError:
+            raise SubspaceSelectorError(f"unknown subspace selector {part!r}") from None
+        return AlgebraElement(self.context, X.coeffs * mask)
 
     def bracket_residual(self, parts_a, parts_b, allowed) -> float:
         """Largest |c[i, j, l]| over i in parts_a, j in parts_b and l outside
@@ -234,11 +242,6 @@ class TwoSummandView:
                 raise GroupingInvalidError(
                     f"{parent.name}: grouping M2=m{i} violates {name} (residual {res:.3e})"
                 )
-
-
-def two_summand_view(dec: ReductiveDecomposition, i: int) -> TwoSummandView:
-    """Group the decomposition as M1 = m_j + m_k, M2 = m_i."""
-    return TwoSummandView(dec, i)
 
 
 def _skew(n: int, a: int, b: int) -> np.ndarray:
@@ -354,14 +357,3 @@ def load_space_json(path, tol_structural: float = 1e-12) -> ReductiveDecompositi
     except StructureError as exc:
         raise SpaceDefinitionError(str(exc)) from exc
 
-
-def counterexample_swapped(dec_builder=build_so_blocks, args=(2, 2, 2)):
-    """A deliberately corrupted decomposition (one m1 basis vector swapped
-    into m2) used as a negative control; verification is skipped so the
-    caller can observe the failing report."""
-    good = dec_builder(*args)
-    parts = {p: list(good.part_indices[p]) for p in ("k", "m1", "m2", "m3")}
-    moved = parts["m1"].pop()
-    parts["m2"].append(moved)
-    ctx = AlgebraContext(good.context.name + " (corrupted)", good.context.basis)
-    return ReductiveDecomposition(ctx, parts, verify=False)

@@ -1,5 +1,5 @@
 """Matrix Lie algebra kernel: contexts, elements, brackets, Killing form,
-exponentials, adjoint actions and B-orthogonal projection.
+exponentials and adjoint actions.
 
 An :class:`AlgebraContext` is built once from an ordered basis of real
 matrices; structure constants, the Killing matrix and the trace-form Gram
@@ -30,7 +30,7 @@ class StructureError(WallachGeoError):
 
 
 class SubspaceSelectorError(WallachGeoError):
-    """Unknown subspace selector, or the context has no decomposition."""
+    """Unknown subspace selector."""
 
 
 class DegenerateSpaceError(WallachGeoError):
@@ -128,10 +128,6 @@ class GroupElement:
         _same_context(self, other)
         return GroupElement(self.context, self.matrix @ other.matrix)
 
-    def orthogonality_drift(self) -> float:
-        M = self.matrix
-        return float(np.abs(M.T @ M - np.eye(M.shape[0])).max())
-
 
 def _same_context(a, b) -> None:
     if a.context is not b.context:
@@ -163,7 +159,6 @@ class AlgebraContext:
         self.dim = basis.shape[0]
         self.ambient_size = basis.shape[1]
         self.tol_structural = float(tol_structural)
-        self.decomposition = None  # set by the catalog when an adapted split exists
 
         # trace-form Gram matrix; singular Gram means a dependent basis
         self.gram = np.einsum("aij,bij->ab", basis, basis)
@@ -258,11 +253,6 @@ class AlgebraContext:
     def zero(self) -> AlgebraElement:
         return AlgebraElement(self, np.zeros(self.dim))
 
-    def basis_element(self, i: int) -> AlgebraElement:
-        e = np.zeros(self.dim)
-        e[i] = 1.0
-        return AlgebraElement(self, e)
-
     def identity(self) -> GroupElement:
         return GroupElement(self, np.eye(self.ambient_size))
 
@@ -300,12 +290,6 @@ def killing_norm(ctx: AlgebraContext, coeffs: np.ndarray):
     return np.sqrt(np.maximum(q, 0.0))
 
 
-def killing_form(X: AlgebraElement, Y: AlgebraElement) -> float:
-    """B(X, Y) from the precomputed ad-trace Killing matrix."""
-    _same_context(X, Y)
-    return float(X.coeffs @ X.context.killing @ Y.coeffs)
-
-
 def matrix_exp(X: AlgebraElement, t: float = 1.0) -> GroupElement:
     """exp(t X) in the ambient matrix group, from one eigendecomposition of
     the skew matrix X."""
@@ -322,18 +306,3 @@ def adjoint(g: GroupElement, X: AlgebraElement) -> AlgebraElement:
     M = g.matrix @ X.matrix @ np.linalg.inv(g.matrix)
     return AlgebraElement(X.context, X.context.coefficients_of(M))
 
-
-def project(X: AlgebraElement, part: str) -> AlgebraElement:
-    """B-orthogonal projection onto an adapted part (k, m, m1, m2, m3).
-
-    The adapted bases are part-wise, so in coordinates the projection is a
-    truncation; B-orthogonality of the parts is verified at catalog build.
-    """
-    dec = X.context.decomposition
-    if dec is None:
-        raise SubspaceSelectorError(f"context {X.context.name!r} carries no decomposition")
-    try:
-        mask = dec.part_masks[part]
-    except KeyError:
-        raise SubspaceSelectorError(f"unknown subspace selector {part!r}") from None
-    return AlgebraElement(X.context, X.coeffs * mask)

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import accel
 from .catalog import ReductiveDecomposition
-from .core import AlgebraElement, ContextMismatchError, GroupElement
+from .core import ContextMismatchError, GroupElement
 
 
 def along_time(t, x):
@@ -105,8 +105,3 @@ class ProductExpCurve:
             wdot = accel.apply(A, wdot) - accel.apply(ad, Aw)
             w = Aw + f.coeffs
         return w, wdot
-
-    def initial_velocity(self) -> AlgebraElement:
-        """gamma_dot(0) pulled back to m: the m-part of the factor sum."""
-        total = sum((f.coeffs for f in self.factors), np.zeros(self.context.dim))
-        return AlgebraElement(self.context, total * self.dec.part_masks["m"])

@@ -29,7 +29,6 @@ from .core import (
     HypothesisViolatedError,
     InvalidMetricError,
     WrongModuleError,
-    project,
 )
 from .curves import ProductExpCurve, along_time
 from .metrics import DiagonalMetric
@@ -63,7 +62,7 @@ def gw_defect_all(curve: ProductExpCurve, g: DiagonalMetric, t) -> np.ndarray:
 
 def gw_defect(curve: ProductExpCurve, g: DiagonalMetric, W: AlgebraElement, t: float) -> float:
     """The defect G_W(t) for a single direction W (projected to m if needed)."""
-    Wm = project(W, "m")
+    Wm = curve.dec.project(W, "m")
     if np.abs(W.coeffs - Wm.coeffs).max() > 1e-14 * max(1.0, np.abs(W.coeffs).max()):
         warnings.warn("gw_defect: W had a k-component; projected to m", stacklevel=2)
     # G_W is linear in W: the m-coordinates of W against G_W over the m-basis

@@ -13,8 +13,7 @@ import numpy as np
 
 from . import accel
 from .catalog import ReductiveDecomposition
-from .core import AlgebraElement, ContextMismatchError, InvalidMetricError, project
-from .curves import ProductExpCurve
+from .core import AlgebraElement, ContextMismatchError, InvalidMetricError
 
 
 class DiagonalMetric:
@@ -26,7 +25,6 @@ class DiagonalMetric:
             raise InvalidMetricError(f"metric coefficients must be positive, got {lambdas}")
         self.dec = dec
         self.lambdas = (l1, l2, l3)
-        self.normalized = (1.0, l2 / l1, l3 / l1)
         ctx = dec.context
         K = ctx.killing
         G = np.zeros((ctx.dim, ctx.dim))
@@ -51,9 +49,6 @@ class DiagonalMetric:
         # an explicit inverse and one GEMM: a solve with d_m^2 right-hand sides
         # costs several times more
         return np.linalg.inv(self.gram) @ (self.dec.c_mmm @ self.gram).reshape(dm, dm * dm)
-
-    def scaled(self, c: float) -> "DiagonalMetric":
-        return DiagonalMetric(self.dec, tuple(c * l for l in self.lambdas))
 
 
 def inner(g: DiagonalMetric, X: AlgebraElement, Y: AlgebraElement) -> float:
@@ -85,13 +80,3 @@ def u_map(g: DiagonalMetric, X: AlgebraElement, Y: AlgebraElement) -> AlgebraEle
     u[mi] = u_coeffs(g, X.coeffs[mi], Y.coeffs[mi])
     return AlgebraElement(X.context, u)
 
-
-def pullback_velocity(curve: ProductExpCurve, t: float):
-    """(w, v): the left-trivialized body velocity of the lift and its m-part.
-
-    v(t) is the pullback of the projected curve's velocity to m at the
-    origin; w - v is the k-gauge component of the chosen lift.
-    """
-    w, _ = curve.body_velocity(t)
-    W = AlgebraElement(curve.context, w)
-    return W, project(W, "m")

@@ -5,7 +5,8 @@ D(t) = v_dot + [w_k, v] + U(v, v) along a lifted curve; it vanishes iff
 the curve is a geodesic, and <W, D(t)> must reproduce the defect G_W of
 ``geodesics`` for every W.  Geodesic shooting integrates the same
 equation forward with RK4 as a second, fully independent check, on bare
-arrays.  Its velocity equation v_dot = -U(v, v) does not involve the lift
+arrays, and returns the lifts and velocities as two arrays (``ShotGeodesic``).
+Its velocity equation v_dot = -U(v, v) does not involve the lift
 a, so the v recurrence runs alone; the lift's RK4 step is linear in a,
 a_{k+1} = a_k Phi_k, and as polar(a Phi) = a polar(Phi) for orthogonal a,
 re-orthonormalizing every step becomes Newton-Schulz steps on the stack of
@@ -22,21 +23,13 @@ orthogonal matrices, then a batched ``eigh`` and logarithm).
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import accel
 from .catalog import ReductiveDecomposition, StructureReport
-from .core import (
-    AlgebraContext,
-    AlgebraElement,
-    GroupElement,
-    IntegrationFailureError,
-    OutOfChartError,
-    killing_norm,
-)
+from .core import AlgebraElement, IntegrationFailureError, OutOfChartError, killing_norm
 from .curves import ProductExpCurve
 from .metrics import DiagonalMetric, u_coeffs
 
@@ -58,37 +51,16 @@ def connection_defect(curve: ProductExpCurve, g: DiagonalMetric, t):
     return D if accel.is_grid(t) else AlgebraElement(ctx, D)
 
 
-@dataclass
-class CurveSample:
-    """A shot point: the horizontal lift has body velocity v in m, no k-part."""
-
-    t: float
-    group_point: GroupElement
-    v: AlgebraElement
-
-
 @dataclass(eq=False)
 class ShotGeodesic:
-    """A shot on bare arrays: ``points`` (steps + 1, n, n) holds the lift at
-    t = k ``step`` and ``velocities`` (steps + 1, d_m) the m-coordinates of
-    its body velocity; ``samples`` wraps them as CurveSamples when read."""
+    """A shot on bare arrays: ``points`` (steps + 1, n, n) holds the
+    horizontal lift at t = k ``step`` and ``velocities`` (steps + 1, d_m)
+    the m-coordinates of its body velocity, whose k-part is zero."""
 
-    context: AlgebraContext
-    m_indices: np.ndarray
     points: np.ndarray
     velocities: np.ndarray
     step: float
     energy_drift: float
-
-    @functools.cached_property
-    def samples(self) -> list:
-        ctx = self.context
-        coeffs = np.zeros((len(self.velocities), ctx.dim))
-        coeffs[:, self.m_indices] = self.velocities
-        return [
-            CurveSample(t=k * self.step, group_point=GroupElement(ctx, a), v=AlgebraElement(ctx, c))
-            for k, (a, c) in enumerate(zip(self.points, coeffs))
-        ]
 
 
 # steps per chunk of the lift passes, whose working arrays are O(_CHUNK n^2)
@@ -225,7 +197,7 @@ def shoot_geodesic(
             f"polar factor did not converge at step {int(np.argmax(lost))}; "
             "reduce the step size"
         )
-    return ShotGeodesic(ctx, mi, points, velocities, h, drift)
+    return ShotGeodesic(points, velocities, h, drift)
 
 
 # bound on max|q^T q - I| for the inputs of coset_distance, in units of

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from wallach_geo import (
+    AlgebraContext,
+    ReductiveDecomposition,
     build_product_spheres,
     build_so_blocks,
     build_stiefel,
@@ -21,6 +23,18 @@ SPACE_BUILDERS = {
 
 def make_rng(seed=0):
     return np.random.default_rng(np.random.Philox(seed))
+
+
+def counterexample_swapped(dec_builder=build_so_blocks, args=(2, 2, 2)):
+    """A deliberately corrupted decomposition (one m1 basis vector swapped
+    into m2) used as a negative control; verification is skipped so the
+    caller can observe the failing report."""
+    good = dec_builder(*args)
+    parts = {p: list(good.part_indices[p]) for p in ("k", "m1", "m2", "m3")}
+    moved = parts["m1"].pop()
+    parts["m2"].append(moved)
+    ctx = AlgebraContext(good.context.name + " (corrupted)", good.context.basis)
+    return ReductiveDecomposition(ctx, parts, verify=False)
 
 
 @pytest.fixture(scope="session")

@@ -8,16 +8,16 @@ from scipy.linalg import expm
 
 from wallach_geo import (
     AlgebraContext,
+    ContextMismatchError,
     NotInAlgebraError,
+    ReductiveDecomposition,
     SpaceDefinitionError,
     StructureError,
     SubspaceSelectorError,
     adjoint,
     bracket,
     build_so_blocks,
-    killing_form,
     matrix_exp,
-    project,
 )
 from wallach_geo import accel
 from .conftest import make_rng
@@ -168,7 +168,7 @@ def test_killing_form_so_n_trace_identity(spaces):
         X = ctx.element(rng.standard_normal(ctx.dim))
         Y = ctx.element(rng.standard_normal(ctx.dim))
         expect = (N - 2) * np.trace(X.matrix @ Y.matrix)
-        got = killing_form(X, Y)
+        got = X.coeffs @ ctx.killing @ Y.coeffs
         assert abs(got - expect) <= 1e-10 * abs(expect)
 
 
@@ -179,21 +179,20 @@ def test_killing_form_su3_trace_identity(su3):
     X = ctx.element(rng.standard_normal(ctx.dim))
     Y = ctx.element(rng.standard_normal(ctx.dim))
     expect = 3.0 * np.trace(X.matrix @ Y.matrix)
-    got = killing_form(X, Y)
+    got = X.coeffs @ ctx.killing @ Y.coeffs
     assert abs(got - expect) <= 1e-10 * abs(expect)
 
 
 def test_killing_norm_so3_generator(spaces):
     """Frozen value: a standard rotation generator of so(3) has B(L,L) = -2."""
-    dec = spaces["so-blocks(1,1,1)"]
-    L = dec.context.basis_element(0)
-    assert killing_form(L, L) == pytest.approx(-2.0, abs=1e-13)
+    killing = spaces["so-blocks(1,1,1)"].context.killing
+    assert killing[0, 0] == pytest.approx(-2.0, abs=1e-13)
 
 
 def test_quarter_turn_rotation_entries(spaces):
     """Frozen value: exp((pi/2) L) is the quarter-turn permutation matrix."""
-    dec = spaces["so-blocks(1,1,1)"]
-    L = dec.context.basis_element(0)  # rotation in the (0, 1) plane
+    ctx = spaces["so-blocks(1,1,1)"].context
+    L = ctx.element(np.eye(ctx.dim)[0])  # rotation in the (0, 1) plane
     R = matrix_exp(L, np.pi / 2).matrix
     expect = np.array([[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
     assert np.abs(R - expect).max() < 1e-15
@@ -262,28 +261,36 @@ def test_projection_selectors(stiefel3):
     ctx = stiefel3.context
     rng = make_rng(11)
     X = ctx.element(rng.standard_normal(ctx.dim))
-    parts = [project(X, p) for p in ("k", "m1", "m2", "m3")]
+    parts = [stiefel3.project(X, p) for p in ("k", "m1", "m2", "m3")]
     total = sum(parts[1:], parts[0])
     assert np.abs(total.coeffs - X.coeffs).max() == 0.0
     with pytest.raises(SubspaceSelectorError):
-        project(X, "m7")
+        stiefel3.project(X, "m7")
 
 
-def test_projection_requires_decomposition():
-    def skew(a, b):
-        M = np.zeros((3, 3))
-        M[a, b], M[b, a] = 1.0, -1.0
-        return M
-
-    ctx = AlgebraContext("bare-so3", [skew(0, 1), skew(0, 2), skew(1, 2)])
-    with pytest.raises(SubspaceSelectorError):
-        project(ctx.basis_element(0), "m")
+def test_projection_belongs_to_its_decomposition(spaces):
+    """Each decomposition projects with its own parts, whatever other
+    decomposition shares its context, and refuses an element of another
+    context."""
+    stiefel3, su3 = spaces["stiefel(3)"], spaces["su3-flag"]
+    ctx = stiefel3.context
+    X = ctx.element(make_rng(14).standard_normal(ctx.dim))
+    want = stiefel3.project(X, "m1").coeffs
+    # the same basis, split with k and m1 exchanged
+    parts = {**stiefel3.part_indices, "k": stiefel3.part_indices["m1"],
+             "m1": stiefel3.part_indices["k"]}
+    other = ReductiveDecomposition(ctx, {p: parts[p] for p in ("k", "m1", "m2", "m3")},
+                                   verify=False)
+    assert np.array_equal(other.project(X, "k").coeffs, want)
+    assert np.array_equal(stiefel3.project(X, "m1").coeffs, want)
+    with pytest.raises(ContextMismatchError):
+        su3.project(X, "m")
 
 
 def test_group_element_orthogonality_drift(stiefel3):
     X = stiefel3.random_module_vector("m1", make_rng(12))
-    g = matrix_exp(X, 1.3)
-    assert g.orthogonality_drift() < 1e-13
+    M = matrix_exp(X, 1.3).matrix
+    assert np.abs(M.T @ M - np.eye(M.shape[0])).max() < 1e-13
 
 
 def _einsum_context(basis):

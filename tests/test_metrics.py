@@ -10,8 +10,6 @@ from wallach_geo import (
     ProductExpCurve,
     bracket,
     inner,
-    project,
-    pullback_velocity,
     u_map,
 )
 from wallach_geo import accel
@@ -23,11 +21,6 @@ def test_positive_coefficients_required(stiefel3):
         DiagonalMetric(stiefel3, (1.0, -0.5, 1.0))
     with pytest.raises(InvalidMetricError):
         DiagonalMetric(stiefel3, (0.0, 1.0, 1.0))
-
-
-def test_normalized_form(stiefel3):
-    g = DiagonalMetric(stiefel3, (2.0, 1.0, 4.0))
-    assert g.normalized == (1.0, 0.5, 2.0)
 
 
 def test_gram_is_blockwise_scaled_killing(spaces):
@@ -48,7 +41,7 @@ def test_inner_discards_k_components(stiefel3):
     g = DiagonalMetric(stiefel3, (1.0, 2.0, 0.5))
     ctx = stiefel3.context
     X = ctx.element(rng.standard_normal(ctx.dim))
-    Xm = project(X, "m")
+    Xm = stiefel3.project(X, "m")
     Y = ctx.element(rng.standard_normal(ctx.dim))
     assert inner(g, X, Y) == pytest.approx(inner(g, Xm, Y), abs=1e-12)
 
@@ -115,12 +108,12 @@ def test_u_map_defining_identity(su3):
     Y = su3.random_module_vector("m", rng)
     U = u_map(g, X, Y)
     for w in range(su3.context.dim):
-        Z = su3.context.basis_element(w)
+        Z = su3.context.element(np.eye(su3.context.dim)[w])
         if su3.part_masks["m"][w] == 0:
             continue
         lhs = 2.0 * inner(g, U, Z)
-        rhs = inner(g, project(bracket(Z, X), "m"), Y) + inner(
-            g, X, project(bracket(Z, Y), "m")
+        rhs = inner(g, su3.project(bracket(Z, X), "m"), Y) + inner(
+            g, X, su3.project(bracket(Z, Y), "m")
         )
         assert lhs == pytest.approx(rhs, abs=1e-10)
 
@@ -162,14 +155,14 @@ def test_k_gauge_covariance(stiefel3):
     base = ProductExpCurve(stiefel3, factors)
     gauged = ProductExpCurve(stiefel3, factors + [zeta])
     ctx = stiefel3.context
+
+    def pullback_velocity(curve, t):
+        """The m-part of the body velocity of the curve's lift."""
+        return stiefel3.project(ctx.element(curve.body_velocity(t)[0]), "m")
+
     for t in (0.3, 1.1):
-        _, v1 = pullback_velocity(base, t)
-        _, v2 = pullback_velocity(gauged, t)
+        v1 = pullback_velocity(base, t)
+        v2 = pullback_velocity(gauged, t)
         R = expm(-t * ctx.ad_matrix(zeta.coeffs))
         assert np.abs(v2.coeffs - R @ v1.coeffs).max() < 1e-10
         assert inner(g, v1, v1) == pytest.approx(inner(g, v2, v2), abs=1e-10)
-
-
-def test_scaled_metric_preserves_normalization(stiefel3):
-    g = DiagonalMetric(stiefel3, (1.0, 2.0, 0.5))
-    assert g.scaled(3.0).normalized == g.normalized

@@ -1,0 +1,53 @@
+"""The package's public surface: the exported names, and no dead imports."""
+
+import ast
+from pathlib import Path
+
+import wallach_geo
+
+PACKAGE_DIR = Path(wallach_geo.__file__).parent
+
+PUBLIC_NAMES = [
+    "AlgebraContext", "AlgebraElement", "ContextMismatchError", "DegenerateSpaceError",
+    "DiagonalMetric", "GenericityError", "GroupElement", "GroupingInvalidError",
+    "HypothesisViolatedError", "IntegrationFailureError", "InvalidMetricError",
+    "NotInAlgebraError", "OutOfChartError", "ProductExpCurve", "ReductiveDecomposition",
+    "RestrictionSolution", "ShotGeodesic", "SpaceDefinitionError", "StructureError",
+    "StructureReport", "SubspaceSelectorError", "TwoSummandView", "WallachGeoError",
+    "WrongModuleError", "adjoint", "bracket", "build_product_spheres", "build_so_blocks",
+    "build_stiefel", "build_su3_flag", "closed_form_geodesic", "connection_defect",
+    "coset_distance", "dohira_geodesic", "gw_defect", "gw_defect_all", "homogeneous_geodesic",
+    "identity_checks", "inner", "killing_norm", "load_space_json", "matrix_exp",
+    "nonexistence_probe", "restriction_residual", "shoot_geodesic", "solution_families",
+    "u_map", "verify_fibration", "verify_structure",
+]
+
+
+def test_public_names_are_pinned():
+    """``__all__`` lists the API and no submodule."""
+    assert sorted(wallach_geo.__all__) == sorted(PUBLIC_NAMES)
+    for name in wallach_geo.__all__:
+        assert hasattr(wallach_geo, name), name
+
+
+def _unused_imports(path: Path, exported=()) -> list:
+    """Names bound by the module-level imports of ``path`` that its code
+    never reads; ``exported`` names count as read."""
+    tree = ast.parse(path.read_text())
+    bound = {}
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                bound[alias.asname or alias.name.split(".")[0]] = node.lineno
+    read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)} | set(exported)
+    return [f"{path.name}:{line} {name}" for name, line in bound.items() if name not in read]
+
+
+def test_no_module_level_import_goes_unused():
+    unused = []
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        exported = wallach_geo.__all__ if path.name == "__init__.py" else ()
+        unused += _unused_imports(path, exported)
+    assert unused == []
