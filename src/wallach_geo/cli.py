@@ -447,6 +447,11 @@ def main(argv=None) -> int:
         message = re.sub(r"[\x00-\x1f\x7f]", lambda m: repr(m.group())[1:-1], str(exc))
         print(f"error: {message}", file=sys.stderr)
         return next(code for kinds, code in _EXIT_CODES if isinstance(exc, kinds))
+    except BrokenPipeError:
+        # the reader closed stdout (say, `| head`): point it at devnull so that
+        # the interpreter's last flush does not fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_FAIL
 
 
 if __name__ == "__main__":

@@ -8,6 +8,8 @@ factorization are precomputed and the context is immutable afterwards.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from . import accel
@@ -136,7 +138,83 @@ def _same_context(a, b) -> None:
         )
 
 
-_JACOBI_CHUNK = 2**17  # floats per chunk array of the Jacobi check; about five are live
+def _sum_runs(key: np.ndarray, val: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct values of a nonnegative integer key, ascending, and the sum
+    of val over each, summed in input order."""
+    srt = np.argsort(key, kind="stable")
+    key = key[srt]
+    heads = np.flatnonzero(np.concatenate((key[:1] >= 0, key[1:] != key[:-1])))
+    return key[heads], np.add.reduceat(val[srt], heads)
+
+
+def _jacobi_check(c: np.ndarray, tol: float) -> tuple[float, float, bool]:
+    """Jacobi residual max|J|, max|T| and whether J passes for structure constants c.
+
+    T[i,j,k,m] = sum_l c[i,j,l] c[l,k,m] is the m-coefficient of [[e_i, e_j], e_k]
+    and J[i,j,k] = T[i,j,k] + T[k,i,j] + T[j,k,i] its cyclic sum; J passes when
+    max|J| <= tol * max(1, max|T|).  T is formed only from pairs of nonzero
+    entries that share l, and each T entry is summed into the rotation of
+    (i, j, k) that is least in lexicographic order, which gives every J once.
+    Rotations keep m, so the pass runs in blocks of pairs ordered by m and
+    carries the sums of a block's last m forward: memory stays O(d^3).
+
+    Entries of size <= cut (rounding noise) are dropped.  With d' the largest
+    dropped size, that moves each T entry by at most d d' (2 max|c| + d'), which
+    is added three times to max|J| and taken off max|T|, so the verdict is never
+    weaker than the dense one; the cut keeps that bound under tol / 10.
+    """
+    d = c.shape[0]
+    a = np.abs(c).ravel()
+    big = float(a.max())
+    q = 0.1 * tol  # 3 d cut (2 big + cut) = q, solved for cut
+    cut = 2 * q / (6 * d * big + math.sqrt((6 * d * big) ** 2 + 12 * d * q)) if q > 0 else 0.0
+    keep = a > cut
+    dropped = float(np.where(keep, 0.0, a).max())
+    slack = d * dropped * (2 * big + dropped)
+    # kept entries ordered by their last index: as left factors c[i, j, l] they
+    # are grouped by l, as right factors c[l, k, m] ordered by m
+    last, ij = np.divmod(np.flatnonzero(keep.reshape(d * d, d).T), d * d)
+    v = c.reshape(d * d, d)[ij, last]
+    first, second = np.divmod(ij, d)
+    lo = np.searchsorted(last, first)  # left factors of each right factor's l
+    count = np.searchsorted(last, first, "right") - lo
+    ends = np.cumsum(count)
+    # a T index (m, i, j, k) is packed into one integer, b bits per index
+    b = max(1, (d - 1).bit_length())
+    low, low2, low3 = (1 << b) - 1, (1 << 2 * b) - 1, (1 << 3 * b) - 1
+    ij_key = (first << b | second) << b
+
+    t_max = j_max = 0.0
+    carry_key, carry_T = np.empty(0, np.int64), np.empty(0)
+    s, n = 0, last.size
+    while s < n:
+        start = ends[s] - count[s]
+        # about 2**17 pairs per block, at least one right factor
+        e = max(s + 1, int(np.searchsorted(ends, start + 2**17, "right")))
+        rep = count[s:e]
+        pos = np.arange(start, ends[e - 1]) + np.repeat(lo[s:e] - ends[s:e] + rep, rep)
+        # the pair c[i, j, l] c[l, k, m]
+        key = np.repeat(last[s:e] << 3 * b | second[s:e], rep) | ij_key[pos]
+        key, T = _sum_runs(
+            np.concatenate((carry_key, key)),
+            np.concatenate((carry_T, np.repeat(v[s:e], rep) * v[pos])),
+        )
+        # the sums of the block's last m may continue in the next block
+        split = key.size if e == n else int(np.searchsorted(key, last[e - 1] << 3 * b))
+        carry_key, carry_T = key[split:], T[split:]
+        key, T = key[:split], T[:split]
+        s = e
+        if not split:
+            continue
+        t_max = max(t_max, float(np.abs(T).max()))
+        ijk = key & low3
+        rot = np.minimum((ijk & low2) << b | ijk >> 2 * b, (ijk & low) << 2 * b | ijk >> b)
+        # J[x, x, x] = 3 T[x, x, x], its one rotation
+        J = _sum_runs(key - ijk + np.minimum(ijk, rot), np.where(rot == ijk, 3 * T, T))[1]
+        j_max = max(j_max, float(np.abs(J).max()))
+    residual = j_max + 3 * slack
+    t_max = max(0.0, t_max - slack)
+    return residual, t_max, residual <= tol * max(1.0, t_max)
 
 
 class AlgebraContext:
@@ -192,21 +270,8 @@ class AlgebraContext:
         if anti > self.tol_structural * max(1.0, np.abs(c).max()):
             raise StructureError(f"{name}: structure constants not antisymmetric ({anti:.3e})")
 
-        # Jacobi sums T[i,j,k] + T[k,i,j] + T[j,k,i], T[i,j,k,m] the m-coefficient of
-        # [[e_i, e_j], e_k], over chunks of i so memory is O(d^3) rather than d^4
-        rows = max(1, _JACOBI_CHUNK // d**3)
-        self._jacobi_residual = t_max = 0.0
-        for s in range(0, d, rows):
-            ix = slice(s, s + rows)
-            T = (c[ix].reshape(-1, d) @ c.reshape(d, -1)).reshape(-1, d, d, d)
-            T_kij = T_jki = T  # T[k, i, j] and T[j, k, i] for i in the chunk
-            if rows < d:
-                T_kij = (c[:, ix].reshape(-1, d) @ c.reshape(d, -1)).reshape(d, -1, d, d)
-                T_jki = (c.reshape(-1, d) @ c[:, ix].reshape(d, -1)).reshape(d, d, -1, d)
-            jac = T + T_kij.transpose(1, 2, 0, 3) + T_jki.transpose(2, 0, 1, 3)
-            self._jacobi_residual = max(self._jacobi_residual, float(np.abs(jac).max()))
-            t_max = max(t_max, float(np.abs(T).max()))
-        if self._jacobi_residual > self.tol_structural * max(1.0, t_max):
+        self._jacobi_residual, _, jacobi_ok = _jacobi_check(c, self.tol_structural)
+        if not jacobi_ok:
             raise StructureError(f"{name}: Jacobi identity fails ({self._jacobi_residual:.3e})")
 
         # the Killing form from ad-traces, ad(e_i)[k, j] = c[i, j, k]:

@@ -52,6 +52,16 @@ def test_structure_relations_hold(spaces):
         assert report.max_residual() <= 1e-12
 
 
+def test_so_blocks_555_builds_and_verifies():
+    """A mid-size space (d = 105) builds with the sparse Jacobi check, passes
+    every structure relation and keeps an exact Jacobi residual of 0.0."""
+    dec = build_so_blocks(5, 5, 5)
+    assert dec.context.dim == 105
+    report = verify_structure(dec)
+    assert report.verdict, [c.name for c in report.checks if not c.passed]
+    assert dec.context._jacobi_residual == 0.0
+
+
 def test_verify_structure_is_idempotent(stiefel3):
     r1 = verify_structure(stiefel3)
     r2 = verify_structure(stiefel3)

@@ -373,13 +373,14 @@ def test_reports_are_strict_json(capsys, argv):
     assert isinstance(_strict_json(out), dict)
 
 
-def _fresh_process(argv):
-    """One command run in a new interpreter, its output captured."""
+def _fresh_process(argv, stdout=subprocess.PIPE):
+    """One command run in a new interpreter, its stderr (and by default its
+    stdout) captured."""
     src = str(Path(wallach_geo.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
     code = "import sys; from wallach_geo.cli import main; sys.exit(main(sys.argv[1:]))"
-    return subprocess.run([sys.executable, "-c", code, *argv], env=env, capture_output=True,
-                          text=True, timeout=120)
+    return subprocess.run([sys.executable, "-c", code, *argv], env=env, stdout=stdout,
+                          stderr=subprocess.PIPE, text=True, timeout=120)
 
 
 def _fresh_call(argv):
@@ -403,6 +404,18 @@ def test_shooting_failure_is_one_error_line(argv, message):
     one stderr line, no traceback or numpy warning."""
     proc = _fresh_process(argv)
     assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", f"error: {message}\n")
+
+
+def test_closed_stdout_ends_quietly():
+    """A reader that has closed its end of the pipe (as `| head` does) ends
+    the command with exit code 1 and nothing on stderr, not a traceback."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = _fresh_process(["verify-space", "so-blocks", "2", "2", "2"], stdout=write_end)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (1, "")
 
 
 def test_parser_is_shared_and_calls_match_fresh_interpreters(capsys):

@@ -20,6 +20,7 @@ from wallach_geo import (
     matrix_exp,
 )
 from wallach_geo import accel
+from wallach_geo.core import _jacobi_check
 from .conftest import make_rng
 
 
@@ -243,18 +244,89 @@ def test_bare_context_with_non_skew_basis_rejected():
         AlgebraContext("so3-conjugated", basis)
 
 
+def _conjugated_basis(dec, seed):
+    """The basis of dec conjugated by a random orthogonal matrix: the same
+    algebra, whose structure constants carry rounding noise in every entry."""
+    n = dec.context.ambient_size
+    Q = np.linalg.qr(make_rng(seed).standard_normal((n, n)))[0]
+    return np.einsum("ab,ibc,dc->iad", Q, dec.context.basis, Q)
+
+
 def test_context_construction_memory_is_bounded():
-    """The Jacobi check runs over chunks of the first index: building the
-    so-blocks(3,3,4) context (d = 45), whose d^4 tensor alone would take
-    31 MiB, peaks at no more than 32 MiB."""
-    basis = build_so_blocks(3, 3, 4).context.basis
-    tracemalloc.start()
-    try:
-        AlgebraContext("so-blocks(3,3,4)", basis)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 32 * 2**20, peak
+    """The Jacobi check multiplies only pairs of nonzero structure constants,
+    in blocks, and drops rounding noise first: building the so-blocks(3,3,4)
+    context (d = 45), whose d^4 tensor alone would take 31 MiB, peaks at no
+    more than 32 MiB, also on a conjugated basis whose c has 89,100 nonzero
+    entries of which 720 are genuine."""
+    dec = build_so_blocks(3, 3, 4)
+    for basis in (dec.context.basis, _conjugated_basis(dec, 16)):
+        tracemalloc.start()
+        try:
+            AlgebraContext("so-blocks(3,3,4)", basis)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 32 * 2**20, peak
+
+
+def _chunked_jacobi(c, chunk=2**17):
+    """max|J| and max|T| by three GEMMs over each chunk of the first index,
+    a dense reference for the sparse Jacobi check."""
+    d = c.shape[0]
+    rows = max(1, chunk // d**3)
+    residual = t_max = 0.0
+    for s in range(0, d, rows):
+        ix = slice(s, s + rows)
+        T = (c[ix].reshape(-1, d) @ c.reshape(d, -1)).reshape(-1, d, d, d)
+        T_kij = (c[:, ix].reshape(-1, d) @ c.reshape(d, -1)).reshape(d, -1, d, d)
+        T_jki = (c.reshape(-1, d) @ c[:, ix].reshape(d, -1)).reshape(d, d, -1, d)
+        jac = T + T_kij.transpose(1, 2, 0, 3) + T_jki.transpose(2, 0, 1, 3)
+        residual = max(residual, float(np.abs(jac).max()))
+        t_max = max(t_max, float(np.abs(T).max()))
+    return residual, t_max
+
+
+def test_jacobi_check_matches_the_dense_formula(spaces):
+    """On catalog c every product is exact, so both checks read a residual of
+    0.0 and the same max|T|; with five entries moved by 1e-3 both read the same
+    residual, and the check fails.  A zero c passes at tol 0."""
+    rng = make_rng(15)
+    for name, dec in spaces.items():
+        c = dec.context.structure_constants
+        assert _jacobi_check(c, 1e-12) == (0.0, _chunked_jacobi(c)[1], True), name
+        bent = c.copy()
+        bent.ravel()[rng.choice(c.size, 5, replace=False)] += 1e-3
+        residual, t_max, ok = _jacobi_check(bent, 1e-12)
+        assert np.allclose((residual, t_max), _chunked_jacobi(bent), rtol=1e-12, atol=0), name
+        assert residual >= 1e-3 and not ok, name
+    assert _jacobi_check(np.zeros((2, 2, 2)), 0.0) == (0.0, 0.0, True)
+
+
+def test_jacobi_check_matches_the_dense_formula_on_dense_input():
+    """Random c, with no zeros, no antisymmetry and nonzero c[i, i, l]: the
+    pass runs over more than 20 blocks and still reads the dense values."""
+    c = make_rng(17).standard_normal((20, 20, 20))
+    residual, t_max, ok = _jacobi_check(c, 1e-12)
+    assert np.allclose((residual, t_max), _chunked_jacobi(c), rtol=1e-12, atol=0)
+    assert not ok
+
+
+def test_jacobi_check_bounds_the_dropped_noise():
+    """On a conjugated so(5) basis the check drops the noise entries of c (900
+    nonzero, 60 genuine) and charges their bound, which stays under a tenth of
+    the threshold: never below the dense residual, nor far above it."""
+    basis = _conjugated_basis(build_so_blocks(1, 2, 2), 13)
+    c = AlgebraContext("so5-conjugated", basis).structure_constants
+    assert np.count_nonzero(c) == 900
+    residual, t_max, ok = _jacobi_check(c, 1e-12)
+    want_residual, want_t_max = _chunked_jacobi(c)
+    # dropping entries of size <= noise moves each T entry by at most charge
+    noise = np.abs(c[np.abs(c) < 1e-8]).max()
+    charge = c.shape[0] * noise * (2 * np.abs(c).max() + noise)
+    bound = 0.1 * 1e-12
+    assert ok and 3 * charge <= bound
+    assert max(want_residual, 3 * charge) <= residual <= want_residual + bound
+    assert want_t_max - bound <= t_max <= want_t_max
 
 
 def test_projection_selectors(stiefel3):
@@ -315,8 +387,7 @@ def test_context_matches_einsum_formulas(spaces):
             (ctx.structure_constants, ctx.killing, ctx.killing_chol), _einsum_context(ctx.basis)
         ):
             assert np.array_equal(got, want), name
-    Q = np.linalg.qr(make_rng(13).standard_normal((5, 5)))[0]
-    basis = np.array([Q @ M @ Q.T for M in build_so_blocks(1, 2, 2).context.basis])
+    basis = _conjugated_basis(build_so_blocks(1, 2, 2), 13)
     ctx = AlgebraContext("so5-conjugated", basis)
     for got, want in zip(
         (ctx.structure_constants, ctx.killing, ctx.killing_chol), _einsum_context(basis)
@@ -332,6 +403,9 @@ def _so3_skew(a, b):
 
 _D = np.diag([1.0, 2.0, 3.0])
 _CONJUGATED = [_D @ _so3_skew(a, b) @ np.linalg.inv(_D) for a, b in ((0, 1), (0, 2), (1, 2))]
+# [E_01, E_12] = E_02 with E_02 central: no nonzero c[i, j, l] meets a nonzero
+# c[l, k, m], so the Jacobi check has no pair to sum
+_HEISENBERG = [np.outer(np.eye(3)[a], np.eye(3)[b]) for a, b in ((0, 1), (1, 2), (0, 2))]
 _BOOSTS = [np.array([[0, 0, 1], [0, 0, 0], [1, 0, 0]]), np.array([[0, 0, 0], [0, 0, 1], [0, 1, 0]])]
 
 
@@ -346,6 +420,8 @@ _BOOSTS = [np.array([[0, 0, 1], [0, 0, 0], [1, 0, 0]]), np.array([[0, 0, 0], [0,
          r"non-skew: ambient basis matrices are not skew-symmetric \("),
         ("so(2,1)", [_so3_skew(0, 1)] + _BOOSTS, SpaceDefinitionError,
          r"so\(2,1\): -B is not positive definite \(g is not compact semisimple\)"),
+        ("heisenberg", _HEISENBERG, SpaceDefinitionError,
+         r"heisenberg: -B is not positive definite \(g is not compact semisimple\)"),
     ],
 )
 def test_context_errors_keep_their_messages(name, basis, error, message):
