@@ -35,7 +35,6 @@ from .core import (
     SpaceDefinitionError,
     StructureError,
     WallachGeoError,
-    bracket,
     killing_norm,
 )
 from .geodesics import (
@@ -113,18 +112,37 @@ class UsageError(WallachGeoError):
     """A command-line value is out of its documented range."""
 
 
-def _require_valid(args, counts=(), finite=()) -> None:
-    # a zero count checks nothing and still reports a pass; a huge one never
-    # ends (shooting keeps every step)
-    for flag in counts:
-        value = getattr(args, flag.lstrip("-"))
-        if not 1 <= value <= MAX_COUNT:
-            raise UsageError(f"{flag} must be between 1 and {MAX_COUNT}, got {value}")
-    # a non-finite value would reach the report as a bare inf/nan, which is not JSON
-    for flag in finite:
-        value = getattr(args, flag.lstrip("-").replace("-", "_"))
-        if not np.all(np.isfinite(value)):
-            raise UsageError(f"{flag} must be finite, got {value}")
+def _ranged(convert, rule: str, ok):
+    """An argparse type: ``convert`` the text, then refuse a value that
+    ``ok`` rejects with a message that states ``rule``."""
+
+    def parse(text):
+        value = convert(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {rule}, got {value}")
+        return value
+
+    parse.__name__ = convert.__name__  # "invalid int value: 'x'" for malformed text
+    return parse
+
+
+# a zero count checks nothing and still reports a pass; a huge one never ends
+# (shooting keeps every step); a non-finite value would reach the report as a
+# bare inf/nan, which is not JSON; a negative tolerance fails every check
+COUNT = _ranged(int, f"between 1 and {MAX_COUNT}", lambda n: 1 <= n <= MAX_COUNT)
+FINITE = _ranged(float, "finite", np.isfinite)
+SEED = _ranged(int, "non-negative", lambda n: n >= 0)
+TOLERANCE = _ranged(float, "finite and >= 0", lambda x: np.isfinite(x) and x >= 0)
+
+# family name -> (builder, what its size arguments must be, the sizes
+# `catalog` lists); a name takes as many sizes as it lists, and the
+# one-letter words of the wording name them in the listing
+CATALOG = {
+    "so-blocks": (build_so_blocks, "three positive integers l m n", (2, 2, 2)),
+    "stiefel": (build_stiefel, "one integer n >= 2", (3,)),
+    "su3-flag": (build_su3_flag, None, ()),
+    "product-spheres": (build_product_spheres, None, ()),
+}
 
 
 def resolve_space(tokens):
@@ -137,33 +155,18 @@ def resolve_space(tokens):
     if joined.endswith(".json"):
         return load_space_json(joined, tol_structural=tol)
     norm = re.sub(r"[(),]", " ", joined).strip().lower()
-    m = re.fullmatch(r"(so-blocks|stiefel)[\s-]*([\d\s-]*)", norm)
-    if m:
-        name = m.group(1)
-        nums = [int(q) for q in re.split(r"[\s-]+", m.group(2).strip()) if q]
-        if name == "so-blocks":
-            if len(nums) != 3:
-                raise UnknownSpaceError("so-blocks needs three positive integers l m n")
-            return build_so_blocks(*nums, tol_structural=tol)
-        if len(nums) != 1:
-            raise UnknownSpaceError("stiefel needs one integer n >= 2")
-        return build_stiefel(nums[0], tol_structural=tol)
-    if norm == "su3-flag":
-        return build_su3_flag(tol_structural=tol)
-    if norm == "product-spheres":
-        return build_product_spheres(tol_structural=tol)
-    raise UnknownSpaceError(f"unknown space {joined!r}")
+    name, digits = re.fullmatch(r"(.*?)([\d\s-]*)", norm, re.S).groups()
+    sizes = [int(q) for q in re.findall(r"\d+", digits)]
+    build, needs, listed = CATALOG.get(name, (None, None, ()))
+    if build and len(sizes) == len(listed):
+        return build(*sizes, tol_structural=tol)
+    raise UnknownSpaceError(f"{name} needs {needs}" if needs else f"unknown space {joined!r}")
 
 
 def cmd_catalog(args) -> int:
-    rows = [
-        ("so-blocks l m n", build_so_blocks(2, 2, 2)),
-        ("stiefel n", build_stiefel(3)),
-        ("su3-flag", build_su3_flag()),
-        ("product-spheres", build_product_spheres()),
-    ]
     print(f"{'space':24s} {'dim g':>6s} {'module dims':>14s}  flags")
-    for label, dec in rows:
+    for name, (build, needs, listed) in CATALOG.items():
+        dec = build(*listed)
         flags = []
         if dec.equivalence_note:
             flags.append("equivalent modules")
@@ -171,7 +174,8 @@ def cmd_catalog(args) -> int:
             pairs = ",".join(f"{i}{j}" for i, j in sorted(dec.commuting_pairs))
             flags.append(f"commuting pairs {{{pairs}}}")
         dims = ",".join(str(d) for d in dec.module_dims())
-        note = f" [{dec.name}]" if "l m n" in label or label.startswith("stiefel") else ""
+        label = " ".join([name, *re.findall(r"\b[a-z]\b", needs or "")])
+        note = f" [{dec.name}]" if listed else ""
         print(f"{label:24s} {dec.context.dim:6d} {'(' + dims + ')':>14s}  {'; '.join(flags)}{note}")
     return EXIT_PASS
 
@@ -200,15 +204,20 @@ def cmd_verify_space(args) -> int:
 
 
 def cmd_geodesic(args) -> int:
-    _require_valid(
-        args, ("--trials", "--steps"),
-        ("--metric", "--t0", "--t1", "--tol-gw", "--tol-defect", "--tol-coset"),
-    )
+    if args.t1 == args.t0:
+        # the grid would be one point and the shot zero time: nothing is checked
+        raise UsageError(f"--t1 must differ from --t0, got {args.t1} for both")
     dec = resolve_space(args.space)
     metric = tuple(args.metric)
     if min(metric) <= 0:
         raise InvalidMetricError("metric coefficients must be positive")
     case, c = match_case(metric, args.case)
+    if args.out:
+        # refuse an unwritable path before any trial runs; appending truncates nothing
+        try:
+            open(args.out, "a").close()
+        except OSError as exc:
+            raise UsageError(f"--out {args.out!r} cannot be written: {exc.strerror}") from None
     tols = {
         "gw": args.tol_gw,
         "defect": args.tol_defect,
@@ -226,20 +235,8 @@ def cmd_geodesic(args) -> int:
     if not compare_shot:
         notes.append("shooting comparison skipped (grid does not start at t = 0)")
     per_t = np.zeros((GRID_POINTS, 3))  # defect, gw, coset maxima per grid point
-    for trial in range(args.trials):
+    for _ in range(args.trials):
         draws = [dec.random_module_vector(p, rng) for p in ("m1", "m2", "m3")]
-        for attempt in range(3):
-            pairs = [(0, 1, (1, 2)), (0, 2, (1, 3)), (1, 2, (2, 3))]
-            degenerate = [
-                lab
-                for a, b, lab in pairs
-                if bracket(draws[a], draws[b]).norm_b() <= 1e-12
-                and lab not in dec.commuting_pairs
-            ]
-            if not degenerate:
-                break
-            notes.append(f"trial {trial}: degenerate draw redrawn ({degenerate})")
-            draws = [dec.random_module_vector(p, rng) for p in ("m1", "m2", "m3")]
         curve, g = closed_form_geodesic(dec, case, *draws, c)
         cd = np.zeros(GRID_POINTS)
         if compare_shot:
@@ -282,7 +279,6 @@ def cmd_geodesic(args) -> int:
 
 
 def cmd_restriction(args) -> int:
-    _require_valid(args, ("--trials",), ("--lambda2", "--lambda3"))
     l2, l3 = args.lambda2, args.lambda3
     if l2 <= 0 or l3 <= 0:
         raise InvalidMetricError("lambda2 and lambda3 must be positive")
@@ -317,7 +313,6 @@ def cmd_restriction(args) -> int:
 
 
 def cmd_go_check(args) -> int:
-    _require_valid(args, ("--trials",), ("--tol-defect",))
     dec = resolve_space(args.space)
     rng = np.random.default_rng(np.random.Philox(args.seed))
     grid = np.linspace(0.0, 2.0, GRID_POINTS)
@@ -383,7 +378,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_space(sp):
         sp.add_argument("space", nargs="+", help="catalog name (e.g. stiefel 3) or JSON path")
-        sp.add_argument("--seed", type=int, default=0)
+        sp.add_argument("--seed", type=SEED, default=0)
 
     sp = sub.add_parser("verify-space", help="structural + fibration + identity checks")
     add_space(sp)
@@ -391,31 +386,31 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("geodesic", help="build and verify closed-form geodesics")
     sp.add_argument("--space", required=True)
-    sp.add_argument("--metric", type=float, nargs=3, required=True, metavar=("L1", "L2", "L3"))
+    sp.add_argument("--metric", type=FINITE, nargs=3, required=True, metavar=("L1", "L2", "L3"))
     sp.add_argument("--case", default="auto", choices=["auto", "1", "2", "3"])
-    sp.add_argument("--trials", type=int, default=5)
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--t0", type=float, default=0.0)
-    sp.add_argument("--t1", type=float, default=2.0)
-    sp.add_argument("--steps", type=int, default=1000)
+    sp.add_argument("--trials", type=COUNT, default=5)
+    sp.add_argument("--seed", type=SEED, default=0)
+    sp.add_argument("--t0", type=FINITE, default=0.0)
+    sp.add_argument("--t1", type=FINITE, default=2.0)
+    sp.add_argument("--steps", type=COUNT, default=1000)
     sp.add_argument("--out", default=None)
     sp.add_argument("--format", default="json", choices=["json", "csv"])
-    sp.add_argument("--tol-gw", type=float, default=DEFAULT_TOL["gw"])
-    sp.add_argument("--tol-defect", type=float, default=DEFAULT_TOL["defect"])
-    sp.add_argument("--tol-coset", type=float, default=DEFAULT_TOL["coset"])
+    sp.add_argument("--tol-gw", type=TOLERANCE, default=DEFAULT_TOL["gw"])
+    sp.add_argument("--tol-defect", type=TOLERANCE, default=DEFAULT_TOL["defect"])
+    sp.add_argument("--tol-coset", type=TOLERANCE, default=DEFAULT_TOL["coset"])
     sp.set_defaults(func=cmd_geodesic)
 
     sp = sub.add_parser("restriction", help="solution families / nonexistence probe")
-    sp.add_argument("--lambda2", type=float, required=True)
-    sp.add_argument("--lambda3", type=float, required=True)
-    sp.add_argument("--trials", type=int, default=200)
-    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--lambda2", type=FINITE, required=True)
+    sp.add_argument("--lambda3", type=FINITE, required=True)
+    sp.add_argument("--trials", type=COUNT, default=200)
+    sp.add_argument("--seed", type=SEED, default=0)
     sp.set_defaults(func=cmd_restriction)
 
     sp = sub.add_parser("go-check", help="homogeneous-geodesic check (commuting modules)")
     add_space(sp)
-    sp.add_argument("--trials", type=int, default=10)
-    sp.add_argument("--tol-defect", type=float, default=DEFAULT_TOL["defect"])
+    sp.add_argument("--trials", type=COUNT, default=10)
+    sp.add_argument("--tol-defect", type=TOLERANCE, default=DEFAULT_TOL["defect"])
     sp.set_defaults(func=cmd_go_check)
 
     sp = sub.add_parser("identities", help="finite-difference lemma checks")
@@ -436,8 +431,6 @@ _EXIT_CODES = (
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        if getattr(args, "seed", 0) < 0:
-            raise UsageError(f"--seed must be non-negative, got {args.seed}")
         # extreme inputs can overflow; the report then holds a non-finite value,
         # which _dump_json turns into a one-line error instead of numpy warnings
         with np.errstate(all="ignore"):

@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, report schema and determinism."""
 
+import argparse
 import json
 import os
 import subprocess
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 
 import wallach_geo
-from wallach_geo import build_so_blocks
+from wallach_geo import build_so_blocks, cli
 from wallach_geo.cli import build_parser, main
 
 GEO_ARGS = [
@@ -54,6 +55,20 @@ def test_unknown_space_exit_code(capsys):
     code, _, err = run(capsys, "verify-space", "nosuch-space")
     assert code == 2
     assert "unknown space" in err
+
+
+@pytest.mark.parametrize(
+    "space, message",
+    [
+        (["so-blocks", "1", "2"], "so-blocks needs three positive integers l m n"),
+        (["stiefel"], "stiefel needs one integer n >= 2"),
+        (["su3-flag", "2"], "unknown space 'su3-flag 2'"),
+    ],
+)
+def test_wrong_number_of_sizes_is_an_unknown_space(capsys, space, message):
+    """A family given the wrong number of sizes says what it needs; one that
+    takes no sizes treats any as part of an unknown name."""
+    assert run(capsys, "verify-space", *space) == (2, "", f"error: {message}\n")
 
 
 def test_geodesic_report_schema(capsys):
@@ -101,6 +116,32 @@ def test_geodesic_csv_output(capsys, tmp_path):
     ts = [float(line.split(",")[0]) for line in lines[1:]]
     assert ts == sorted(ts) and len(set(ts)) == len(ts)
     assert len(ts) == 21
+
+
+def test_geodesic_json_output_equals_stdout(capsys, tmp_path):
+    path = tmp_path / "report.json"
+    path.write_text("stale " * 1000)
+    code, out, _ = run(capsys, *GEO_ARGS, "--out", str(path), "--format", "json")
+    assert code == 0
+    assert path.read_bytes() == out.encode()
+
+
+@pytest.mark.parametrize(
+    "target, reason", [("missing/r.json", "No such file or directory"), (".", "Is a directory")]
+)
+def test_unwritable_out_is_refused_before_any_trial(capsys, monkeypatch, tmp_path, target, reason):
+    monkeypatch.setattr(cli, "closed_form_geodesic", None)  # a trial would raise TypeError
+    code, out, err = run(capsys, *GEO_ARGS, "--out", str(tmp_path / target))
+    assert (code, out) == (3, "")
+    assert err.count("\n") == 1 and "--out" in err and reason in err
+
+
+@pytest.mark.parametrize("times", [["--t1", "0"], ["--t0", "1.5", "--t1", "1.5"]])
+def test_geodesic_over_zero_time_is_refused(capsys, times):
+    """A grid of one point and a shot over zero time check nothing."""
+    code, out, err = run(capsys, *GEO_ARGS, *times)
+    assert (code, out) == (3, "")
+    assert err.count("\n") == 1 and "--t1 must differ from --t0" in err
 
 
 def test_case_mismatch_exit_code(capsys):
@@ -333,6 +374,42 @@ def test_non_finite_values_are_rejected(capsys, argv):
     assert code == 3
     assert out == ""
     assert err.count("\n") == 1 and "must be finite" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        GEO_ARGS + ["--tol-gw", "-1"],
+        GEO_ARGS + ["--tol-defect=-1e-300"],
+        GEO_ARGS + ["--tol-coset=-0.5"],
+        ["go-check", "product-spheres", "--trials", "1", "--tol-defect", "-1"],
+    ],
+)
+def test_negative_tolerances_are_rejected(capsys, argv):
+    """A negative tolerance fails every check before any runs."""
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (3, "")
+    flag = next(a for a in argv if a.startswith("--tol")).split("=")[0]
+    assert err.count("\n") == 1 and f"argument {flag}: must be finite and >= 0" in err
+
+
+def test_zero_tolerance_is_legal(capsys):
+    code, out, _ = run(capsys, "go-check", "product-spheres", "--trials", "2", "--tol-defect", "0")
+    assert code == 0
+    report = json.loads(out)
+    assert (report["result"], report["max_defect"], report["tolerance"]) == ("pass", 0, 0)
+
+
+def test_every_numeric_option_has_a_checked_type():
+    """An int or float option, typed or with a numeric default, carries one
+    of the range-checked types, so no new option can skip its rule."""
+    checked = {cli.COUNT, cli.FINITE, cli.SEED, cli.TOLERANCE}
+    commands = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    for name, parser in commands.choices.items():
+        for action in parser._actions:
+            numeric = isinstance(action.default, (int, float)) and not isinstance(action.default, bool)
+            if action.type is not None or numeric:
+                assert action.type in checked, (name, action.option_strings)
 
 
 @pytest.mark.parametrize(
