@@ -6,8 +6,10 @@ so ambient generators are skew, and so is ad F in a -B-orthonormal frame.
 One Hermitian eigendecomposition per generator (``exp_factors``) gives its
 exponential at every t to rounding accuracy (``spectral_exp``; Moler & Van
 Loan, "Nineteen dubious ways to compute the exponential of a matrix, 25
-years later", 2003): the package's only matrix exponential.  ``logm``
-inverts it through one symmetric eigendecomposition.
+years later", 2003): the package's only matrix exponential.  Where only a
+few vectors are needed, ``spectral_apply`` applies it to them in O(d^2)
+each without forming it.  ``logm`` inverts it through one symmetric
+eigendecomposition.
 """
 
 import numpy as np
@@ -49,6 +51,14 @@ def spectral_exp(P, lam, Q, t):
     return (scaled.reshape(-1, len(lam)) @ Q).real.reshape(len(t), len(P), -1)
 
 
+def spectral_apply(P, lam, Q, t, V):
+    """exp(-t A) v = Re(P (exp(i lam t) * Q v)) for each row v of the
+    (..., k, d) array V, from the factors of A: O(d^2) per vector and t,
+    where ``spectral_exp`` forms the d x d matrix at O(d^3).  At a 1-D array
+    of T times V is (T, k, d), or broadcasts to it."""
+    return (((V @ Q.T) * np.exp(1j * np.multiply.outer(t, lam))[..., None, :]) @ P.T).real
+
+
 def exp_factors(A, L=None, L_inv=None):
     """(P, lam, Q) with exp(-t A) = ``spectral_exp(P, lam, Q, t)``, or None
     when A = 0.  A is skew, or, given the Cholesky factor L of -B,
@@ -65,15 +75,6 @@ def exp_factors(A, L=None, L_inv=None):
 def is_grid(t) -> bool:
     """Whether t is a 1-D array of times rather than a scalar time."""
     return isinstance(t, np.ndarray) and t.ndim > 0
-
-
-def apply(A, x):
-    """A x for a matrix or (T, d, d) stack A and a vector or (T, d) stack x."""
-    if x.ndim == 1:
-        return A @ x
-    if A.ndim == 2:
-        return x @ A.T
-    return (A @ x[..., None])[..., 0]
 
 
 def outer_flat(x, y):

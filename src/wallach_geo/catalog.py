@@ -85,12 +85,16 @@ class ReductiveDecomposition:
             self.part_masks[p] = mask
         self.equivalence_note = equivalence_note
 
-        # m-row contraction operator: c_m_flat[j] @ (a (x) b) = sum_ik c[j, i, k] a_i b_k
-        d = context.dim
-        m = self.part_indices["m"]
-        self.c_m_flat = context.structure_constants[m].reshape(-1, d * d)
+        c, k, m = context.structure_constants, self.part_indices["k"], self.part_indices["m"]
+        # -B on the blocks of m1, m2 and m3, zero elsewhere: a diagonal metric rescales it
+        self.module_killing = np.zeros((context.dim, context.dim))
+        for p in _MODULES:
+            ix = self.part_indices[p]
+            self.module_killing[np.ix_(ix, ix)] = -context.killing[np.ix_(ix, ix)]
         # the c[m, m, m] block with rows (j, i): c_mmm[j * d_m + i, k] = c[j, i, k]
-        self.c_mmm = context.structure_constants[np.ix_(m, m, m)].reshape(len(m) ** 2, len(m))
+        self.c_mmm = c[np.ix_(m, m, m)].reshape(len(m) ** 2, len(m))
+        # the c[k, m, m] block by output first: c_kmm[l, i, j] = c[k_i, m_j, m_l]
+        self.c_kmm = c[np.ix_(k, m, m)].transpose(2, 0, 1)
         self.block_max = _part_block_max(context.structure_constants, self.part_indices).tolist()
         if not verify:
             self.commuting_pairs = _find_commuting_pairs(self)

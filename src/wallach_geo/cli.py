@@ -35,7 +35,6 @@ from .core import (
     SpaceDefinitionError,
     StructureError,
     WallachGeoError,
-    killing_norm,
 )
 from .geodesics import (
     applicable_families,
@@ -203,6 +202,12 @@ def cmd_verify_space(args) -> int:
     return EXIT_PASS if ok else EXIT_FAIL
 
 
+def _metric_norm(g: DiagonalMetric, D: np.ndarray) -> np.ndarray:
+    """sqrt(D^T G D) per row of a (T, d) stack: -B would weigh a module whose
+    coefficient is tiny or huge as if it were 1."""
+    return np.sqrt(np.maximum(((D @ g.gram_full) * D).sum(axis=1), 0.0))
+
+
 def cmd_geodesic(args) -> int:
     if args.t1 == args.t0:
         # the grid would be one point and the shot zero time: nothing is checked
@@ -212,12 +217,25 @@ def cmd_geodesic(args) -> int:
     if min(metric) <= 0:
         raise InvalidMetricError("metric coefficients must be positive")
     case, c = match_case(metric, args.case)
+    created = False
     if args.out:
         # refuse an unwritable path before any trial runs; appending truncates nothing
+        created = not os.path.lexists(args.out)
         try:
             open(args.out, "a").close()
         except OSError as exc:
             raise UsageError(f"--out {args.out!r} cannot be written: {exc.strerror}") from None
+    try:
+        return _geodesic_report(args, dec, metric, case, c)
+    except BaseException:
+        # a file made by the check above must not outlive a run that failed
+        if created:
+            os.remove(args.out)
+        raise
+
+
+def _geodesic_report(args, dec, metric, case: int, c: float) -> int:
+    """Run the trials of ``geodesic``, print the report and write ``--out``."""
     tols = {
         "gw": args.tol_gw,
         "defect": args.tol_defect,
@@ -244,7 +262,7 @@ def cmd_geodesic(args) -> int:
             cd = coset_distance(shot.points[::stride], curve.evaluate(grid), dec)
         # one call each for the whole grid: per-t arrays
         gw = np.abs(gw_defect_all(curve, g, grid)).max(axis=1)
-        dn = killing_norm(dec.context, connection_defect(curve, g, grid))
+        dn = _metric_norm(g, connection_defect(curve, g, grid))
         per_t = np.maximum(per_t, np.column_stack((dn, gw, cd)))
     max_defect, max_gw, max_coset = per_t.max(axis=0)
     verdict = max_gw <= tols["gw"] and max_defect <= tols["defect"] and max_coset <= tols["coset"]
@@ -330,7 +348,7 @@ def cmd_go_check(args) -> int:
             print(_dump_json({"space": dec.name, "result": "hypothesis not met",
                               "note": "no commuting module pair"}))
             return EXIT_PASS
-        defect = killing_norm(dec.context, connection_defect(curve, g, grid))
+        defect = _metric_norm(g, connection_defect(curve, g, grid))
         # np.max, unlike max, carries a nan through to the report
         worst = np.max([worst, defect.max(), np.abs(gw_defect_all(curve, g, grid)).max()])
     ok = worst <= args.tol_defect

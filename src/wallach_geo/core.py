@@ -350,9 +350,9 @@ def bracket(X: AlgebraElement, Y: AlgebraElement) -> AlgebraElement:
 
 def killing_norm(ctx: AlgebraContext, coeffs: np.ndarray):
     """-B norm of a coefficient vector, or of each row of a (T, d) stack."""
-    y = coeffs @ (-ctx.killing)
+    y = coeffs @ ctx.killing
     q = y @ coeffs if coeffs.ndim == 1 else np.einsum("ti,ti->t", y, coeffs)
-    return np.sqrt(np.maximum(q, 0.0))
+    return np.sqrt(np.maximum(-q, 0.0))
 
 
 def matrix_exp(X: AlgebraElement, t: float = 1.0) -> GroupElement:

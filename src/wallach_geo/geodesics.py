@@ -7,6 +7,11 @@ A three-factor curve exp(tX)exp(tY)exp(tZ).o is a geodesic iff the defect
            + <W, [TX, TY+Z]_m + [TY, Z]_m>
 
 vanishes for every W in m and every t, where T(t) = Ad(exp(-tZ)exp(-tY)).
+With s = TX + TY + Z, p = TX + TY and q = TY + Z, [TX, TY+Z] + [TY, Z] is
+[p, q], and G_W over the m-basis is one product of the metric's
+``gw_operator`` H (d_m, 2 d^2) with the stacked outer products
+[s (x) s ; p (x) q]: H[w, j * d + l] = sum_k c[w, j, k] G[k, l] and
+H[w, d^2 + i * d + j] = sum_k c[i, j, k] G[k, w].
 
 For a free module m_i, the metrics whose two coefficients other than
 lambda_i are equal form one locus: closed-form case 4 - i, the two-summand
@@ -21,7 +26,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import accel
 from .catalog import _MODULES, ReductiveDecomposition, TwoSummandView
 from .core import (
     AlgebraElement,
@@ -30,34 +34,36 @@ from .core import (
     InvalidMetricError,
     WrongModuleError,
 )
-from .curves import ProductExpCurve, along_time
+from .curves import ProductExpCurve
 from .metrics import DiagonalMetric
 
 
+# weights of TX and TY in the rows s, p, s, q of ``_defect_terms``, and of Z
+_PAIR_ROWS = np.array([[1.0, 1.0], [1.0, 1.0], [1.0, 1.0], [0.0, 1.0]])
+_PAIR_Z = np.array([1.0, 0.0, 1.0, 1.0])
+
+
 def _defect_terms(curve: ProductExpCurve, t):
-    """s = TX + TY + Z and d = [TX, TY + Z] + [TY, Z] for the factors
-    (X, Y, Z), absent ones zero, with T(t) = A[r-1] ... A[1] taken from the
-    curve's Ad-exponentials; (T, d) stacks at a 1-D array of T times."""
+    """The pairs (s, p) and (s, q) of ``DiagonalMetric.gw_operator`` for the
+    factors (X, Y, Z), absent ones zero: s = TX + TY + Z, p = TX + TY and
+    q = TY + Z, with TX and TY from ``curve.transport``.  Each pair is a
+    (2, d) array, or (T, 2, d) at a 1-D array of T times."""
     r = len(curve.factors)
     if r > 3:
         raise ValueError("defect formula supports at most three factors")
-    x, *yz = [f.coeffs for f in curve.factors]
-    Tx, Ty, z = [along_time(t, x)] + yz + [np.zeros(curve.context.dim)] * (3 - r)
-    for A in curve.ad_exps(t):
-        Tx, Ty = accel.apply(A, Tx), accel.apply(A, Ty)
-    # [TX, TY + Z] + [TY, Z] = [TX + TY, TY + Z], as [TY, TY] = 0
-    d = accel.bracket_coeffs(curve.context.structure_constants, Tx + Ty, Ty + z)
-    return Tx + Ty + z, d
+    rows = _PAIR_ROWS @ curve.transport(t)
+    if r == 3:
+        rows += np.multiply.outer(_PAIR_Z, curve.factors[2].coeffs)
+    return rows[..., :2, :], rows[..., 2:, :]
 
 
 def gw_defect_all(curve: ProductExpCurve, g: DiagonalMetric, t) -> np.ndarray:
     """G_W(t) for every m-basis vector W at once (vector over m indices),
-    or a (T, d_m) array of them at a 1-D array of T times."""
-    s, d = _defect_terms(curve, t)
-    # term 1 per basis W: <s_m, [e_w, s]_m> = sum_jk c[w, j, k] s_j (G s)_k
-    term1 = accel.apply(curve.dec.c_m_flat, accel.outer_flat(s, accel.apply(g.gram_full, s)))
-    # .T[m] picks the m-coordinates of a vector or of each row of a stack
-    return term1 + accel.apply(g.gram_full, d).T[g.m_indices].T
+    or a (T, d_m) array of them at a 1-D array of T times: one product of
+    the metric's ``gw_operator`` with [s (x) s ; p (x) q]."""
+    a, b = _defect_terms(curve, t)
+    ab = a[..., :, None] * b[..., None, :]
+    return ab.reshape(ab.shape[:-3] + (-1,)) @ g.gw_operator.T
 
 
 def gw_defect(curve: ProductExpCurve, g: DiagonalMetric, W: AlgebraElement, t: float) -> float:

@@ -1,11 +1,16 @@
 """Independent verification oracles.
 
 The connection defect evaluates the body-frame covariant derivative
-D(t) = v_dot + [w_k, v] + U(v, v) along a lifted curve; it vanishes iff
-the curve is a geodesic, and <W, D(t)> must reproduce the defect G_W of
-``geodesics`` for every W.  Geodesic shooting integrates the same
-equation forward with RK4 as a second, fully independent check, on bare
-arrays, and returns the lifts and velocities as two arrays (``ShotGeodesic``).
+D(t) = v_dot + [w_k, v] + U(v, v) along a lifted curve, v = w_m; it
+vanishes iff the curve is a geodesic, and <W, D(t)> must reproduce the
+defect G_W of ``geodesics`` for every W.  D_m = w_dot_m + R (w (x) w_m) is
+one product with the metric's ``connection_operator`` R (d_m, d d_m):
+R[l, i * d_m + j] = c[i, m_j, m_l] for i in k and
+R[l, m_a * d_m + j] = Q[l, a * d_m + j] (``u_operator``) for i = m_a.
+
+Geodesic shooting integrates the same equation forward with RK4 as a
+second, fully independent check, on bare arrays, and returns the lifts and
+velocities as two arrays (``ShotGeodesic``).
 Its velocity equation v_dot = -U(v, v) does not involve the lift
 a, so the v recurrence runs alone; the lift's RK4 step is linear in a,
 a_{k+1} = a_k Phi_k, and as polar(a Phi) = a polar(Phi) for orthogonal a,
@@ -31,7 +36,7 @@ from . import accel
 from .catalog import ReductiveDecomposition, StructureReport
 from .core import AlgebraElement, IntegrationFailureError, OutOfChartError, killing_norm
 from .curves import ProductExpCurve
-from .metrics import DiagonalMetric, u_coeffs
+from .metrics import DiagonalMetric
 
 
 def connection_defect(curve: ProductExpCurve, g: DiagonalMetric, t):
@@ -40,15 +45,12 @@ def connection_defect(curve: ProductExpCurve, g: DiagonalMetric, t):
     An AlgebraElement at a scalar t, a (T, d) array of coefficient vectors
     at a 1-D array of T times.
     """
-    ctx = curve.context
     w, wdot = curve.body_velocity(t)
-    mask_m = curve.dec.part_masks["m"]
-    v = w * mask_m
-    D = (wdot * mask_m + accel.bracket_coeffs(ctx.structure_constants, w - v, v)) * mask_m
-    # .T[mi] picks the m-coordinates of a vector or of each row of a stack
     mi = g.m_indices
-    D.T[mi] += u_coeffs(g, v.T[mi].T).T
-    return D if accel.is_grid(t) else AlgebraElement(ctx, D)
+    D = np.zeros(w.shape)
+    # D_m = w_dot_m + [w_k, w_m]_m + U(w_m, w_m): one product with the metric's operator
+    D[..., mi] = wdot[..., mi] + accel.outer_flat(w, w[..., mi]) @ g.connection_operator.T
+    return D if accel.is_grid(t) else AlgebraElement(curve.context, D)
 
 
 @dataclass(eq=False)

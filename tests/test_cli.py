@@ -136,6 +136,32 @@ def test_unwritable_out_is_refused_before_any_trial(capsys, monkeypatch, tmp_pat
     assert err.count("\n") == 1 and "--out" in err and reason in err
 
 
+def test_failed_run_leaves_no_out_file_it_created(capsys, tmp_path):
+    """A run that ends in an error removes the --out file it created and
+    leaves an existing one untouched."""
+    failing = ["geodesic", "--space", "stiefel3", "--metric", "1", "1", "0.5",
+               "--trials", "1", "--t1", "20", "--steps", "20"]
+    new, old = tmp_path / "new.json", tmp_path / "old.json"
+    old.write_text("kept")
+    for path in (new, old):
+        code, out, err = run(capsys, *failing, "--out", str(path))
+        assert (code, out) == (1, "") and "energy drift" in err
+    assert not new.exists()
+    assert old.read_text() == "kept"
+
+
+@pytest.mark.parametrize("metric", [["1", "1", "1e-9"], ["1e-9", "1", "1"], ["1", "1e-9", "1"]])
+def test_defect_is_measured_in_the_metric_norm(capsys, metric):
+    """A module weighed 1e-9 does not inflate the defect: in the metric's
+    own norm these closed forms pass the 1e-9 gate (in -B they read 2e-8
+    to 7e-8)."""
+    code, out, _ = run(capsys, "geodesic", "--space", "stiefel3", "--metric", *metric,
+                       "--trials", "2", "--steps", "40")
+    report = json.loads(out)
+    assert (code, report["verdict"]) == (0, "pass")
+    assert report["max_defect_norm"] <= 1e-9
+
+
 @pytest.mark.parametrize("times", [["--t1", "0"], ["--t0", "1.5", "--t1", "1.5"]])
 def test_geodesic_over_zero_time_is_refused(capsys, times):
     """A grid of one point and a shot over zero time check nothing."""

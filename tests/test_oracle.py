@@ -79,13 +79,19 @@ def _reference_defects(curve, g, t):
 
 def test_defects_match_pade_reference_on_non_geodesics(spaces):
     """gw_defect_all, gw_defect and connection_defect reproduce the scipy
-    Pade formulas to 1e-12 relative on two- and three-factor curves whose
-    defects are far from zero."""
+    Pade formulas to 1e-12 relative on one-, two- and three-factor curves
+    whose defects are far from zero, on a two-factor curve whose second
+    factor is zero (the c = 1 closed form) and on the 21-point grid."""
     rng = make_rng(16)
+    grid = np.linspace(0.0, 2.0, 21)
     for dec in spaces.values():
         mi = dec.part_indices["m"]
-        for r in (2, 3):
-            curve = ProductExpCurve(dec, [dec.random_module_vector("m", rng) for _ in range(r)])
+        factors = [[dec.random_module_vector("m", rng) for _ in range(r)] for r in (2, 3)]
+        if dec.name != "product-spheres":  # there every exp(tX) is a geodesic
+            X = dec.random_module_vector("m", rng)
+            factors += [[X], [X, dec.context.zero()]]
+        for fs in factors:
+            curve = ProductExpCurve(dec, fs)
             g = DiagonalMetric(dec, rng.uniform(0.3, 3.0, 3))
             for t in (0.35, 1.0, 1.9):
                 gw_ref, D_ref = _reference_defects(curve, g, t)
@@ -97,6 +103,10 @@ def test_defects_match_pade_reference_on_non_geodesics(spaces):
                     assert abs(gw_defect(curve, g, W, t) - gw_ref[pos]) <= 1e-12 * scale
                 D = connection_defect(curve, g, t).coeffs
                 assert np.abs(D - D_ref).max() <= 1e-12 * np.abs(D_ref).max()
+            # one grid call against the per-t reference, relative to the curve's largest defect
+            gw_ref, D_ref = (np.array(q) for q in zip(*(_reference_defects(curve, g, t) for t in grid)))
+            assert np.abs(gw_defect_all(curve, g, grid) - gw_ref).max() <= 1e-12 * np.abs(gw_ref).max()
+            assert np.abs(connection_defect(curve, g, grid) - D_ref).max() <= 1e-12 * np.abs(D_ref).max()
 
 
 def test_defect_vanishes_on_biinvariant_single_exponential(stiefel3):
