@@ -35,6 +35,7 @@ from .core import (
     SpaceDefinitionError,
     StructureError,
     WallachGeoError,
+    require_positive_finite,
 )
 from .geodesics import (
     applicable_families,
@@ -214,8 +215,7 @@ def cmd_geodesic(args) -> int:
         raise UsageError(f"--t1 must differ from --t0, got {args.t1} for both")
     dec = resolve_space(args.space)
     metric = tuple(args.metric)
-    if min(metric) <= 0:
-        raise InvalidMetricError("metric coefficients must be positive")
+    require_positive_finite("metric coefficients", *metric)
     case, c = match_case(metric, args.case)
     created = False
     if args.out:
@@ -298,8 +298,6 @@ def _geodesic_report(args, dec, metric, case: int, c: float) -> int:
 
 def cmd_restriction(args) -> int:
     l2, l3 = args.lambda2, args.lambda3
-    if l2 <= 0 or l3 <= 0:
-        raise InvalidMetricError("lambda2 and lambda3 must be positive")
     applicable, lam = applicable_families(l2, l3)
     if applicable:
         rows = []

@@ -48,7 +48,14 @@ class WrongModuleError(WallachGeoError):
 
 
 class InvalidMetricError(WallachGeoError):
-    """Non-positive metric coefficient."""
+    """Metric coefficient that is not positive and finite."""
+
+
+def require_positive_finite(what: str, *values) -> None:
+    """Raise InvalidMetricError unless every value is positive and finite:
+    the check on metric coefficients at every public entry (nan fails it)."""
+    if not all(0.0 < v < math.inf for v in values):
+        raise InvalidMetricError(f"{what} must be positive and finite, got {values}")
 
 
 class HypothesisViolatedError(WallachGeoError):

@@ -10,19 +10,27 @@ gives its exponential at any t.  The Ad spectra are taken at construction;
 the ambient ones on the first ``evaluate``, so a defect sweep that never
 evaluates pays nothing for them.
 
-The velocity and the defects need each Ad-exponential only on a few
-vectors, so they never form its d x d matrix: they apply it as
-Re(P (exp(i lam t) * Q v)), O(d^2) per vector and t.  The first factor
-that acts, Ad(exp(-t X_2)), acts on constant vectors (x_1, x_2 and
--ad(X_2) x_1), so their images are one real product with the (cos, sin)
-pairs of lam t.  The left-trivialized velocity and its derivative follow
-exactly, with no finite differences.  ``ad_exps`` still forms the
-matrices, uncached, for the identity checks and the tests.
+The velocity and both defects read five rows at t, built by
+``defect_rows``: s, p, s and q of the defect G_W (see ``geodesics``) and
+the velocity derivative w_dot; the velocity w is s.  Each row holds its
+d coordinates and then its m-coordinates.  Ad(exp(-t X_2)) acts first, on
+constant vectors, so the rows before the next factor are affine in the
+pairs (cos lam t, sin lam t), the real view of its phase vector
+exp(i lam t).  A real matrix built at construction maps that vector, with
+a last eigenvalue 0 whose pair (1, 0) carries the constant offsets, to
+all five rows: one complex exponential and one product per t.  Each
+later factor acts on the rows through ``accel.spectral_apply``, in
+O(d^2) per row and t, never forming its d x d matrix.  ``ad_exps`` still
+forms the matrices, uncached, for the identity checks and the tests.
 
-Every time-dependent method takes a scalar t or a 1-D array of T times by
-one code path: an array adds a leading time axis, giving (T, d)
-velocities, (T, d, d) Ad-exponentials and a (T, n, n) stack of lift
-matrices, so a whole t-grid is one pass.
+A curve keeps the rows of the last scalar t it was asked for, so
+``gw_defect_all`` and ``connection_defect`` at the same t build them
+once; the kept rows are read-only, and every array a method returns
+belongs to the caller.  Every time-dependent method takes a scalar t or
+a 1-D array of T times by one code path: an array adds a leading time
+axis, giving (T, d) velocities, (T, d, d) Ad-exponentials and a (T, n, n)
+stack of lift matrices, so a whole t-grid is one pass.  Rows at a grid
+are not kept.
 """
 
 from __future__ import annotations
@@ -35,8 +43,13 @@ from .core import ContextMismatchError, GroupElement
 
 
 def _spectrum(A, size, *chol):
-    # the spectral factors of exp(-t A); a zero A gets the identity's (P = Q = I, lam = 0)
-    return accel.exp_factors(A, *chol) or (np.eye(size), np.zeros(size), np.eye(size))
+    # the spectral factors of exp(-t A); a zero A gets the identity's
+    # (P = Q = I, lam = 0), complex like any other's
+    factors = accel.exp_factors(A, *chol)
+    if factors is None:
+        eye = np.eye(size, dtype=complex)
+        factors = eye, np.zeros(size), eye
+    return factors
 
 
 class ProductExpCurve:
@@ -54,21 +67,45 @@ class ProductExpCurve:
         # Ad(exp(-t X_1)) enters neither the velocity nor the defects, so
         # only the later factors get an ad matrix and a spectrum
         d = ctx.dim
-        self._ad_mats = [ctx.ad_matrix(f.coeffs) for f in self.factors[1:]]
+        ad_mats = [ctx.ad_matrix(f.coeffs) for f in self.factors[1:]]
         chol = ctx.killing_chol, ctx.killing_chol_inv
-        self._spectra = [_spectrum(A, d, *chol) for A in self._ad_mats]
-        # A_2 = Ad(exp(-t X_2)) (the identity when r = 1) acts on constant
-        # vectors v: x_1, x_2 and -ad(X_2) x_1, whose eigenbasis coordinates
-        # Q v are u_1, u_2 and i lam u_1.  Re(P (exp(i lam t) * Q v)) is then
-        # linear in the pairs (cos lam t, sin lam t), which are the real view
-        # of exp(i lam t): one real (2d, 3d) matrix gives all three at any t
+        self._spectra = [_spectrum(A, d, *chol) for A in ad_mats]
+        # each output row: its d coordinates, then its m-coordinates
+        layout = np.concatenate((np.arange(d), dec.part_indices["m"]))
+        # With A_q = Ad(exp(-t X_q)), T = A_3 A_2 and x_3 = 0 when r < 3,
+        # the rows before A_3 are s = A_2 x_1 + x_2 + x_3, p = s - x_3,
+        # s, q = x_2 + x_3 and w_dot = -A_2 ad(X_2) x_1 - ad(X_3) w_2 with
+        # w_2 = A_2 x_1 + x_2; A_3 x_3 = x_3 then gives s = TX + TY + Z,
+        # p = TX + TY and q = TY + Z.  A_2 v = Re(P (exp(i lam t) * Q v)),
+        # and -ad(X_2) x_1 has eigenbasis coordinates i lam Q x_1, so each
+        # row is Re(B exp(i lam t)) + c, with B = Pu or Pw below (0 for q)
         P, lam, Q = self._spectra[0] if self._spectra else _spectrum(np.zeros((d, d)), d)
-        x1, x2 = (self.factors + [ctx.zero()])[:2]
-        u1 = Q @ x1.coeffs
-        u = np.array([u1, Q @ x2.coeffs, 1j * lam * u1])
-        # Re(z e) = Re(z) cos - Im(z) sin, the real view of conj(z) against that of e
-        self._first = (P * u[:, None, :]).conj().view(np.float64).reshape(3 * d, 2 * d).T.copy()
-        self._ilam = 1j * lam
+        x1, x2, x3 = (f.coeffs for f in (self.factors + [ctx.zero()] * 2)[:3])
+        Pu = P * (Q @ x1)
+        Pw = Pu * (1j * lam)
+        C = np.array([x2 + x3, x2, x2 + x3, x2 + x3, np.zeros(d)])
+        if len(self.factors) > 2:
+            Pw -= ad_mats[1] @ Pu
+            C[4] = -ad_mats[1] @ x2
+        else:
+            Pu, Pw, C = Pu[layout], Pw[layout], C[:, layout]
+        # Re(B e) = Re(B) cos - Im(B) sin, the real view of conj(B) against
+        # that of e; c takes the cos slot of the appended phase 1 (lam = 0)
+        M = np.zeros((5, C.shape[1], 2 * d + 2))
+        M[:3, :, :-2] = Pu.conj().view(np.float64)
+        M[4, :, :-2] = Pw.conj().view(np.float64)
+        M[:, :, -2] = C
+        self._fold = M.reshape(-1, 2 * d + 2).T
+        self._ilam = 1j * np.append(lam, 0.0)
+        # A_q for q = 3, ..., r, the last one giving the layout, each with
+        # the next factor's coefficients and ad matrix (None after the last)
+        later = self._spectra[1:]
+        if later:
+            P, lam, Q = later[-1]
+            later[-1] = P[layout], lam, Q
+        steps = [(f.coeffs, A) for f, A in zip(self.factors[3:], ad_mats[2:])]
+        self._later = list(zip(later, steps + [None]))
+        self._kept = (None, None)  # the last scalar t and its read-only rows
         self._amb_spectra = None  # built on the first evaluate
 
     @property
@@ -78,23 +115,42 @@ class ProductExpCurve:
     def ad_exps(self, t) -> list:
         """Coefficient-space matrices of Ad(exp(-t X_i)) for i = 2, ..., r:
         (d, d) each at a scalar t, (T, d, d) stacks at T times.  The velocity
-        and the defects never form them (see ``transport``)."""
+        and the defects never form them (see ``defect_rows``)."""
         return [accel.spectral_exp(*sp, t) for sp in self._spectra]
 
-    def _first_step(self, t) -> np.ndarray:
-        # A_2 x_1, A_2 x_2 and -A_2 ad(X_2) x_1: a (3, d) array, (T, 3, d) at T times
-        cos_sin = np.exp(np.multiply.outer(t, self._ilam)).view(np.float64)
-        return (cos_sin @ self._first).reshape(np.shape(t) + (3, -1))
+    def _phase(self, t) -> np.ndarray:
+        # the real view of A_2's exp(i lam t), then of the constant phase 1:
+        # (2d + 2,), or (T, 2d + 2) at T times
+        lam_t = np.multiply.outer(t, self._ilam) if accel.is_grid(t) else t * self._ilam
+        return np.exp(lam_t).view(np.float64)
 
-    def transport(self, t) -> np.ndarray:
-        """T(t) x_1 and T(t) x_2 for T(t) = Ad(exp(-t X_r) ... exp(-t X_2)),
-        x_2 = 0 when r = 1: a (2, d) array, (T, 2, d) at a 1-D array of T
-        times.  Each factor acts through its spectral factors in O(d^2) per
-        vector and t, without forming its d x d exponential."""
-        V = self._first_step(t)[..., :2, :]
-        for sp in self._spectra[1:]:
-            V = accel.spectral_apply(*sp, t, V)
-        return V
+    def defect_rows(self, t) -> np.ndarray:
+        """The rows s, p, s, q and w_dot at t, each its d coordinates and
+        then its m-coordinates: a read-only (5, d + d_m) array, kept until
+        the next scalar t, or a new (T, 5, d + d_m) array at a 1-D array
+        of T times.  s = TX + TY + Z, p = TX + TY and q = TY + Z hold for
+        r <= 3 only (absent factors zero); s is the velocity w at any r."""
+        if accel.is_grid(t):
+            return self._rows(t)
+        t = float(t)
+        if t != self._kept[0]:
+            rows = self._rows(t)
+            rows.flags.writeable = False
+            self._kept = t, rows
+        return self._kept[1]
+
+    def _rows(self, t) -> np.ndarray:
+        R = self._phase(t) @ self._fold
+        R = R.reshape(R.shape[:-1] + (5, -1))
+        # w_q = A_q (w_{q-1} + x_q) as A_q x_q = x_q, and as ad(X_q) commutes
+        # with A_q, d/dt w_q = A_q (d/dt w_{q-1} - ad(X_q) w_{q-1})
+        for sp, step in self._later:
+            R = accel.spectral_apply(*sp, t, R)
+            if step is not None:
+                x, ad = step
+                R[..., 4, :] -= R[..., 0, :] @ ad.T
+                R[..., (0, 2), :] += x
+        return R
 
     def evaluate(self, t):
         """Lift a(t) = exp(t X_1) ... exp(t X_r) in the ambient group: a
@@ -117,14 +173,5 @@ class ProductExpCurve:
         each Ad factor with d/dt Ad(exp(-t F)) = -ad(F) Ad(exp(-t F)) gives
         w_dot exactly.
         """
-        # w_q = A_q w_{q-1} + X_q with A_q = Ad(exp(-t X_q)); as ad(X_q)
-        # commutes with A_q, d/dt w_q = A_q (d/dt w_{q-1} - ad(X_q) w_{q-1}),
-        # so one application of A_q moves both rows
-        W = self._first_step(t)[..., ::2, :]
-        if len(self.factors) > 1:
-            W[..., 0, :] += self.factors[1].coeffs
-        for f, sp, ad in zip(self.factors[2:], self._spectra[1:], self._ad_mats[1:]):
-            W[..., 1, :] -= W[..., 0, :] @ ad.T
-            W = accel.spectral_apply(*sp, t, W)
-            W[..., 0, :] += f.coeffs
+        W = self.defect_rows(t)[..., (0, 4), : self.context.dim]  # a copy
         return W[..., 0, :], W[..., 1, :]

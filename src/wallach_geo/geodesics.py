@@ -11,7 +11,9 @@ With s = TX + TY + Z, p = TX + TY and q = TY + Z, [TX, TY+Z] + [TY, Z] is
 [p, q], and G_W over the m-basis is one product of the metric's
 ``gw_operator`` H (d_m, 2 d^2) with the stacked outer products
 [s (x) s ; p (x) q]: H[w, j * d + l] = sum_k c[w, j, k] G[k, l] and
-H[w, d^2 + i * d + j] = sum_k c[i, j, k] G[k, w].
+H[w, d^2 + i * d + j] = sum_k c[i, j, k] G[k, w].  The rows s, p, s and q
+come from ``ProductExpCurve.defect_rows``, which keeps them for the last
+scalar t, so ``connection_defect`` at the same t reads them again.
 
 For a free module m_i, the metrics whose two coefficients other than
 lambda_i are equal form one locus: closed-form case 4 - i, the two-summand
@@ -33,36 +35,22 @@ from .core import (
     HypothesisViolatedError,
     InvalidMetricError,
     WrongModuleError,
+    require_positive_finite,
 )
 from .curves import ProductExpCurve
 from .metrics import DiagonalMetric
 
 
-# weights of TX and TY in the rows s, p, s, q of ``_defect_terms``, and of Z
-_PAIR_ROWS = np.array([[1.0, 1.0], [1.0, 1.0], [1.0, 1.0], [0.0, 1.0]])
-_PAIR_Z = np.array([1.0, 0.0, 1.0, 1.0])
-
-
-def _defect_terms(curve: ProductExpCurve, t):
-    """The pairs (s, p) and (s, q) of ``DiagonalMetric.gw_operator`` for the
-    factors (X, Y, Z), absent ones zero: s = TX + TY + Z, p = TX + TY and
-    q = TY + Z, with TX and TY from ``curve.transport``.  Each pair is a
-    (2, d) array, or (T, 2, d) at a 1-D array of T times."""
-    r = len(curve.factors)
-    if r > 3:
-        raise ValueError("defect formula supports at most three factors")
-    rows = _PAIR_ROWS @ curve.transport(t)
-    if r == 3:
-        rows += np.multiply.outer(_PAIR_Z, curve.factors[2].coeffs)
-    return rows[..., :2, :], rows[..., 2:, :]
-
-
 def gw_defect_all(curve: ProductExpCurve, g: DiagonalMetric, t) -> np.ndarray:
     """G_W(t) for every m-basis vector W at once (vector over m indices),
     or a (T, d_m) array of them at a 1-D array of T times: one product of
-    the metric's ``gw_operator`` with [s (x) s ; p (x) q]."""
-    a, b = _defect_terms(curve, t)
-    ab = a[..., :, None] * b[..., None, :]
+    the metric's ``gw_operator`` with [s (x) s ; p (x) q], the rows of
+    ``curve.defect_rows``."""
+    if len(curve.factors) > 3:
+        raise ValueError("defect formula supports at most three factors")
+    d = curve.context.dim
+    rows = curve.defect_rows(t)
+    ab = rows[..., :2, :d, None] * rows[..., 2:4, None, :d]
     return ab.reshape(ab.shape[:-3] + (-1,)) @ g.gw_operator.T
 
 
@@ -122,8 +110,7 @@ def match_case(metric, requested):
 def _two_factor_geodesic(dec: ReductiveDecomposition, i: int, c: float, others, moving):
     """The geodesic on the locus of free module m_i: metric c on m_i and 1
     on the other two, factors (others + c moving, (1 - c) moving)."""
-    if c <= 0:
-        raise InvalidMetricError(f"c must be positive, got {c}")
+    require_positive_finite("c", c)
     curve = ProductExpCurve(dec, [others + c * moving, (1.0 - c) * moving])
     return curve, DiagonalMetric(dec, tuple(c if q == i else 1.0 for q in (1, 2, 3)))
 
@@ -197,8 +184,7 @@ def restriction_residual(sol, lambda2: float, lambda3: float) -> np.ndarray:
     """Signed residuals (LHS - RHS) of the nine restriction equations
     characterizing G_W(0) = 0 and dG_W/dt(0) = 0, at one parameter vector
     (a1, a2, a3, b1, b2, b3) or, row by row, at a (..., 6) stack of them."""
-    if lambda2 <= 0 or lambda3 <= 0:
-        raise InvalidMetricError("lambda2 and lambda3 must be positive")
+    require_positive_finite("lambda2 and lambda3", lambda2, lambda3)
     p = sol.params() if isinstance(sol, RestrictionSolution) else np.asarray(sol, np.float64)
     a1, a2, a3, b1, b2, b3 = np.moveaxis(p, -1, 0)
     l2, l3 = lambda2, lambda3
@@ -230,11 +216,10 @@ def solution_families(lambda_free: float, extra_free: float) -> list[Restriction
     """Instantiate all six solution families at the given free parameters.
 
     ``lambda_free`` is the family's free metric coefficient (must be
-    positive); ``extra_free`` is its free linear coefficient.
+    positive and finite); ``extra_free`` is its free linear coefficient.
     """
     lam, f = float(lambda_free), float(extra_free)
-    if lam <= 0:
-        raise InvalidMetricError("free metric coefficient must be positive")
+    require_positive_finite("free metric coefficient", lam)
     return [
         RestrictionSolution(
             "s1", (0.0, 0.0, f), (0.0, 0.0, 1 - f - lam), 1.0, lam,
@@ -272,6 +257,7 @@ def applicable_families(lambda2: float, lambda3: float, tol: float = 1e-12):
     (s1, s2), lambda3 = 1 (s3, s4) or lambda2 = lambda3 (s5, s6), holds
     within ``tol``, and the free metric coefficient that instantiates them
     in ``solution_families``."""
+    require_positive_finite("lambda2 and lambda3", lambda2, lambda3)
     loci = list(_on_loci((1.0, lambda2, lambda3), tol))
     families = [f for i in loci for f in _LOCI[i][1]]
     # lambda3 is free on the s1/s2 and s5/s6 loci, lambda2 on the s3/s4 one
@@ -300,8 +286,7 @@ def nonexistence_probe(
     A descent floor bounded away from zero supports (but does not prove)
     that no three-exponential geodesic exists for a generic metric.
     """
-    if lambda2 <= 0 or lambda3 <= 0:
-        raise InvalidMetricError("lambda2 and lambda3 must be positive")
+    # applicable_families refuses a metric that is not positive and finite
     if applicable_families(lambda2, lambda3, _GENERICITY_GAP)[0]:
         raise GenericityError(
             f"metric ({lambda2}, {lambda3}) lies within {_GENERICITY_GAP} of a "

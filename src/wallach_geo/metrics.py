@@ -26,7 +26,7 @@ import numpy as np
 
 from . import accel
 from .catalog import _MODULES, ReductiveDecomposition
-from .core import AlgebraElement, ContextMismatchError, InvalidMetricError
+from .core import AlgebraElement, ContextMismatchError, require_positive_finite
 
 
 class DiagonalMetric:
@@ -34,8 +34,7 @@ class DiagonalMetric:
 
     def __init__(self, dec: ReductiveDecomposition, lambdas):
         l1, l2, l3 = (float(x) for x in lambdas)
-        if min(l1, l2, l3) <= 0:
-            raise InvalidMetricError(f"metric coefficients must be positive, got {lambdas}")
+        require_positive_finite("metric coefficients", l1, l2, l3)
         self.dec = dec
         self.lambdas = (l1, l2, l3)
         # G is -B on the block of m_i times lambda_i: ``module_killing`` with

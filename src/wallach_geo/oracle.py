@@ -7,6 +7,9 @@ defect G_W of ``geodesics`` for every W.  D_m = w_dot_m + R (w (x) w_m) is
 one product with the metric's ``connection_operator`` R (d_m, d d_m):
 R[l, i * d_m + j] = c[i, m_j, m_l] for i in k and
 R[l, m_a * d_m + j] = Q[l, a * d_m + j] (``u_operator``) for i = m_a.
+w, w_m and w_dot_m are read from ``ProductExpCurve.defect_rows``, the
+rows ``gw_defect_all`` reads too; the curve keeps them for the last
+scalar t, not for a grid, and D is a new array either way.
 
 Geodesic shooting integrates the same equation forward with RK4 as a
 second, fully independent check, on bare arrays, and returns the lifts and
@@ -45,11 +48,12 @@ def connection_defect(curve: ProductExpCurve, g: DiagonalMetric, t):
     An AlgebraElement at a scalar t, a (T, d) array of coefficient vectors
     at a 1-D array of T times.
     """
-    w, wdot = curve.body_velocity(t)
-    mi = g.m_indices
+    # w is the row s of ``curve.defect_rows``; each row ends in its m-coordinates
+    rows, d = curve.defect_rows(t), curve.context.dim
+    w, w_m, wdot_m = rows[..., 0, :d], rows[..., 0, d:], rows[..., 4, d:]
     D = np.zeros(w.shape)
     # D_m = w_dot_m + [w_k, w_m]_m + U(w_m, w_m): one product with the metric's operator
-    D[..., mi] = wdot[..., mi] + accel.outer_flat(w, w[..., mi]) @ g.connection_operator.T
+    D[..., g.m_indices] = wdot_m + accel.outer_flat(w, w_m) @ g.connection_operator.T
     return D if accel.is_grid(t) else AlgebraElement(curve.context, D)
 
 

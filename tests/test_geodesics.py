@@ -63,8 +63,12 @@ def test_zero_velocity_curve_is_constant(stiefel3):
 
 def test_invalid_case_and_c_rejected(stiefel3):
     X1, X2, X3 = _draws(stiefel3, 2)
-    with pytest.raises(InvalidMetricError):
-        closed_form_geodesic(stiefel3, 1, X1, X2, X3, -0.5)
+    view = TwoSummandView(stiefel3, 3)
+    for c in (-0.5, np.nan, np.inf, -np.inf):
+        with pytest.raises(InvalidMetricError):
+            closed_form_geodesic(stiefel3, 1, X1, X2, X3, c)
+        with pytest.raises(InvalidMetricError):
+            dohira_geodesic(view, c, X1 + X2, X3)
     with pytest.raises(ValueError):
         closed_form_geodesic(stiefel3, 4, X1, X2, X3, 0.5)
 
@@ -222,8 +226,17 @@ def test_all_families_solve_the_system(lam, free):
 
 
 def test_families_reject_nonpositive_metric():
-    with pytest.raises(InvalidMetricError):
-        solution_families(-1.0, 0.2)
+    sol = solution_families(0.7, 0.2)[0]
+    for bad in (-1.0, np.nan, np.inf, -np.inf):
+        with pytest.raises(InvalidMetricError):
+            solution_families(bad, 0.2)
+        for l2, l3 in ((bad, 0.7), (0.7, bad)):
+            with pytest.raises(InvalidMetricError):
+                restriction_residual(sol, l2, l3)
+            with pytest.raises(InvalidMetricError):
+                nonexistence_probe(l2, l3, multistarts=1)
+            with pytest.raises(InvalidMetricError):
+                applicable_families(l2, l3)
 
 
 def test_probe_rejects_family_covered_metrics():

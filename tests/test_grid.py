@@ -40,9 +40,37 @@ def _curves(dec, rng):
     return out
 
 
+def _check_kept_rows(curve, g, gw, D, tol):
+    """Scalar calls on ``curve`` in any order, and with a grid call between
+    them, give the fresh-curve values ``gw`` and ``D`` on GRID; writing
+    into returned arrays changes no later result."""
+
+    def agrees(k, gw_t, D_t):
+        return np.abs(gw_t - gw[k]).max() <= tol and np.abs(D_t.coeffs - D[k]).max() <= tol
+
+    t1, t2 = GRID[5], GRID[13]
+    first = gw_defect_all(curve, g, t1)  # G_W then D
+    assert agrees(5, first, connection_defect(curve, g, t1))
+    D_t2 = connection_defect(curve, g, t2)  # D then G_W
+    assert agrees(13, gw_defect_all(curve, g, t2), D_t2)
+    assert agrees(13, gw_defect_all(curve, g, t2), connection_defect(curve, g, t2))  # t twice
+    first = gw_defect_all(curve, g, t1)
+    gw_defect_all(curve, g, GRID)
+    connection_defect(curve, g, GRID)
+    assert agrees(5, first, connection_defect(curve, g, t1))
+    w, wdot = curve.body_velocity(t1)
+    w_ref, wdot_ref = w.copy(), wdot.copy()
+    for out in (w, wdot, gw_defect_all(curve, g, t1), connection_defect(curve, g, t1).coeffs):
+        out[...] = np.nan
+    assert agrees(5, gw_defect_all(curve, g, t1), connection_defect(curve, g, t1))
+    w, wdot = curve.body_velocity(t1)
+    assert np.array_equal(w, w_ref) and np.array_equal(wdot, wdot_ref)
+
+
 def test_grid_defects_match_per_t_calls(spaces):
     """One grid call gives G_W, D(t), the velocities, the Ad-exponentials
-    and the lift at every t, within 1e-12 relative of the per-t calls."""
+    and the lift at every t, within 1e-12 relative of the per-t calls;
+    scalar calls that share a curve's kept rows give the same values."""
     rng = make_rng(500)
     for dec in spaces.values():
         for curve, g, geodesic in _curves(dec, rng):
@@ -55,6 +83,7 @@ def test_grid_defects_match_per_t_calls(spaces):
             elif dec.name != "product-spheres":  # there every exp(tX) is a geodesic
                 assert 1e-2 <= scale <= 8.0
             tol = 1e-12 * max(scale, 1e-3)
+            _check_kept_rows(curve, g, gw, D, tol)
             assert gw_defect_all(curve, g, GRID).shape == gw.shape
             assert np.abs(gw_defect_all(curve, g, GRID) - gw).max() <= tol
             assert np.abs(connection_defect(curve, g, GRID) - D).max() <= tol
@@ -69,6 +98,28 @@ def test_grid_defects_match_per_t_calls(spaces):
             assert lift.shape == (len(GRID),) + (dec.context.ambient_size,) * 2
             for k, t in enumerate(GRID):
                 assert np.abs(lift[k] - ref.evaluate(t).matrix).max() <= 1e-13
+
+
+def test_defects_at_one_t_form_the_phase_vector_once(stiefel3, monkeypatch):
+    """G_W then D at one scalar t form the first factor's phase vector
+    exp(i lam t) once; a new t and each grid call form it again."""
+    calls = []
+    phase = ProductExpCurve._phase
+    monkeypatch.setattr(ProductExpCurve, "_phase", lambda self, t: calls.append(t) or phase(self, t))
+    rng = make_rng(504)
+    g = DiagonalMetric(stiefel3, (1.0, 1.4, 0.7))
+    factors = [stiefel3.random_module_vector("m", rng) for _ in range(3)]
+    for r in (1, 2, 3):
+        curve = ProductExpCurve(stiefel3, factors[:r])
+        calls.clear()
+        gw_defect_all(curve, g, 0.7)
+        connection_defect(curve, g, 0.7)
+        curve.body_velocity(0.7)
+        assert len(calls) == 1
+        connection_defect(curve, g, 0.9)
+        gw_defect_all(curve, g, GRID)
+        connection_defect(curve, g, GRID)
+        assert len(calls) == 4
 
 
 def test_grid_coset_distances_match_per_pair(spaces):

@@ -21,6 +21,10 @@ def test_positive_coefficients_required(stiefel3):
         DiagonalMetric(stiefel3, (1.0, -0.5, 1.0))
     with pytest.raises(InvalidMetricError):
         DiagonalMetric(stiefel3, (0.0, 1.0, 1.0))
+    for bad in (np.nan, np.inf, -np.inf):
+        for k in range(3):
+            with pytest.raises(InvalidMetricError):
+                DiagonalMetric(stiefel3, tuple(bad if q == k else 1.0 for q in range(3)))
 
 
 def test_gram_is_blockwise_scaled_killing(spaces):
