@@ -2,14 +2,20 @@
 
 Each builder assembles an ordered basis (k first, then the three modules),
 constructs the algebra context and verifies the defining bracket relations
-before returning.  The module labeling convention is fixed: for block
-constructions the (1,2) off-diagonal block is m1, (1,3) is m2, (2,3) is m3.
+before returning.  A builder returns one shared, read-only decomposition per
+(sizes, tolerance) in a process; a JSON space is read on every call.  The
+module labeling convention is fixed: for block constructions the (1,2)
+off-diagonal block is m1, (1,3) is m2, (2,3) is m3.
 """
 
 from __future__ import annotations
 
+import functools
+import inspect
 import json
+import operator
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 import numpy as np
 
@@ -21,11 +27,16 @@ from .core import (
     SpaceDefinitionError,
     StructureError,
     SubspaceSelectorError,
+    _read_only,
     _same_context,
 )
 
 _MODULES = ("m1", "m2", "m3")
 _PARTS = ("k",) + _MODULES
+# the catalog spaces a process keeps built, the least recently used dropped
+# first; so-blocks 6 6 6 (d = 153) holds about 43 MB in structure_constants,
+# c_mmm and c_kmm
+_SHARED_SPACES = 4
 
 
 @dataclass
@@ -60,7 +71,8 @@ class ReductiveDecomposition:
 
     Compactness and orthogonality are gated by ``AlgebraContext``; this
     checks the partition and, unless ``verify`` is false, the generalized
-    Wallach relations.
+    Wallach relations.  Its arrays and part tables are read-only; the part
+    indices are copies, so the caller's arrays stay writeable.
     """
 
     def __init__(
@@ -71,7 +83,7 @@ class ReductiveDecomposition:
         verify: bool = True,
     ):
         self.context = context
-        self.part_indices = {p: np.asarray(ix, dtype=np.intp) for p, ix in part_indices.items()}
+        self.part_indices = {p: np.array(ix, dtype=np.intp) for p, ix in part_indices.items()}
         all_ix = np.concatenate([self.part_indices[p] for p in _PARTS])
         if sorted(all_ix) != list(range(context.dim)):
             raise SpaceDefinitionError(
@@ -95,7 +107,12 @@ class ReductiveDecomposition:
         self.c_mmm = c[np.ix_(m, m, m)].reshape(len(m) ** 2, len(m))
         # the c[k, m, m] block by output first: c_kmm[l, i, j] = c[k_i, m_j, m_l]
         self.c_kmm = c[np.ix_(k, m, m)].transpose(2, 0, 1)
-        self.block_max = _part_block_max(context.structure_constants, self.part_indices).tolist()
+        self.block_max = _part_block_max(c, self.part_indices)
+        for a in (*self.part_indices.values(), *self.part_masks.values(),
+                  self.module_killing, self.c_mmm, self.c_kmm, self.block_max):
+            _read_only(a)
+        self.part_indices = MappingProxyType(self.part_indices)
+        self.part_masks = MappingProxyType(self.part_masks)
         if not verify:
             self.commuting_pairs = _find_commuting_pairs(self)
             return
@@ -143,7 +160,8 @@ class ReductiveDecomposition:
         the allowed parts: how far [parts_a, parts_b] leaves the allowed span."""
         B, ix = self.block_max, _PARTS.index
         out = [r for r, p in enumerate(_PARTS) if p not in allowed]
-        return max((B[ix(p)][ix(q)][r] for p in parts_a for q in parts_b for r in out), default=0.0)
+        residuals = [B[ix(p), ix(q), r] for p in parts_a for q in parts_b for r in out]
+        return float(max(residuals, default=0.0))
 
 
 def _part_block_max(c, part_indices) -> np.ndarray:
@@ -215,8 +233,8 @@ def verify_fibration(dec: ReductiveDecomposition, i: int) -> StructureReport:
     res = 0.0
     if len(ix):
         inner = c[np.ix_(ix, ix)]  # (a, b, dim) coefficients of [e_a, e_b]
-        # [[e_a, e_b], e_d] = sum_l inner[a,b,l] c[l, d, :]
-        triple = np.einsum("abl,ldm->abdm", inner, c[:, ix, :])
+        # [[e_a, e_b], e_d] = sum_l inner[a,b,l] c[l, d, :], one BLAS product
+        triple = np.tensordot(inner, c[:, ix, :], axes=(2, 0))
         res = float(np.abs(triple * (1.0 - dec.part_masks[f"m{i}"])).max())
     report.add(f"m{i} is a Lie triple system", res, tol)
     return report
@@ -255,6 +273,28 @@ def _skew(n: int, a: int, b: int) -> np.ndarray:
     return M
 
 
+@functools.lru_cache(maxsize=_SHARED_SPACES)
+def _built(build, sizes: tuple, tol_structural: float) -> ReductiveDecomposition:
+    # an exception is not cached, so a build that fails raises on every call
+    return build(*sizes, tol_structural)
+
+
+def _shared(build):
+    """``build`` returning one shared decomposition per (sizes, tolerance):
+    each spelling of the arguments (a positional or keyword tolerance, the
+    default or the same value given) reaches the same verified object."""
+    signature = inspect.signature(build)
+
+    @functools.wraps(build)
+    def shared(*args, **kwargs):
+        bound = signature.bind(*args, **kwargs)
+        bound.apply_defaults()
+        *sizes, tol_structural = bound.args
+        return _built(build, tuple(map(operator.index, sizes)), float(tol_structural))
+
+    return shared
+
+
 def _adapted(name: str, blocks, tol_structural: float, note: str = "") -> ReductiveDecomposition:
     """Verified decomposition from each part's basis matrices, in _PARTS order."""
     ends = np.cumsum([len(blocks[p]) for p in _PARTS])
@@ -273,6 +313,7 @@ def _so_blocks(l: int, m: int, n: int) -> dict:
     return blocks
 
 
+@_shared
 def build_so_blocks(l: int, m: int, n: int, tol_structural: float = 1e-12) -> ReductiveDecomposition:
     """so(l+m+n) with k the block-diagonal so(l)+so(m)+so(n); off-diagonal
     blocks (1,2) -> m1, (1,3) -> m2, (2,3) -> m3."""
@@ -281,6 +322,7 @@ def build_so_blocks(l: int, m: int, n: int, tol_structural: float = 1e-12) -> Re
     return _adapted(f"so-blocks({l},{m},{n})", _so_blocks(l, m, n), tol_structural)
 
 
+@_shared
 def build_stiefel(n: int, tol_structural: float = 1e-12) -> ReductiveDecomposition:
     """so(n+2) with k = so(n) in the lower-right block; m1 and m2 are the
     first two rows against the last n columns, m3 is the (1,2) rotation:
@@ -305,6 +347,7 @@ def _realify(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return M
 
 
+@_shared
 def build_su3_flag(tol_structural: float = 1e-12) -> ReductiveDecomposition:
     """Realified su(3) with k the diagonal torus and the three root-pair
     planes (1,2) -> m1, (1,3) -> m2, (2,3) -> m3."""
@@ -317,6 +360,7 @@ def build_su3_flag(tol_structural: float = 1e-12) -> ReductiveDecomposition:
     return _adapted("su3-flag", blocks, tol_structural)
 
 
+@_shared
 def build_product_spheres(tol_structural: float = 1e-12) -> ReductiveDecomposition:
     """so(3)+so(3)+so(3) block-diagonal in 9x9; k takes one rotation
     generator per factor, m_i the remaining two generators of factor i."""

@@ -86,9 +86,13 @@ def _on_loci(n, tol: float) -> dict:
 def match_case(metric, requested):
     """Normalize by lambda1 and match the closed-form metric patterns.
 
-    Returns (case, c) or raises InvalidMetricError when no pattern fits.
+    Returns (case, c), or raises InvalidMetricError when a coefficient is
+    <= 0 or no pattern fits.
     Ties prefer case 1 (c = 1 fits all three).
     """
+    # a nan passes on to the ratio check below
+    if any(v <= 0 for v in metric):
+        raise InvalidMetricError(f"metric {metric} has a coefficient <= 0")
     n = (1.0, metric[1] / metric[0], metric[2] / metric[0])
     # beyond this range the curves' spectra and defects overflow
     if not all(1e-100 <= q <= 1e100 for q in n):

@@ -15,10 +15,12 @@ from wallach_geo import (
     build_product_spheres,
     build_so_blocks,
     build_stiefel,
+    build_su3_flag,
     load_space_json,
     verify_fibration,
     verify_structure,
 )
+from wallach_geo import cli
 from .conftest import counterexample_swapped, make_rng
 
 EXPECTED_DIMS = {
@@ -263,3 +265,73 @@ def test_stiefel_basis_matches_its_explicit_construction(n):
         assert dec.part_indices[p].tolist() == want
     assert dec.name == f"stiefel({n})"
     assert dec.equivalence_note == "m1 and m2 are equivalent K-modules"
+
+
+# -- one shared, read-only decomposition per (family, sizes, tolerance) -----
+
+def test_every_spelling_of_a_space_returns_one_object(monkeypatch):
+    """Positional or keyword arguments, the default tolerance or 1e-12 given,
+    and each way the CLI names the space all reach the same decomposition."""
+    monkeypatch.delenv("WALLACH_GEO_TOL", raising=False)
+    stiefel = [build_stiefel(3), build_stiefel(3, 1e-12), build_stiefel(3, tol_structural=1e-12),
+               build_stiefel(n=3), build_stiefel(np.int64(3), 1e-12),
+               cli.resolve_space("stiefel3"), cli.resolve_space(["stiefel", "3"]),
+               cli.resolve_space("Stiefel(3)")]
+    assert all(dec is stiefel[0] for dec in stiefel)
+    so = [build_so_blocks(2, 3, 4), build_so_blocks(2, 3, 4, 1e-12),
+          build_so_blocks(l=2, m=3, n=4, tol_structural=1e-12),
+          cli.resolve_space("so-blocks 2 3 4"), cli.resolve_space(["so-blocks", "2", "3", "4"])]
+    assert all(dec is so[0] for dec in so)
+    assert build_su3_flag() is build_su3_flag(1e-12) is cli.resolve_space("su3-flag")
+    assert build_product_spheres(tol_structural=1e-12) is build_product_spheres()
+
+
+def test_another_tolerance_is_another_space():
+    default, looser = build_stiefel(3), build_stiefel(3, 1e-10)
+    assert looser is not default
+    assert (default.context.tol_structural, looser.context.tol_structural) == (1e-12, 1e-10)
+    assert looser is build_stiefel(3, tol_structural=1e-10)
+
+
+def test_a_failed_build_raises_on_every_call():
+    for _ in range(3):
+        with pytest.raises(DegenerateSpaceError):
+            build_so_blocks(0, 2, 2)
+        with pytest.raises(DegenerateSpaceError):
+            build_stiefel(1, tol_structural=1e-12)
+
+
+def _arrays(obj):
+    """The arrays an object holds, directly or in a mapping attribute."""
+    for name, value in vars(obj).items():
+        values = value.items() if hasattr(value, "items") else [(None, value)]
+        for key, v in values:
+            if isinstance(v, np.ndarray):
+                yield (name, key), v
+
+
+def test_shared_arrays_are_read_only(so222):
+    with pytest.raises(ValueError):
+        so222.context.structure_constants[0, 0, 0] = 1.0
+    with pytest.raises(ValueError):
+        so222.module_killing[0, 0] = 1.0
+    with pytest.raises(ValueError):
+        so222.part_indices["m"][0] = 0
+    with pytest.raises(TypeError):
+        so222.part_indices["m"] = np.arange(3)
+    held = [*_arrays(so222.context), *_arrays(so222)]
+    assert len(held) >= 20
+    assert [where for where, a in held if a.flags.writeable] == []
+
+
+def test_arrays_passed_in_stay_writeable(so222):
+    """A context and a decomposition copy what they are given, so building
+    one never freezes the caller's arrays."""
+    basis = so222.context.basis.copy()
+    parts = {p: np.array(so222.part_indices[p]) for p in ("k", "m1", "m2", "m3")}
+    dec = ReductiveDecomposition(AlgebraContext("copy", basis), parts)
+    assert basis.flags.writeable and all(ix.flags.writeable for ix in parts.values())
+    assert dec.context.basis is not basis and not dec.context.basis.flags.writeable
+    assert all(dec.part_indices[p] is not parts[p] for p in parts)
+    basis[0] = 0.0
+    assert dec.context.basis.tobytes() == so222.context.basis.tobytes()

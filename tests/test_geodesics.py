@@ -440,6 +440,16 @@ def test_locus_table_matches_the_separate_case_and_family_tables():
     assert applicable_families(1.0, 1.0) == (["s1", "s2", "s3", "s4", "s5", "s6"], 1.0)
 
 
+@pytest.mark.parametrize("metric", [(-1.0, -1.0, -1.0), (0.0, 1.0, 1.0), (1.0, 0.0, 1.0),
+                                    (1.0, 1.0, -2.0)])
+@pytest.mark.parametrize("requested", ["auto", "1", "2", "3"])
+def test_match_case_refuses_a_coefficient_that_is_not_positive(metric, requested):
+    """A zero or negative coefficient is refused before any ratio is formed:
+    (-1, -1, -1) has equal ratios and (0, 1, 1) would divide by zero."""
+    with pytest.raises(InvalidMetricError, match="has a coefficient <= 0"):
+        match_case(metric, requested)
+
+
 @pytest.mark.parametrize("case", [1, 2, 3])
 def test_closed_form_and_grouped_constructors_agree_bitwise(spaces, case):
     """Case k and the grouping M2 = m_(4-k) build one curve and metric."""
