@@ -2,20 +2,14 @@
 
 Each builder assembles an ordered basis (k first, then the three modules),
 constructs the algebra context and verifies the defining bracket relations
-before returning.  A builder returns one shared, read-only decomposition per
-(sizes, tolerance) in a process; a JSON space is read on every call.  The
-module labeling convention is fixed: for block constructions the (1,2)
-off-diagonal block is m1, (1,3) is m2, (2,3) is m3.
+before returning.  The module labeling convention is fixed: for block
+constructions the (1,2) off-diagonal block is m1, (1,3) is m2, (2,3) is m3.
 """
 
 from __future__ import annotations
 
-import functools
-import inspect
 import json
-import operator
 from dataclasses import dataclass, field
-from types import MappingProxyType
 
 import numpy as np
 
@@ -27,16 +21,11 @@ from .core import (
     SpaceDefinitionError,
     StructureError,
     SubspaceSelectorError,
-    _read_only,
     _same_context,
 )
 
 _MODULES = ("m1", "m2", "m3")
 _PARTS = ("k",) + _MODULES
-# the catalog spaces a process keeps built, the least recently used dropped
-# first; so-blocks 6 6 6 (d = 153) holds about 43 MB in structure_constants,
-# c_mmm and c_kmm
-_SHARED_SPACES = 4
 
 
 @dataclass
@@ -71,8 +60,7 @@ class ReductiveDecomposition:
 
     Compactness and orthogonality are gated by ``AlgebraContext``; this
     checks the partition and, unless ``verify`` is false, the generalized
-    Wallach relations.  Its arrays and part tables are read-only; the part
-    indices are copies, so the caller's arrays stay writeable.
+    Wallach relations.
     """
 
     def __init__(
@@ -83,12 +71,15 @@ class ReductiveDecomposition:
         verify: bool = True,
     ):
         self.context = context
-        self.part_indices = {p: np.array(ix, dtype=np.intp) for p, ix in part_indices.items()}
+        self.part_indices = {p: np.asarray(ix, dtype=np.intp) for p, ix in part_indices.items()}
         all_ix = np.concatenate([self.part_indices[p] for p in _PARTS])
-        if sorted(all_ix) != list(range(context.dim)):
+        if not np.array_equal(np.sort(all_ix), np.arange(context.dim)):
             raise SpaceDefinitionError(
                 f"{context.name}: parts must partition the basis index range"
             )
+        # part_of[i] is the position in _PARTS of the part holding basis vector i
+        self.part_of = np.empty(context.dim, dtype=np.intp)
+        self.part_of[all_ix] = np.repeat(np.arange(4), [len(self.part_indices[p]) for p in _PARTS])
         self.part_indices["m"] = np.concatenate([self.part_indices[p] for p in _MODULES])
         self.part_masks = {}
         for p, ix in self.part_indices.items():
@@ -99,20 +90,13 @@ class ReductiveDecomposition:
 
         c, k, m = context.structure_constants, self.part_indices["k"], self.part_indices["m"]
         # -B on the blocks of m1, m2 and m3, zero elsewhere: a diagonal metric rescales it
-        self.module_killing = np.zeros((context.dim, context.dim))
-        for p in _MODULES:
-            ix = self.part_indices[p]
-            self.module_killing[np.ix_(ix, ix)] = -context.killing[np.ix_(ix, ix)]
+        same_module = (self.part_of[:, None] == self.part_of) & (self.part_of > 0)
+        self.module_killing = np.where(same_module, -context.killing, 0.0)
         # the c[m, m, m] block with rows (j, i): c_mmm[j * d_m + i, k] = c[j, i, k]
-        self.c_mmm = c[np.ix_(m, m, m)].reshape(len(m) ** 2, len(m))
+        self.c_mmm = c[m[:, None, None], m[:, None], m].reshape(len(m) ** 2, len(m))
         # the c[k, m, m] block by output first: c_kmm[l, i, j] = c[k_i, m_j, m_l]
-        self.c_kmm = c[np.ix_(k, m, m)].transpose(2, 0, 1)
-        self.block_max = _part_block_max(c, self.part_indices)
-        for a in (*self.part_indices.values(), *self.part_masks.values(),
-                  self.module_killing, self.c_mmm, self.c_kmm, self.block_max):
-            _read_only(a)
-        self.part_indices = MappingProxyType(self.part_indices)
-        self.part_masks = MappingProxyType(self.part_masks)
+        self.c_kmm = c[k[:, None, None], m[:, None], m].transpose(2, 0, 1)
+        self.block_max = _part_block_max(c, self.part_indices, all_ix).tolist()
         if not verify:
             self.commuting_pairs = _find_commuting_pairs(self)
             return
@@ -160,20 +144,24 @@ class ReductiveDecomposition:
         the allowed parts: how far [parts_a, parts_b] leaves the allowed span."""
         B, ix = self.block_max, _PARTS.index
         out = [r for r, p in enumerate(_PARTS) if p not in allowed]
-        residuals = [B[ix(p), ix(q), r] for p in parts_a for q in parts_b for r in out]
-        return float(max(residuals, default=0.0))
+        return max((B[ix(p)][ix(q)][r] for p in parts_a for q in parts_b for r in out), default=0.0)
 
 
-def _part_block_max(c, part_indices) -> np.ndarray:
+def _part_block_max(c, part_indices, order) -> np.ndarray:
     """B[p, q, r] = max |c[i, j, l]| over i in p, j in q, l in r for the parts
-    (k, m1, m2, m3); 0 where a part is empty."""
+    (k, m1, m2, m3), whose indices run through ``order``; 0 where a part is
+    empty."""
     sizes = [len(part_indices[p]) for p in _PARTS]
-    order = np.concatenate([part_indices[p] for p in _PARTS])
     nonempty = [q for q, size in enumerate(sizes) if size]
     starts = np.cumsum([0] + sizes[:-1])[nonempty]
-    block = np.abs(c[np.ix_(order, order, order)])
+    if not np.array_equal(order, np.arange(len(order))):
+        # gather c in part order only when the parts are not contiguous in it
+        c = c[order[:, None, None], order[:, None], order]
+    block = np.abs(c)
     for axis in range(3):
         block = np.maximum.reduceat(block, starts, axis=axis)
+    if len(nonempty) == 4:
+        return block
     out = np.zeros((4, 4, 4))
     out[np.ix_(nonempty, nonempty, nonempty)] = block
     return out
@@ -195,12 +183,8 @@ def verify_structure(dec: ReductiveDecomposition) -> StructureReport:
     K = dec.context.killing
     report = StructureReport(space=dec.name, module_dims=dec.module_dims())
 
-    ortho = 0.0
-    for a in range(4):
-        for b in range(a + 1, 4):
-            ia, ib = dec.part_indices[_PARTS[a]], dec.part_indices[_PARTS[b]]
-            if len(ia) and len(ib):
-                ortho = max(ortho, np.abs(K[np.ix_(ia, ib)]).max())
+    # the largest |B[i, j]| over i and j in two different parts
+    ortho = np.abs(K)[dec.part_of[:, None] < dec.part_of].max(initial=0.0)
     report.add("B-orthogonality of parts", ortho, tol * max(1.0, np.abs(K).max()))
 
     k = ("k",)
@@ -273,28 +257,6 @@ def _skew(n: int, a: int, b: int) -> np.ndarray:
     return M
 
 
-@functools.lru_cache(maxsize=_SHARED_SPACES)
-def _built(build, sizes: tuple, tol_structural: float) -> ReductiveDecomposition:
-    # an exception is not cached, so a build that fails raises on every call
-    return build(*sizes, tol_structural)
-
-
-def _shared(build):
-    """``build`` returning one shared decomposition per (sizes, tolerance):
-    each spelling of the arguments (a positional or keyword tolerance, the
-    default or the same value given) reaches the same verified object."""
-    signature = inspect.signature(build)
-
-    @functools.wraps(build)
-    def shared(*args, **kwargs):
-        bound = signature.bind(*args, **kwargs)
-        bound.apply_defaults()
-        *sizes, tol_structural = bound.args
-        return _built(build, tuple(map(operator.index, sizes)), float(tol_structural))
-
-    return shared
-
-
 def _adapted(name: str, blocks, tol_structural: float, note: str = "") -> ReductiveDecomposition:
     """Verified decomposition from each part's basis matrices, in _PARTS order."""
     ends = np.cumsum([len(blocks[p]) for p in _PARTS])
@@ -313,7 +275,6 @@ def _so_blocks(l: int, m: int, n: int) -> dict:
     return blocks
 
 
-@_shared
 def build_so_blocks(l: int, m: int, n: int, tol_structural: float = 1e-12) -> ReductiveDecomposition:
     """so(l+m+n) with k the block-diagonal so(l)+so(m)+so(n); off-diagonal
     blocks (1,2) -> m1, (1,3) -> m2, (2,3) -> m3."""
@@ -322,7 +283,6 @@ def build_so_blocks(l: int, m: int, n: int, tol_structural: float = 1e-12) -> Re
     return _adapted(f"so-blocks({l},{m},{n})", _so_blocks(l, m, n), tol_structural)
 
 
-@_shared
 def build_stiefel(n: int, tol_structural: float = 1e-12) -> ReductiveDecomposition:
     """so(n+2) with k = so(n) in the lower-right block; m1 and m2 are the
     first two rows against the last n columns, m3 is the (1,2) rotation:
@@ -347,7 +307,6 @@ def _realify(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return M
 
 
-@_shared
 def build_su3_flag(tol_structural: float = 1e-12) -> ReductiveDecomposition:
     """Realified su(3) with k the diagonal torus and the three root-pair
     planes (1,2) -> m1, (1,3) -> m2, (2,3) -> m3."""
@@ -360,7 +319,6 @@ def build_su3_flag(tol_structural: float = 1e-12) -> ReductiveDecomposition:
     return _adapted("su3-flag", blocks, tol_structural)
 
 
-@_shared
 def build_product_spheres(tol_structural: float = 1e-12) -> ReductiveDecomposition:
     """so(3)+so(3)+so(3) block-diagonal in 9x9; k takes one rotation
     generator per factor, m_i the remaining two generators of factor i."""

@@ -3,8 +3,7 @@ exponentials and adjoint actions.
 
 An :class:`AlgebraContext` is built once from an ordered basis of real
 matrices; structure constants, the Killing matrix and the trace-form Gram
-factorization are precomputed, and every array the context holds is
-read-only afterwards, so one context can be shared by all its callers.
+factorization are precomputed and the context is immutable afterwards.
 """
 
 from __future__ import annotations
@@ -50,12 +49,6 @@ class WrongModuleError(WallachGeoError):
 
 class InvalidMetricError(WallachGeoError):
     """Metric coefficient that is not positive and finite."""
-
-
-def _read_only(a: np.ndarray) -> np.ndarray:
-    """``a`` with writes refused (ValueError), for an array a shared object holds."""
-    a.flags.writeable = False
-    return a
 
 
 def require_positive_finite(what: str, *values) -> None:
@@ -239,13 +232,12 @@ class AlgebraContext:
     antisymmetry, the Jacobi identity, the commutator/structure-constant
     match and ad-invariance of the Killing form on basis triples.  Then -B
     must be positive definite and the basis skew (SpaceDefinitionError), so
-    every context is compact semisimple with an orthogonal group.  Its arrays
-    are read-only; the basis is a copy, so the caller's array stays writeable.
+    every context is compact semisimple with an orthogonal group.
     """
 
     def __init__(self, name: str, basis, tol_structural: float = 1e-12):
         self.name = name
-        basis = np.array(basis, dtype=np.float64)
+        basis = np.asarray(basis, dtype=np.float64)
         if basis.ndim != 3 or basis.shape[1] != basis.shape[2]:
             raise ValueError("basis must be a list of square matrices")
         self.basis = basis
@@ -326,8 +318,6 @@ class AlgebraContext:
         # -B = L L^T: L^T maps coefficients to a -B-orthonormal frame
         self.killing_chol = L
         self.killing_chol_inv = np.linalg.inv(L)
-        for a in (basis, self.gram, self._gram_inv, c, self.killing, L, self.killing_chol_inv):
-            _read_only(a)
 
     def element(self, coeffs) -> AlgebraElement:
         return AlgebraElement(self, coeffs)

@@ -147,21 +147,31 @@ def shoot_geodesic(
     half, sixth = 0.5 * h, h / 6.0
     # row k holds v_k and the three stage states of step k that follow it;
     # each stage is v - c U(w, w), the bits of v + c k_s with k_s = -U(w, w)
-    states = np.empty((steps + 1, 4, len(mi)))
+    dm = len(mi)
+    states = np.empty((steps + 1, 4, dm))
     states[0, 0] = v0.coeffs[mi]
-    Q, outer, sub = g.u_operator, np.multiply.outer, np.subtract
+    # every step writes into these buffers, a few numpy calls per stage:
+    # X is w (x) w, U holds the step's U(w, w) of each stage and W those
+    # times their RK4 weights, which add.reduce sums row after row, as
+    # u1 + 2 u2 + 2 u3 + u4 is summed; outputs are passed by position
+    X, U, W, tmp = np.empty((dm, dm)), np.empty((4, dm)), np.empty((4, dm)), np.empty(dm)
+    x, (u1, u2, u3, u4) = X.reshape(-1), U
+    weights = np.array([[1.0], [2.0], [2.0], [1.0]])
+    quad, mul, sub, add = g.u_operator.dot, np.multiply, np.subtract, np.add
     # an overflow is reported below, at the step where it first shows
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(steps):
             v, s1, s2, s3 = states[k]
-            u1 = Q @ outer(v, v).ravel()
-            sub(v, half * u1, out=s1)
-            u2 = Q @ outer(s1, s1).ravel()
-            sub(v, half * u2, out=s2)
-            u3 = Q @ outer(s2, s2).ravel()
-            sub(v, h * u3, out=s3)
-            u4 = Q @ outer(s3, s3).ravel()
-            sub(v, sixth * (u1 + 2 * u2 + 2 * u3 + u4), out=states[k + 1, 0])
+            mul(v[:, None], v, X)
+            sub(v, mul(half, quad(x, u1), tmp), s1)
+            mul(s1[:, None], s1, X)
+            sub(v, mul(half, quad(x, u2), tmp), s2)
+            mul(s2[:, None], s2, X)
+            sub(v, mul(h, quad(x, u3), tmp), s3)
+            mul(s3[:, None], s3, X)
+            quad(x, u4)
+            add.reduce(mul(U, weights, W), 0, None, tmp)
+            sub(v, mul(sixth, tmp, tmp), states[k + 1, 0])
         velocities = states[:, 0]
         energy = ((velocities @ g.gram) * velocities).sum(axis=1)
     stages = states[:-1]

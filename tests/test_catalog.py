@@ -15,12 +15,10 @@ from wallach_geo import (
     build_product_spheres,
     build_so_blocks,
     build_stiefel,
-    build_su3_flag,
     load_space_json,
     verify_fibration,
     verify_structure,
 )
-from wallach_geo import cli
 from .conftest import counterexample_swapped, make_rng
 
 EXPECTED_DIMS = {
@@ -243,6 +241,37 @@ def test_part_block_residuals_match_basis_pair_scan(spaces):
             assert str(info.value).endswith(f"violates {name} (residual {res:.3e})")
 
 
+def test_part_tables_match_their_gathered_definitions(spaces):
+    """module_killing, c_mmm, c_kmm and the B-orthogonality residual equal,
+    bit for bit, the np.ix_ gathers that define them: on every catalog space
+    (so-blocks(1,1,1) has an empty k), on scattered parts and on parts that
+    are not B-orthogonal."""
+    swapped = counterexample_swapped()
+    scattered = [_scattered(spaces["so-blocks(2,3,4)"], 1), _scattered(swapped, 2)]
+    ix = spaces["so-blocks(2,2,2)"].part_indices
+    basis = spaces["so-blocks(2,2,2)"].context.basis.copy()
+    basis[ix["m1"][0]] += 0.5 * basis[ix["m2"][0]]
+    basis[ix["k"][0]] += 0.25 * basis[ix["m3"][1]]
+    leaked = ReductiveDecomposition(AlgebraContext("leaked", basis), {p: ix[p] for p in PARTS},
+                                    verify=False)
+    assert verify_structure(leaked).checks[0].max_residual > 0.1
+    for dec in [*spaces.values(), swapped, *scattered, leaked]:
+        ctx, ix = dec.context, dec.part_indices
+        c, K, k, m = ctx.structure_constants, ctx.killing, ix["k"], ix["m"]
+        module_killing = np.zeros((ctx.dim, ctx.dim))
+        for p in PARTS[1:]:
+            module_killing[np.ix_(ix[p], ix[p])] = -K[np.ix_(ix[p], ix[p])]
+        assert dec.module_killing.tobytes() == module_killing.tobytes(), dec.name
+        c_mmm = c[np.ix_(m, m, m)].reshape(len(m) ** 2, len(m))
+        assert dec.c_mmm.tobytes() == c_mmm.tobytes(), dec.name
+        c_kmm = c[np.ix_(k, m, m)].transpose(2, 0, 1)
+        assert dec.c_kmm.shape == c_kmm.shape and dec.c_kmm.tobytes() == c_kmm.tobytes()
+        ortho = max((np.abs(K[np.ix_(ix[a], ix[b])]).max()
+                     for q, a in enumerate(PARTS) for b in PARTS[q + 1:]
+                     if len(ix[a]) and len(ix[b])), default=0.0)
+        assert verify_structure(dec).checks[0].max_residual == ortho, dec.name
+
+
 def _skew(N, a, b):
     M = np.zeros((N, N))
     M[a, b], M[b, a] = 1.0, -1.0
@@ -265,73 +294,3 @@ def test_stiefel_basis_matches_its_explicit_construction(n):
         assert dec.part_indices[p].tolist() == want
     assert dec.name == f"stiefel({n})"
     assert dec.equivalence_note == "m1 and m2 are equivalent K-modules"
-
-
-# -- one shared, read-only decomposition per (family, sizes, tolerance) -----
-
-def test_every_spelling_of_a_space_returns_one_object(monkeypatch):
-    """Positional or keyword arguments, the default tolerance or 1e-12 given,
-    and each way the CLI names the space all reach the same decomposition."""
-    monkeypatch.delenv("WALLACH_GEO_TOL", raising=False)
-    stiefel = [build_stiefel(3), build_stiefel(3, 1e-12), build_stiefel(3, tol_structural=1e-12),
-               build_stiefel(n=3), build_stiefel(np.int64(3), 1e-12),
-               cli.resolve_space("stiefel3"), cli.resolve_space(["stiefel", "3"]),
-               cli.resolve_space("Stiefel(3)")]
-    assert all(dec is stiefel[0] for dec in stiefel)
-    so = [build_so_blocks(2, 3, 4), build_so_blocks(2, 3, 4, 1e-12),
-          build_so_blocks(l=2, m=3, n=4, tol_structural=1e-12),
-          cli.resolve_space("so-blocks 2 3 4"), cli.resolve_space(["so-blocks", "2", "3", "4"])]
-    assert all(dec is so[0] for dec in so)
-    assert build_su3_flag() is build_su3_flag(1e-12) is cli.resolve_space("su3-flag")
-    assert build_product_spheres(tol_structural=1e-12) is build_product_spheres()
-
-
-def test_another_tolerance_is_another_space():
-    default, looser = build_stiefel(3), build_stiefel(3, 1e-10)
-    assert looser is not default
-    assert (default.context.tol_structural, looser.context.tol_structural) == (1e-12, 1e-10)
-    assert looser is build_stiefel(3, tol_structural=1e-10)
-
-
-def test_a_failed_build_raises_on_every_call():
-    for _ in range(3):
-        with pytest.raises(DegenerateSpaceError):
-            build_so_blocks(0, 2, 2)
-        with pytest.raises(DegenerateSpaceError):
-            build_stiefel(1, tol_structural=1e-12)
-
-
-def _arrays(obj):
-    """The arrays an object holds, directly or in a mapping attribute."""
-    for name, value in vars(obj).items():
-        values = value.items() if hasattr(value, "items") else [(None, value)]
-        for key, v in values:
-            if isinstance(v, np.ndarray):
-                yield (name, key), v
-
-
-def test_shared_arrays_are_read_only(so222):
-    with pytest.raises(ValueError):
-        so222.context.structure_constants[0, 0, 0] = 1.0
-    with pytest.raises(ValueError):
-        so222.module_killing[0, 0] = 1.0
-    with pytest.raises(ValueError):
-        so222.part_indices["m"][0] = 0
-    with pytest.raises(TypeError):
-        so222.part_indices["m"] = np.arange(3)
-    held = [*_arrays(so222.context), *_arrays(so222)]
-    assert len(held) >= 20
-    assert [where for where, a in held if a.flags.writeable] == []
-
-
-def test_arrays_passed_in_stay_writeable(so222):
-    """A context and a decomposition copy what they are given, so building
-    one never freezes the caller's arrays."""
-    basis = so222.context.basis.copy()
-    parts = {p: np.array(so222.part_indices[p]) for p in ("k", "m1", "m2", "m3")}
-    dec = ReductiveDecomposition(AlgebraContext("copy", basis), parts)
-    assert basis.flags.writeable and all(ix.flags.writeable for ix in parts.values())
-    assert dec.context.basis is not basis and not dec.context.basis.flags.writeable
-    assert all(dec.part_indices[p] is not parts[p] for p in parts)
-    basis[0] = 0.0
-    assert dec.context.basis.tobytes() == so222.context.basis.tobytes()

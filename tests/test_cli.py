@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import wallach_geo
-from wallach_geo import AlgebraContext, build_so_blocks, catalog, cli
+from wallach_geo import build_so_blocks, cli
 from wallach_geo.cli import build_parser, main
 
 GEO_ARGS = [
@@ -532,7 +532,7 @@ def test_parser_is_shared_and_calls_match_fresh_interpreters(capsys):
         ["verify-space", "stiefel", "3"],
         ["geodesic", "--space", "stiefel3", "--metric", "1", "1", "0.5", "--trials", "1",
          "--steps", "40"],
-        # the space of the call before, shared, with another draw
+        # the space of the call before once more, with another draw
         ["geodesic", "--space", "Stiefel(3)", "--metric", "1", "1", "0.5", "--trials", "1",
          "--steps", "40", "--seed", "3"],
     ]
@@ -605,67 +605,3 @@ def test_shot_with_too_large_a_step_is_one_error_line(metric, t1, message):
     proc = _fresh_process(["geodesic", "--space", "stiefel3", "--metric", *metric,
                            "--trials", "1", "--steps", "20", "--t1", t1])
     assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", f"error: {message}\n")
-
-
-# -- catalog spaces are built once per process, JSON spaces read per call ----
-
-def test_repeated_geodesic_calls_build_the_space_once(capsys, monkeypatch):
-    """Five calls on one catalog space construct one algebra context; each
-    call still prints its own report."""
-    catalog._built.cache_clear()
-    inits = []
-    original = AlgebraContext.__init__
-
-    def counted(self, *args, **kwargs):
-        inits.append(args[0] if args else kwargs["name"])
-        original(self, *args, **kwargs)
-
-    monkeypatch.setattr(AlgebraContext, "__init__", counted)
-    argv = ["geodesic", "--space", "stiefel3", "--metric", "1", "1", "0.5", "--trials", "1",
-            "--steps", "40"]
-    outs = [run(capsys, *argv, "--seed", str(seed)) for seed in range(5)]
-    assert [code for code, _, _ in outs] == [0] * 5
-    assert len({out for _, out, _ in outs}) == 5
-    assert inits == ["stiefel(3)"]
-
-
-def test_structural_tol_env_change_reaches_the_space(capsys, monkeypatch):
-    """A WALLACH_GEO_TOL set between calls builds the space at that
-    tolerance; going back to the default finds the first space again."""
-    resolved = []
-    resolve = cli.resolve_space
-
-    def recorded(tokens):
-        resolved.append(resolve(tokens))
-        return resolved[-1]
-
-    monkeypatch.setattr(cli, "resolve_space", recorded)
-    monkeypatch.delenv("WALLACH_GEO_TOL", raising=False)
-    for tol in (None, "1e-10", None):
-        if tol is not None:
-            monkeypatch.setenv("WALLACH_GEO_TOL", tol)
-        code, out, _ = run(capsys, *GEO_ARGS)
-        assert code == 0
-        assert json.loads(out)["tolerances"]["structural"] == float(tol or 1e-12)
-        monkeypatch.delenv("WALLACH_GEO_TOL", raising=False)
-    assert [dec.context.tol_structural for dec in resolved] == [1e-12, 1e-10, 1e-12]
-    assert resolved[0] is resolved[2] and resolved[1] is not resolved[0]
-
-
-def test_rewritten_json_space_is_read_again(capsys, tmp_path):
-    """A JSON space is not kept: a file rewritten between two calls gives
-    the second call the new definition."""
-    dec = build_so_blocks(1, 1, 1)
-    path = _write_space(tmp_path / "space.json", "before", dec.context.basis, dec)
-    code, out, _ = run(capsys, "verify-space", path)
-    assert (code, json.loads(out)["space"]) == (0, "before")
-    _write_space(tmp_path / "space.json", "after", 2.0 * dec.context.basis, dec)
-    code, out, _ = run(capsys, "verify-space", path)
-    assert (code, json.loads(out)["space"]) == (0, "after")
-
-
-def test_every_catalog_family_is_shared():
-    """Each family's builder returns one object on repeated calls, so a row
-    added to the catalog table cannot bypass the shared build."""
-    for name, (build, _, listed) in cli.CATALOG.items():
-        assert build(*listed) is build(*listed), name
