@@ -150,10 +150,10 @@ def shoot_geodesic(
     dm = len(mi)
     states = np.empty((steps + 1, 4, dm))
     states[0, 0] = v0.coeffs[mi]
-    # every step writes into these buffers, a few numpy calls per stage:
-    # X is w (x) w, U holds the step's U(w, w) of each stage and W those
-    # times their RK4 weights, which add.reduce sums row after row, as
-    # u1 + 2 u2 + 2 u3 + u4 is summed; outputs are passed by position
+    # every step writes into these buffers, so a stage costs a few numpy
+    # calls and no allocation: X is w (x) w, U holds the step's U(w, w) of
+    # each stage and W those times their RK4 weights, which add.reduce sums
+    # row after row, as u1 + 2 u2 + 2 u3 + u4 is summed
     X, U, W, tmp = np.empty((dm, dm)), np.empty((4, dm)), np.empty((4, dm)), np.empty(dm)
     x, (u1, u2, u3, u4) = X.reshape(-1), U
     weights = np.array([[1.0], [2.0], [2.0], [1.0]])
