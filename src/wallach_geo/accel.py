@@ -85,6 +85,17 @@ def outer_flat(x, y):
     return xy.reshape(xy.shape[:-2] + (-1,))
 
 
+def contract(rows, table, values):
+    """A sparse bilinear map (``catalog.ContractionTable``) with the given
+    entry values on the flattened (k, n) rows, or on each of a (T, k, n)
+    stack: both factors taken from the flat rows, one product per entry and
+    one sum per output run."""
+    v = rows.reshape(rows.shape[:-2] + (-1,)).take(table.ab, axis=-1)
+    prod = v[..., 0, :] * v[..., 1, :]
+    prod *= values
+    return np.add.reduceat(prod, table.starts, axis=-1)
+
+
 def bracket_coeffs(c, x, y):
     """Coefficients of [x, y] (per row for (T, d) stacks): x (x) y against c
     viewed as a d^2 x d matrix, one product."""

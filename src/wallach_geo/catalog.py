@@ -8,8 +8,10 @@ constructions the (1,2) off-diagonal block is m1, (1,3) is m2, (2,3) is m3.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -88,14 +90,10 @@ class ReductiveDecomposition:
             self.part_masks[p] = mask
         self.equivalence_note = equivalence_note
 
-        c, k, m = context.structure_constants, self.part_indices["k"], self.part_indices["m"]
+        c = context.structure_constants
         # -B on the blocks of m1, m2 and m3, zero elsewhere: a diagonal metric rescales it
         same_module = (self.part_of[:, None] == self.part_of) & (self.part_of > 0)
         self.module_killing = np.where(same_module, -context.killing, 0.0)
-        # the c[m, m, m] block with rows (j, i): c_mmm[j * d_m + i, k] = c[j, i, k]
-        self.c_mmm = c[m[:, None, None], m[:, None], m].reshape(len(m) ** 2, len(m))
-        # the c[k, m, m] block by output first: c_kmm[l, i, j] = c[k_i, m_j, m_l]
-        self.c_kmm = c[k[:, None, None], m[:, None], m].transpose(2, 0, 1)
         self.block_max = _part_block_max(c, self.part_indices, all_ix).tolist()
         if not verify:
             self.commuting_pairs = _find_commuting_pairs(self)
@@ -139,12 +137,99 @@ class ReductiveDecomposition:
             raise SubspaceSelectorError(f"unknown subspace selector {part!r}") from None
         return AlgebraElement(self.context, X.coeffs * mask)
 
+    @functools.cached_property
+    def defect_tables(self) -> DefectTables:
+        """The sparse tables of both geodesic defects and the dense Q0 of
+        ``metrics.DiagonalMetric.u_operator``; built on first use."""
+        return _defect_tables(self)
+
     def bracket_residual(self, parts_a, parts_b, allowed) -> float:
         """Largest |c[i, j, l]| over i in parts_a, j in parts_b and l outside
         the allowed parts: how far [parts_a, parts_b] leaves the allowed span."""
         B, ix = self.block_max, _PARTS.index
         out = [r for r, p in enumerate(_PARTS) if p not in allowed]
         return max((B[ix(p)][ix(q)][r] for p in parts_a for q in parts_b for r in out), default=0.0)
+
+
+class ContractionTable(NamedTuple):
+    """A sparse bilinear map of a flat vector v (the flattened rows of
+    ``ProductExpCurve.defect_rows``): output o sums value[e] v[ab[0, e]]
+    v[ab[1, e]] over its run of entries e from starts[o] to starts[o + 1].
+    A metric's value[e] is base[e] sigma_p / sigma_q with scale[e] =
+    p + 4 q, where p and q are the parts (``_PARTS`` positions) of the
+    basis indices whose module coefficients sigma scale the entry, and
+    part 0 (k) stands for no coefficient: sigma_0 = 1."""
+
+    ab: np.ndarray
+    base: np.ndarray
+    scale: np.ndarray
+    starts: np.ndarray
+
+
+class DefectTables(NamedTuple):
+    """A decomposition's G_W and connection tables, and Q0 (d_m, d_m, d_m)."""
+
+    gw: ContractionTable
+    connection: ContractionTable
+    q0: np.ndarray
+
+
+def _table(out, ab, base, scale, n_out) -> ContractionTable:
+    """The table of entries already sorted by output; an output with no
+    entry gets one of base 0, as each run of ``np.add.reduceat`` must hold
+    one."""
+    counts = np.bincount(out, minlength=n_out)
+    if np.count_nonzero(counts) < n_out:
+        at = np.searchsorted(out, np.flatnonzero(counts == 0))
+        ab = np.insert(ab, at, 0, axis=1)
+        base, scale = np.insert(base, at, 0.0), np.insert(scale, at, 0)
+        counts = np.maximum(counts, 1)
+    return ContractionTable(ab, base, scale, counts.cumsum() - counts)
+
+
+def _nonzeros(A) -> tuple:
+    """The indices of A's nonzero entries in C order, one array per axis,
+    and the entries."""
+    at = (A != 0).ravel().nonzero()[0]  # a boolean scan, well ahead of np.nonzero(A)
+    return (*np.unravel_index(at, A.shape), A.take(at))
+
+
+def _defect_tables(dec) -> DefectTables:
+    """The tables of ``geodesics.gw_defect_all`` and ``oracle.connection_defect``
+    from the nonzero structure constants.  Write cK[i, j, l] = sum_k c[i, j, k]
+    K[k, l] with K the ``module_killing``, so that a metric's Gram matrix
+    is K diag(sigma).  The rows of ``defect_rows`` are s, p, q and w_dot,
+    so v[r d + i] is coordinate i of row r.
+
+    - G_W[w] = sum cK[m_w, j, l] sigma_l s_j s_l + sum cK[i, j, m_w] sigma_{m_w} p_i q_j;
+    - D_m[l] - w_dot_m[l] = sum c[i, m_j, m_l] w_i w_{m_j} over i in k,
+      which is [w_k, w_m]_m, plus the same sum over i in m times
+      sigma_{m_j} / sigma_{m_l}, which is U(w_m, w_m).
+
+    U(X, X)_m = Q (x (x) x) with Q = G_mm^-1 C (see ``metrics``) is
+    Q0[l, a, j] sigma_{m_j} / sigma_{m_l} with Q0 = K_mm^-1 cK[m, m, m], and
+    as B is ad-invariant and the parts B-orthogonal, Q0[l, a, j] =
+    c[m_a, m_j, m_l]: no inverse is formed."""
+    c, d, K = dec.context.structure_constants, dec.context.dim, dec.module_killing
+    m, part = dec.part_indices["m"], dec.part_of
+    dm = len(m)
+    cK = c.reshape(d * d, d).dot(K).reshape(d, d, d)
+    # H0[w, 0, j, l] = cK[m_w, j, l] and H0[w, 1, i, j] = cK[i, j, m_w]: G_W's
+    # operator at sigma = 1, whose nonzeros come out ordered by w
+    H0 = np.empty((dm, 2, d, d))
+    cK.take(m, axis=0, out=H0[:, 0])
+    H0[:, 1] = cK[..., m].transpose(2, 0, 1)
+    w, p, x, y, base = _nonzeros(H0)
+    # s_j s_l on the row 0, p_i q_j on the rows 1 and 2
+    row = p * d
+    gw = _table(w, np.array((row + x, 2 * row + y)), base, part[np.where(p, m[w], y)], dm)
+    # R0[l, i, j] = c[i, m_j, m_l], w_i and w_{m_j} both on the row 0
+    R0 = c.transpose(2, 0, 1).take(m, axis=0).take(m, axis=2)
+    l, i, j, base = _nonzeros(R0)
+    pm = part[m]
+    scale = (pm[j] + 4 * pm[l]) * (part[i] > 0)  # no coefficient on [w_k, w_m]
+    connection = _table(l, np.array((i, m[j])), base, scale, dm)
+    return DefectTables(gw, connection, R0.take(m, axis=1))
 
 
 def _part_block_max(c, part_indices, order) -> np.ndarray:

@@ -10,27 +10,28 @@ gives its exponential at any t.  The Ad spectra are taken at construction;
 the ambient ones on the first ``evaluate``, so a defect sweep that never
 evaluates pays nothing for them.
 
-The velocity and both defects read five rows at t, built by
-``defect_rows``: s, p, s and q of the defect G_W (see ``geodesics``) and
-the velocity derivative w_dot; the velocity w is s.  Each row holds its
-d coordinates and then its m-coordinates.  Ad(exp(-t X_2)) acts first, on
+The velocity and both defects read four rows of d coordinates at t,
+built by ``defect_rows``: s, p and q of the defect G_W (see
+``geodesics``) and the velocity derivative w_dot; the velocity w is s.
+Ad(exp(-t X_2)) acts first, on
 constant vectors, so the rows before the next factor are affine in the
 pairs (cos lam t, sin lam t), the real view of its phase vector
 exp(i lam t).  A real matrix built at construction maps that vector, with
 a last eigenvalue 0 whose pair (1, 0) carries the constant offsets, to
-all five rows: one complex exponential and one product per t.  Each
+all four rows: one complex exponential and one product per t.  Each
 later factor acts on the rows through ``accel.spectral_apply``, in
 O(d^2) per row and t, never forming its d x d matrix.  ``ad_exps`` still
 forms the matrices, uncached, for the identity checks and the tests.
 
-A curve keeps the rows of the last scalar t it was asked for, so
-``gw_defect_all`` and ``connection_defect`` at the same t build them
-once; the kept rows are read-only, and every array a method returns
-belongs to the caller.  Every time-dependent method takes a scalar t or
-a 1-D array of T times by one code path: an array adds a leading time
-axis, giving (T, d) velocities, (T, d, d) Ad-exponentials and a (T, n, n)
-stack of lift matrices, so a whole t-grid is one pass.  Rows at a grid
-are not kept.
+A curve keeps the rows of the last scalar t and those of the last grid,
+so ``gw_defect_all`` and ``connection_defect`` at the same t or grid
+build them once; a grid is kept as a copy and compared by value, so one
+changed in place gets new rows.  The kept rows are read-only, and every
+array a method returns belongs to the caller.  Every time-dependent
+method takes a scalar t or a 1-D array of T times by one code path: an
+array adds a leading time axis, giving (T, d) velocities, (T, d, d)
+Ad-exponentials and a (T, n, n) stack of lift matrices, so a whole
+t-grid is one pass.
 """
 
 from __future__ import annotations
@@ -70,11 +71,9 @@ class ProductExpCurve:
         ad_mats = [ctx.ad_matrix(f.coeffs) for f in self.factors[1:]]
         chol = ctx.killing_chol, ctx.killing_chol_inv
         self._spectra = [_spectrum(A, d, *chol) for A in ad_mats]
-        # each output row: its d coordinates, then its m-coordinates
-        layout = np.concatenate((np.arange(d), dec.part_indices["m"]))
         # With A_q = Ad(exp(-t X_q)), T = A_3 A_2 and x_3 = 0 when r < 3,
         # the rows before A_3 are s = A_2 x_1 + x_2 + x_3, p = s - x_3,
-        # s, q = x_2 + x_3 and w_dot = -A_2 ad(X_2) x_1 - ad(X_3) w_2 with
+        # q = x_2 + x_3 and w_dot = -A_2 ad(X_2) x_1 - ad(X_3) w_2 with
         # w_2 = A_2 x_1 + x_2; A_3 x_3 = x_3 then gives s = TX + TY + Z,
         # p = TX + TY and q = TY + Z.  A_2 v = Re(P (exp(i lam t) * Q v)),
         # and -ad(X_2) x_1 has eigenbasis coordinates i lam Q x_1, so each
@@ -83,29 +82,25 @@ class ProductExpCurve:
         x1, x2, x3 = (f.coeffs for f in (self.factors + [ctx.zero()] * 2)[:3])
         Pu = P * (Q @ x1)
         Pw = Pu * (1j * lam)
-        C = np.array([x2 + x3, x2, x2 + x3, x2 + x3, np.zeros(d)])
+        C = np.array([x2 + x3, x2, x2 + x3, np.zeros(d)])
         if len(self.factors) > 2:
             Pw -= ad_mats[1] @ Pu
-            C[4] = -ad_mats[1] @ x2
-        else:
-            Pu, Pw, C = Pu[layout], Pw[layout], C[:, layout]
+            C[3] = -ad_mats[1] @ x2
         # Re(B e) = Re(B) cos - Im(B) sin, the real view of conj(B) against
         # that of e; c takes the cos slot of the appended phase 1 (lam = 0)
-        M = np.zeros((5, C.shape[1], 2 * d + 2))
-        M[:3, :, :-2] = Pu.conj().view(np.float64)
-        M[4, :, :-2] = Pw.conj().view(np.float64)
+        M = np.zeros((4, d, 2 * d + 2))
+        M[:2, :, :-2] = Pu.conj().view(np.float64)
+        M[3, :, :-2] = Pw.conj().view(np.float64)
         M[:, :, -2] = C
         self._fold = M.reshape(-1, 2 * d + 2).T
         self._ilam = 1j * np.append(lam, 0.0)
-        # A_q for q = 3, ..., r, the last one giving the layout, each with
-        # the next factor's coefficients and ad matrix (None after the last)
+        # A_q for q = 3, ..., r, each with the next factor's coefficients
+        # and ad matrix (None after the last)
         later = self._spectra[1:]
-        if later:
-            P, lam, Q = later[-1]
-            later[-1] = P[layout], lam, Q
         steps = [(f.coeffs, A) for f, A in zip(self.factors[3:], ad_mats[2:])]
         self._later = list(zip(later, steps + [None]))
-        self._kept = (None, None)  # the last scalar t and its read-only rows
+        # the last scalar t and the last grid, each with its read-only rows
+        self._kept = [(None, None), (None, None)]
         self._amb_spectra = None  # built on the first evaluate
 
     @property
@@ -125,31 +120,32 @@ class ProductExpCurve:
         return np.exp(lam_t).view(np.float64)
 
     def defect_rows(self, t) -> np.ndarray:
-        """The rows s, p, s, q and w_dot at t, each its d coordinates and
-        then its m-coordinates: a read-only (5, d + d_m) array, kept until
-        the next scalar t, or a new (T, 5, d + d_m) array at a 1-D array
-        of T times.  s = TX + TY + Z, p = TX + TY and q = TY + Z hold for
-        r <= 3 only (absent factors zero); s is the velocity w at any r."""
-        if accel.is_grid(t):
-            return self._rows(t)
-        t = float(t)
-        if t != self._kept[0]:
-            rows = self._rows(t)
+        """The rows s, p, q and w_dot at t: a read-only (4, d) array, or
+        (T, 4, d) at a 1-D array of T times, kept until the next scalar t
+        or the next grid.  s = TX + TY + Z, p = TX + TY and
+        q = TY + Z hold for r <= 3 only (absent factors zero); s is the
+        velocity w at any r."""
+        grid = accel.is_grid(t)
+        key, rows = self._kept[grid]
+        if not (np.array_equal(key, t) if grid else float(t) == key):
+            # a grid is kept as a copy, so one changed in place misses
+            key = t.copy() if grid else float(t)
+            rows = self._rows(key)
             rows.flags.writeable = False
-            self._kept = t, rows
-        return self._kept[1]
+            self._kept[grid] = key, rows
+        return rows
 
     def _rows(self, t) -> np.ndarray:
         R = self._phase(t) @ self._fold
-        R = R.reshape(R.shape[:-1] + (5, -1))
+        R = R.reshape(R.shape[:-1] + (4, -1))
         # w_q = A_q (w_{q-1} + x_q) as A_q x_q = x_q, and as ad(X_q) commutes
         # with A_q, d/dt w_q = A_q (d/dt w_{q-1} - ad(X_q) w_{q-1})
         for sp, step in self._later:
             R = accel.spectral_apply(*sp, t, R)
             if step is not None:
                 x, ad = step
-                R[..., 4, :] -= R[..., 0, :] @ ad.T
-                R[..., (0, 2), :] += x
+                R[..., 3, :] -= R[..., 0, :] @ ad.T
+                R[..., 0, :] += x
         return R
 
     def evaluate(self, t):
@@ -173,5 +169,5 @@ class ProductExpCurve:
         each Ad factor with d/dt Ad(exp(-t F)) = -ad(F) Ad(exp(-t F)) gives
         w_dot exactly.
         """
-        W = self.defect_rows(t)[..., (0, 4), : self.context.dim]  # a copy
+        W = self.defect_rows(t)[..., (0, 3), :]  # a copy
         return W[..., 0, :], W[..., 1, :]

@@ -8,12 +8,17 @@ A three-factor curve exp(tX)exp(tY)exp(tZ).o is a geodesic iff the defect
 
 vanishes for every W in m and every t, where T(t) = Ad(exp(-tZ)exp(-tY)).
 With s = TX + TY + Z, p = TX + TY and q = TY + Z, [TX, TY+Z] + [TY, Z] is
-[p, q], and G_W over the m-basis is one product of the metric's
-``gw_operator`` H (d_m, 2 d^2) with the stacked outer products
-[s (x) s ; p (x) q]: H[w, j * d + l] = sum_k c[w, j, k] G[k, l] and
-H[w, d^2 + i * d + j] = sum_k c[i, j, k] G[k, w].  The rows s, p, s and q
-come from ``ProductExpCurve.defect_rows``, which keeps them for the last
-scalar t, so ``connection_defect`` at the same t reads them again.
+[p, q], and with G = K diag(sigma) (see ``metrics``) and cK[i, j, l] =
+sum_k c[i, j, k] K[k, l], G_W over the m-basis is
+
+    G_W[w] = sum cK[m_w, j, l] sigma_l s_j s_l + sum cK[i, j, m_w] sigma_{m_w} p_i q_j,
+
+one sparse table of the decomposition (``defect_tables.gw``) with the
+metric's ``gw_values``: each entry multiplies two coordinates of the
+rows s, p and q of ``ProductExpCurve.defect_rows`` and its value, and
+each W sums its run of entries.  The curve keeps the rows of the last
+scalar t and of the last grid, so ``connection_defect`` at the same t
+reads them again.
 
 For a free module m_i, the metrics whose two coefficients other than
 lambda_i are equal form one locus: closed-form case 4 - i, the two-summand
@@ -28,6 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import accel
 from .catalog import _MODULES, ReductiveDecomposition, TwoSummandView
 from .core import (
     AlgebraElement,
@@ -38,20 +44,19 @@ from .core import (
     require_positive_finite,
 )
 from .curves import ProductExpCurve
-from .metrics import DiagonalMetric
+from .metrics import DiagonalMetric, _same_decomposition
 
 
 def gw_defect_all(curve: ProductExpCurve, g: DiagonalMetric, t) -> np.ndarray:
     """G_W(t) for every m-basis vector W at once (vector over m indices),
-    or a (T, d_m) array of them at a 1-D array of T times: one product of
-    the metric's ``gw_operator`` with [s (x) s ; p (x) q], the rows of
-    ``curve.defect_rows``."""
+    or a (T, d_m) array of them at a 1-D array of T times: the
+    decomposition's G_W table at the metric's values on the rows of
+    ``curve.defect_rows``.  A metric of another decomposition is a
+    ContextMismatchError."""
     if len(curve.factors) > 3:
         raise ValueError("defect formula supports at most three factors")
-    d = curve.context.dim
-    rows = curve.defect_rows(t)
-    ab = rows[..., :2, :d, None] * rows[..., 2:4, None, :d]
-    return ab.reshape(ab.shape[:-3] + (-1,)) @ g.gw_operator.T
+    _same_decomposition(g, curve.dec)
+    return accel.contract(curve.defect_rows(t), g.dec.defect_tables.gw, g.gw_values)
 
 
 def gw_defect(curve: ProductExpCurve, g: DiagonalMetric, W: AlgebraElement, t: float) -> float:

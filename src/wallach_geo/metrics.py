@@ -5,17 +5,25 @@ Gram matrix G is the decomposition's ``module_killing`` (-B on the module
 blocks) with each column scaled by its module's coefficient, so the inner
 product of two elements automatically discards k-components.
 
-Three operators, each built on first use, turn the Levi-Civita terms into
-one product each (d = dim g, d_m = dim m, indices of m in its basis order):
+With sigma the coefficient of each basis vector's module, G = K diag(sigma)
+for K the ``module_killing``.  The decomposition's ``defect_tables``,
+built once per space, hold every Levi-Civita term as a sparse table of
+base values (see ``catalog.ContractionTable``); a metric supplies only
+each entry's sigma ratio, built on first use (d_m = dim m, indices of m
+in its basis order):
 
-- ``u_operator`` Q (d_m, d_m^2): U(x, x)_m = Q (x_m (x) x_m), with
-  Q[l, i * d_m + j] = sum over a, k in m of G^-1[l, a] c[a, i, k] G[k, j];
-- ``gw_operator`` H (d_m, 2 d^2): G_W = H [s (x) s ; p (x) q] over the
-  m-basis W (see ``geodesics``), with H[w, j * d + l] = sum_k c[w, j, k]
-  G[k, l] and H[w, d^2 + i * d + j] = sum_k c[i, j, k] G[k, w];
-- ``connection_operator`` R (d_m, d d_m): D_m = w_dot_m + R (w (x) w_m)
-  (see ``oracle``), with R[l, i * d_m + j] = c[i, m_j, m_l] for i in k and
-  R[l, m_a * d_m + j] = Q[l, a * d_m + j].
+- ``gw_values`` and ``connection_values``: each table's base values times
+  sigma_p / sigma_q, the entries of G_W (see ``geodesics``) and of the
+  connection defect D (see ``oracle``);
+- ``u_operator`` Q (d_m, d_m^2), which shooting reads: U(x, x)_m =
+  Q (x_m (x) x_m), with Q[l, a * d_m + j] = c[m_a, m_j, m_l]
+  sigma_{m_j} / sigma_{m_l}, the decomposition's Q0 rescaled.  This is
+  G_mm^-1 C, C[j, (i, l)] = sum over k in m of c[m_j, m_i, m_k] G[k, l],
+  as B is ad-invariant and the parts are B-orthogonal.
+
+A metric is tied to its decomposition: the defects and the shot refuse
+a metric of another one (``ContextMismatchError``), whose tables would
+index another space's values.
 """
 
 from __future__ import annotations
@@ -25,7 +33,7 @@ import functools
 import numpy as np
 
 from . import accel
-from .catalog import _MODULES, ReductiveDecomposition
+from .catalog import ReductiveDecomposition
 from .core import AlgebraElement, ContextMismatchError, require_positive_finite
 
 
@@ -39,12 +47,10 @@ class DiagonalMetric:
         self.lambdas = (l1, l2, l3)
         # G is -B on the block of m_i times lambda_i: ``module_killing`` with
         # each column scaled by its module's coefficient (0 on k)
-        scale = np.zeros(dec.context.dim)
-        for lam, part in zip(self.lambdas, _MODULES):
-            scale[dec.part_indices[part]] = lam
-        self.gram_full = dec.module_killing * scale
+        self._scale = np.array((0.0,) + self.lambdas)[dec.part_of]
+        self.gram_full = dec.module_killing * self._scale
         self.m_indices = dec.part_indices["m"]
-        self.gram = self.gram_full[self.m_indices][:, self.m_indices]
+        self.gram = self.gram_full[self.m_indices[:, None], self.m_indices]
 
     @property
     def context(self):
@@ -52,31 +58,37 @@ class DiagonalMetric:
 
     @functools.cached_property
     def u_operator(self) -> np.ndarray:
-        """Q = G^-1 C of shape (d_m, d_m^2), C[j, (i, l)] = sum_k c[j, i, k] G[k, l]
-        over m, so that U(X, Y)_m = 0.5 Q (x_m (x) y_m + y_m (x) x_m); built on
+        """Q of the module docstring, (d_m, d_m^2): the decomposition's Q0
+        with entry (l, a, j) scaled by sigma_{m_j} / sigma_{m_l}; built on
         first use."""
-        dm = len(self.m_indices)
-        # an explicit inverse and one GEMM: a solve with d_m^2 right-hand sides
-        # costs several times more
-        return np.linalg.inv(self.gram) @ (self.dec.c_mmm @ self.gram).reshape(dm, dm * dm)
+        s = self._scale.take(self.m_indices)
+        return (self.dec.defect_tables.q0 * (s / s[:, None])[:, None]).reshape(len(s), -1)
 
     @functools.cached_property
-    def gw_operator(self) -> np.ndarray:
-        """H of the module docstring; built on first use."""
-        c, G, mi = self.context.structure_constants, self.gram_full, self.m_indices
-        d = len(G)
-        return np.hstack(((c[mi] @ G).reshape(len(mi), d * d), (c.reshape(d * d, d) @ G[:, mi]).T))
+    def gw_values(self) -> np.ndarray:
+        """The values of the decomposition's G_W table at this metric."""
+        return self._values(self.dec.defect_tables.gw)
 
     @functools.cached_property
-    def connection_operator(self) -> np.ndarray:
-        """R of the module docstring: the decomposition's ``c_kmm`` on the k
-        rows of w, ``u_operator`` on its m rows."""
-        k, mi = self.dec.part_indices["k"], self.m_indices
-        dm = len(mi)
-        R = np.empty((dm, self.context.dim, dm))
-        R[:, k] = self.dec.c_kmm
-        R[:, mi] = self.u_operator.reshape(dm, dm, dm)
-        return R.reshape(dm, -1)
+    def connection_values(self) -> np.ndarray:
+        """The values of the decomposition's connection table at this metric."""
+        return self._values(self.dec.defect_tables.connection)
+
+    @functools.cached_property
+    def _ratios(self) -> np.ndarray:
+        # sigma_p / sigma_q at p + 4 q, the part k (p or q = 0) standing for 1
+        s = np.array((1.0,) + self.lambdas)
+        return (s / s[:, None]).ravel()
+
+    def _values(self, table) -> np.ndarray:
+        return table.base * self._ratios.take(table.scale)
+
+
+def _same_decomposition(g: DiagonalMetric, dec: ReductiveDecomposition) -> None:
+    if g.dec is not dec:
+        raise ContextMismatchError(
+            f"the metric belongs to another decomposition: {g.dec.name!r} vs {dec.name!r}"
+        )
 
 
 def inner(g: DiagonalMetric, X: AlgebraElement, Y: AlgebraElement) -> float:

@@ -3,13 +3,18 @@
 The connection defect evaluates the body-frame covariant derivative
 D(t) = v_dot + [w_k, v] + U(v, v) along a lifted curve, v = w_m; it
 vanishes iff the curve is a geodesic, and <W, D(t)> must reproduce the
-defect G_W of ``geodesics`` for every W.  D_m = w_dot_m + R (w (x) w_m) is
-one product with the metric's ``connection_operator`` R (d_m, d d_m):
-R[l, i * d_m + j] = c[i, m_j, m_l] for i in k and
-R[l, m_a * d_m + j] = Q[l, a * d_m + j] (``u_operator``) for i = m_a.
-w, w_m and w_dot_m are read from ``ProductExpCurve.defect_rows``, the
-rows ``gw_defect_all`` reads too; the curve keeps them for the last
-scalar t, not for a grid, and D is a new array either way.
+defect G_W of ``geodesics`` for every W.  D_m = w_dot_m + [w_k, w_m]_m
++ U(w_m, w_m) is one sparse table of the decomposition
+(``defect_tables.connection``) with the metric's ``connection_values``:
+
+    D_m[l] - w_dot_m[l] = sum c[i, m_j, m_l] w_i w_{m_j}, times
+    sigma_{m_j} / sigma_{m_l} for i in m,
+
+as U(X, X)_m = Lambda^-1 [X, Lambda X]_m for the metric -B(Lambda ., .)
+(see ``metrics``).  w and w_dot_m are read from
+``ProductExpCurve.defect_rows``, the rows ``gw_defect_all`` reads too;
+the curve keeps them for the last scalar t and the last grid, and D is
+a new array either way.
 
 Geodesic shooting integrates the same equation forward with RK4 as a
 second, fully independent check, on bare arrays, and returns the lifts and
@@ -37,23 +42,31 @@ import numpy as np
 
 from . import accel
 from .catalog import ReductiveDecomposition, StructureReport
-from .core import AlgebraElement, IntegrationFailureError, OutOfChartError, killing_norm
+from .core import (
+    AlgebraElement,
+    ContextMismatchError,
+    IntegrationFailureError,
+    OutOfChartError,
+    killing_norm,
+)
 from .curves import ProductExpCurve
-from .metrics import DiagonalMetric
+from .metrics import DiagonalMetric, _same_decomposition
 
 
 def connection_defect(curve: ProductExpCurve, g: DiagonalMetric, t):
     """D(t) in m; the curve is a geodesic iff D vanishes identically.
 
     An AlgebraElement at a scalar t, a (T, d) array of coefficient vectors
-    at a 1-D array of T times.
+    at a 1-D array of T times.  A metric of another decomposition is a
+    ContextMismatchError.
     """
-    # w is the row s of ``curve.defect_rows``; each row ends in its m-coordinates
-    rows, d = curve.defect_rows(t), curve.context.dim
-    w, w_m, wdot_m = rows[..., 0, :d], rows[..., 0, d:], rows[..., 4, d:]
-    D = np.zeros(w.shape)
-    # D_m = w_dot_m + [w_k, w_m]_m + U(w_m, w_m): one product with the metric's operator
-    D[..., g.m_indices] = wdot_m + accel.outer_flat(w, w_m) @ g.connection_operator.T
+    _same_decomposition(g, curve.dec)
+    rows, mi = curve.defect_rows(t), g.m_indices
+    # D_m = w_dot_m + [w_k, w_m]_m + U(w_m, w_m)
+    Dm = rows[..., 3, :].take(mi, axis=-1)
+    Dm += accel.contract(rows, g.dec.defect_tables.connection, g.connection_values)
+    D = np.zeros(rows.shape[:-2] + (curve.context.dim,))
+    D.T[mi] = Dm.T  # the m columns; D[..., mi] costs more at a scalar t
     return D if accel.is_grid(t) else AlgebraElement(curve.context, D)
 
 
@@ -136,10 +149,15 @@ def shoot_geodesic(
     drifts off the group by rounding, so a last Newton-Schulz step returns
     each lift to it; a chunk starts from its predecessor's projected last
     lift.  A Phi_k too far from orthogonal for the iteration to converge
-    is reported at its step, after any overflow or energy drift.
+    is reported at its step, after any overflow or energy drift.  A metric
+    of another decomposition, or a v0 of another context, is a
+    ContextMismatchError.
     """
     if steps < 10:
         raise ValueError("steps must be at least 10")
+    _same_decomposition(g, dec)
+    if v0.context is not dec.context:
+        raise ContextMismatchError("v0 does not belong to the decomposition's context")
     ctx = dec.context
     mi = g.m_indices
     n = ctx.ambient_size

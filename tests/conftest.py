@@ -37,6 +37,26 @@ def counterexample_swapped(dec_builder=build_so_blocks, args=(2, 2, 2)):
     return ReductiveDecomposition(ctx, parts, verify=False)
 
 
+def rotated(dec, seed):
+    """``dec`` with each part's basis rotated by a random orthogonal matrix,
+    which makes c dense."""
+    rng, basis = make_rng(seed), dec.context.basis.copy()
+    parts = {p: dec.part_indices[p] for p in ("k", "m1", "m2", "m3")}
+    for ix in parts.values():
+        Q = np.linalg.qr(rng.standard_normal((len(ix), len(ix))))[0]
+        basis[ix] = np.tensordot(Q, basis[ix], axes=1)
+    return ReductiveDecomposition(AlgebraContext(dec.name + " rotated", basis), parts)
+
+
+def sheared(dec):
+    """``dec`` with its first m1 vector sheared into the second, e_1 ->
+    e_1 + e_2 / 2, which makes a module_killing block not diagonal."""
+    ix, basis = dec.part_indices, dec.context.basis.copy()
+    basis[ix["m1"][0]] += 0.5 * basis[ix["m1"][1]]
+    parts = {p: ix[p] for p in ("k", "m1", "m2", "m3")}
+    return ReductiveDecomposition(AlgebraContext(dec.name + " sheared", basis), parts)
+
+
 @pytest.fixture(scope="session")
 def spaces():
     """All catalog spaces, built once per test session."""

@@ -8,13 +8,16 @@ import pytest
 from wallach_geo import (
     AlgebraContext,
     DegenerateSpaceError,
+    DiagonalMetric,
     GroupingInvalidError,
+    ProductExpCurve,
     ReductiveDecomposition,
     SpaceDefinitionError,
     TwoSummandView,
     build_product_spheres,
     build_so_blocks,
     build_stiefel,
+    connection_defect,
     load_space_json,
     verify_fibration,
     verify_structure,
@@ -242,8 +245,8 @@ def test_part_block_residuals_match_basis_pair_scan(spaces):
 
 
 def test_part_tables_match_their_gathered_definitions(spaces):
-    """module_killing, c_mmm, c_kmm and the B-orthogonality residual equal,
-    bit for bit, the np.ix_ gathers that define them: on every catalog space
+    """module_killing and the B-orthogonality residual equal, bit for bit,
+    the np.ix_ gathers that define them: on every catalog space
     (so-blocks(1,1,1) has an empty k), on scattered parts and on parts that
     are not B-orthogonal."""
     swapped = counterexample_swapped()
@@ -257,19 +260,31 @@ def test_part_tables_match_their_gathered_definitions(spaces):
     assert verify_structure(leaked).checks[0].max_residual > 0.1
     for dec in [*spaces.values(), swapped, *scattered, leaked]:
         ctx, ix = dec.context, dec.part_indices
-        c, K, k, m = ctx.structure_constants, ctx.killing, ix["k"], ix["m"]
+        K = ctx.killing
         module_killing = np.zeros((ctx.dim, ctx.dim))
         for p in PARTS[1:]:
             module_killing[np.ix_(ix[p], ix[p])] = -K[np.ix_(ix[p], ix[p])]
         assert dec.module_killing.tobytes() == module_killing.tobytes(), dec.name
-        c_mmm = c[np.ix_(m, m, m)].reshape(len(m) ** 2, len(m))
-        assert dec.c_mmm.tobytes() == c_mmm.tobytes(), dec.name
-        c_kmm = c[np.ix_(k, m, m)].transpose(2, 0, 1)
-        assert dec.c_kmm.shape == c_kmm.shape and dec.c_kmm.tobytes() == c_kmm.tobytes()
         ortho = max((np.abs(K[np.ix_(ix[a], ix[b])]).max()
                      for q, a in enumerate(PARTS) for b in PARTS[q + 1:]
                      if len(ix[a]) and len(ix[b])), default=0.0)
         assert verify_structure(dec).checks[0].max_residual == ortho, dec.name
+
+
+def test_connection_output_with_no_entry_is_w_dot(spaces):
+    """so(3) split as k = span(e_1, e_2), m1 = span(e_3) (k is not a
+    subalgebra) has no c[i, m_j, m_l] != 0: the one output of the
+    connection table gets a zero entry, and D_m is w_dot_m."""
+    ix = spaces["so-blocks(1,1,1)"].part_indices
+    ctx = spaces["so-blocks(1,1,1)"].context
+    split = ReductiveDecomposition(
+        ctx, {"k": [*ix["m1"], *ix["m2"]], "m1": ix["m3"], "m2": [], "m3": []}, verify=False
+    )
+    assert split.defect_tables.connection.base.tolist() == [0.0]
+    rng = make_rng(21)
+    curve = ProductExpCurve(split, [ctx.element(rng.standard_normal(3)) for _ in range(2)])
+    D = connection_defect(curve, DiagonalMetric(split, (1.0, 2.0, 3.0)), 0.4)
+    assert np.array_equal(D.coeffs, curve.body_velocity(0.4)[1] * split.part_masks["m"])
 
 
 def _skew(N, a, b):

@@ -2,6 +2,8 @@
 leading time axis, and shooting on bare arrays reproduces the
 element-wise RK4."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from wallach_geo import (
     GroupElement,
     OutOfChartError,
     ProductExpCurve,
+    build_so_blocks,
     closed_form_geodesic,
     connection_defect,
     coset_distance,
@@ -22,7 +25,7 @@ from wallach_geo import (
 )
 from wallach_geo.catalog import ReductiveDecomposition, _find_commuting_pairs
 from wallach_geo.oracle import _polar_orthonormalize
-from .conftest import make_rng
+from .conftest import make_rng, rotated
 
 GRID = np.linspace(0.0, 2.0, 21)
 
@@ -102,7 +105,8 @@ def test_grid_defects_match_per_t_calls(spaces):
 
 def test_defects_at_one_t_form_the_phase_vector_once(stiefel3, monkeypatch):
     """G_W then D at one scalar t form the first factor's phase vector
-    exp(i lam t) once; a new t and each grid call form it again."""
+    exp(i lam t) once, and so do G_W then D on one grid; a new t and a new
+    grid form it again."""
     calls = []
     phase = ProductExpCurve._phase
     monkeypatch.setattr(ProductExpCurve, "_phase", lambda self, t: calls.append(t) or phase(self, t))
@@ -119,7 +123,57 @@ def test_defects_at_one_t_form_the_phase_vector_once(stiefel3, monkeypatch):
         connection_defect(curve, g, 0.9)
         gw_defect_all(curve, g, GRID)
         connection_defect(curve, g, GRID)
-        assert len(calls) == 4
+        assert len(calls) == 3
+
+
+def test_defects_on_one_grid_build_its_rows_once(stiefel3, monkeypatch):
+    """G_W then D on one grid build the curve's rows once, and keep them
+    read-only; the same grid changed in place builds them again, giving a
+    fresh curve's values."""
+    calls = []
+    rows = ProductExpCurve._rows
+    monkeypatch.setattr(ProductExpCurve, "_rows", lambda self, t: calls.append(t) or rows(self, t))
+    rng = make_rng(505)
+    curve = ProductExpCurve(stiefel3, [stiefel3.random_module_vector("m", rng) for _ in range(3)])
+    g = DiagonalMetric(stiefel3, (1.0, 1.4, 0.7))
+    grid = GRID.copy()
+    gw_defect_all(curve, g, grid)
+    connection_defect(curve, g, grid)
+    assert len(calls) == 1
+    assert not curve.defect_rows(grid).flags.writeable
+    grid[3] += 0.05
+    gw, D = gw_defect_all(curve, g, grid), connection_defect(curve, g, grid)
+    assert len(calls) == 2
+    ref = ProductExpCurve(stiefel3, curve.factors)
+    assert np.array_equal(gw, gw_defect_all(ref, g, grid))
+    assert np.array_equal(D, connection_defect(ref, g, grid))
+
+
+def test_a_new_metric_builds_no_dense_operator(spaces):
+    """On so-blocks(5,5,5) (d = 105, d_m = 75), once its tables are built,
+    a second metric's curve and both defects on the grid peak under half
+    the memory of the dense G_W operator (d_m x 2 d^2 floats, 13.2 MB); on a
+    rotated basis, where c is dense, no table holds more entries than its
+    dense operator."""
+    dec = build_so_blocks(5, 5, 5)
+    d, dm = dec.context.dim, len(dec.part_indices["m"])
+    rng = make_rng(506)
+    draws = [dec.random_module_vector(p, rng) for p in ("m1", "m2", "m3")]
+    curve, g = closed_form_geodesic(dec, 1, *draws, 0.5)
+    gw_defect_all(curve, g, GRID)
+    connection_defect(curve, g, GRID)
+    draws = [dec.random_module_vector(p, rng) for p in ("m1", "m2", "m3")]
+    tracemalloc.start()
+    curve, g = closed_form_geodesic(dec, 2, *draws, 1.5)
+    gw, D = gw_defect_all(curve, g, GRID), connection_defect(curve, g, GRID)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert peak < dm * 2 * d * d * 8 / 2
+    assert np.abs(gw).max() < 1e-9 and np.abs(D).max() < 1e-9
+    tables = rotated(spaces["so-blocks(2,2,2)"], 160).defect_tables
+    d, dm = 15, 12
+    assert len(tables.gw.base) <= dm * 2 * d * d
+    assert len(tables.connection.base) <= dm * d * dm
 
 
 def test_grid_coset_distances_match_per_pair(spaces):

@@ -5,10 +5,12 @@ import pytest
 from scipy.linalg import expm
 
 from wallach_geo import (
+    ContextMismatchError,
     DiagonalMetric,
     IntegrationFailureError,
     OutOfChartError,
     ProductExpCurve,
+    build_so_blocks,
     closed_form_geodesic,
     connection_defect,
     coset_distance,
@@ -21,7 +23,7 @@ from wallach_geo import (
 )
 from wallach_geo import oracle
 from wallach_geo.metrics import u_coeffs
-from .conftest import make_rng
+from .conftest import make_rng, rotated, sheared
 
 
 def _draws(dec, seed):
@@ -81,10 +83,18 @@ def test_defects_match_pade_reference_on_non_geodesics(spaces):
     """gw_defect_all, gw_defect and connection_defect reproduce the scipy
     Pade formulas to 1e-12 relative on one-, two- and three-factor curves
     whose defects are far from zero, on a two-factor curve whose second
-    factor is zero (the c = 1 closed form) and on the 21-point grid."""
+    factor is zero (the c = 1 closed form) and on the 21-point grid: on
+    every catalog space, on so-blocks(2,2,2) in a rotated basis (dense c)
+    and in a sheared one (a module_killing block that is not diagonal)."""
     rng = make_rng(16)
     grid = np.linspace(0.0, 2.0, 21)
-    for dec in spaces.values():
+    so222 = spaces["so-blocks(2,2,2)"]
+    rebased = [rotated(so222, 160), sheared(so222)]
+    nonzero = [np.count_nonzero(q.context.structure_constants) for q in (so222, rebased[0])]
+    assert nonzero[1] >= 5 * nonzero[0]
+    ix = rebased[1].part_indices["m1"]
+    assert rebased[1].module_killing[ix[0], ix[1]] != 0
+    for dec in [*spaces.values(), *rebased]:
         mi = dec.part_indices["m"]
         factors = [[dec.random_module_vector("m", rng) for _ in range(r)] for r in (2, 3)]
         if dec.name != "product-spheres":  # there every exp(tX) is a geodesic
@@ -107,6 +117,26 @@ def test_defects_match_pade_reference_on_non_geodesics(spaces):
             gw_ref, D_ref = (np.array(q) for q in zip(*(_reference_defects(curve, g, t) for t in grid)))
             assert np.abs(gw_defect_all(curve, g, grid) - gw_ref).max() <= 1e-12 * np.abs(gw_ref).max()
             assert np.abs(connection_defect(curve, g, grid) - D_ref).max() <= 1e-12 * np.abs(D_ref).max()
+
+
+def test_metric_or_velocity_of_another_decomposition_is_refused(stiefel3):
+    """so-blocks(1,1,3) has stiefel(3)'s d = 10 and d_m = 7, so its metric
+    and velocities fit every array shape; the defects and the shot refuse
+    them."""
+    other = build_so_blocks(1, 1, 3)
+    draws = _draws(stiefel3, 19)
+    curve, g = closed_form_geodesic(stiefel3, 1, *draws, 0.5)
+    assert np.abs(gw_defect_all(curve, g, 0.7)).max() < 1e-12
+    g_other = DiagonalMetric(other, g.lambdas)
+    v0 = draws[0] + draws[1] + draws[2]
+    for call in (
+        lambda: gw_defect_all(curve, g_other, 0.7),
+        lambda: connection_defect(curve, g_other, 0.7),
+        lambda: shoot_geodesic(stiefel3, g_other, v0, 1.0, 20),
+        lambda: shoot_geodesic(stiefel3, g, other.random_module_vector("m", make_rng(20)), 1.0, 20),
+    ):
+        with pytest.raises(ContextMismatchError):
+            call()
 
 
 def test_defect_vanishes_on_biinvariant_single_exponential(stiefel3):
