@@ -139,7 +139,7 @@ class ReductiveDecomposition:
 
     @functools.cached_property
     def defect_tables(self) -> DefectTables:
-        """The sparse tables of both geodesic defects and the dense Q0 of
+        """The sparse table of both geodesic defects and the dense Q0 of
         ``metrics.DiagonalMetric.u_operator``; built on first use."""
         return _defect_tables(self)
 
@@ -158,7 +158,9 @@ class ContractionTable(NamedTuple):
     A metric's value[e] is base[e] sigma_p / sigma_q with scale[e] =
     p + 4 q, where p and q are the parts (``_PARTS`` positions) of the
     basis indices whose module coefficients sigma scale the entry, and
-    part 0 (k) stands for no coefficient: sigma_0 = 1."""
+    part 0 (k) stands for no coefficient: sigma_0 = 1.  Every output has
+    at least one entry, as each run of ``np.add.reduceat`` must hold one;
+    an output with nothing to sum has one entry of base 0."""
 
     ab: np.ndarray
     base: np.ndarray
@@ -167,10 +169,12 @@ class ContractionTable(NamedTuple):
 
 
 class DefectTables(NamedTuple):
-    """A decomposition's G_W and connection tables, and Q0 (d_m, d_m, d_m)."""
+    """A decomposition's defect table and Q0 (d_m, d_m, d_m).  The table's
+    first d_m outputs are G_W over the m-basis (``geodesics``), its last d
+    the connection defect D less w_dot_m over the whole basis (``oracle``),
+    0 on k."""
 
-    gw: ContractionTable
-    connection: ContractionTable
+    table: ContractionTable
     q0: np.ndarray
 
 
@@ -187,49 +191,59 @@ def _table(out, ab, base, scale, n_out) -> ContractionTable:
     return ContractionTable(ab, base, scale, counts.cumsum() - counts)
 
 
-def _nonzeros(A) -> tuple:
-    """The indices of A's nonzero entries in C order, one array per axis,
-    and the entries."""
-    at = (A != 0).ravel().nonzero()[0]  # a boolean scan, well ahead of np.nonzero(A)
-    return (*np.unravel_index(at, A.shape), A.take(at))
-
-
 def _defect_tables(dec) -> DefectTables:
-    """The tables of ``geodesics.gw_defect_all`` and ``oracle.connection_defect``
+    """The table of ``geodesics.gw_defect_all`` and ``oracle.connection_defect``
     from the nonzero structure constants.  Write cK[i, j, l] = sum_k c[i, j, k]
     K[k, l] with K the ``module_killing``, so that a metric's Gram matrix
     is K diag(sigma).  The rows of ``defect_rows`` are s, p, q and w_dot,
     so v[r d + i] is coordinate i of row r.
 
-    - G_W[w] = sum cK[m_w, j, l] sigma_l s_j s_l + sum cK[i, j, m_w] sigma_{m_w} p_i q_j;
-    - D_m[l] - w_dot_m[l] = sum c[i, m_j, m_l] w_i w_{m_j} over i in k,
-      which is [w_k, w_m]_m, plus the same sum over i in m times
-      sigma_{m_j} / sigma_{m_l}, which is U(w_m, w_m).
+    - output w < d_m: G_W[w] = sum cK[m_w, j, l] sigma_l s_j s_l
+      + sum cK[i, j, m_w] sigma_{m_w} p_i q_j;
+    - output d_m + m_l: D_m[l] - w_dot_m[l] = sum c[i, m_j, m_l] w_i w_{m_j}
+      over i in k, which is [w_k, w_m]_m, plus the same sum over i in m
+      times sigma_{m_j} / sigma_{m_l}, which is U(w_m, w_m);
+    - output d_m + i for i in k: 0.
 
     U(X, X)_m = Q (x (x) x) with Q = G_mm^-1 C (see ``metrics``) is
     Q0[l, a, j] sigma_{m_j} / sigma_{m_l} with Q0 = K_mm^-1 cK[m, m, m], and
     as B is ad-invariant and the parts B-orthogonal, Q0[l, a, j] =
     c[m_a, m_j, m_l]: no inverse is formed."""
     c, d, K = dec.context.structure_constants, dec.context.dim, dec.module_killing
-    m, part = dec.part_indices["m"], dec.part_of
+    m, k, part = dec.part_indices["m"], dec.part_indices["k"], dec.part_of
     dm = len(m)
     cK = c.reshape(d * d, d).dot(K).reshape(d, d, d)
     # H0[w, 0, j, l] = cK[m_w, j, l] and H0[w, 1, i, j] = cK[i, j, m_w]: G_W's
-    # operator at sigma = 1, whose nonzeros come out ordered by w
+    # operator at sigma = 1, whose nonzeros come out ordered by w; as
+    # (d_m, 2d, d), entry (w, pd + x, y) multiplies s_x s_y (p = 0) or p_x q_y
     H0 = np.empty((dm, 2, d, d))
     cK.take(m, axis=0, out=H0[:, 0])
     H0[:, 1] = cK[..., m].transpose(2, 0, 1)
-    w, p, x, y, base = _nonzeros(H0)
-    # s_j s_l on the row 0, p_i q_j on the rows 1 and 2
-    row = p * d
-    gw = _table(w, np.array((row + x, 2 * row + y)), base, part[np.where(p, m[w], y)], dm)
-    # R0[l, i, j] = c[i, m_j, m_l], w_i and w_{m_j} both on the row 0
-    R0 = c.transpose(2, 0, 1).take(m, axis=0).take(m, axis=2)
-    l, i, j, base = _nonzeros(R0)
-    pm = part[m]
-    scale = (pm[j] + 4 * pm[l]) * (part[i] > 0)  # no coefficient on [w_k, w_m]
-    connection = _table(l, np.array((i, m[j])), base, scale, dm)
-    return DefectTables(gw, connection, R0.take(m, axis=1))
+    H0 = H0.reshape(dm, 2 * d, d)
+    gw_at = (H0 != 0).ravel().nonzero()[0]  # a boolean scan, well ahead of np.nonzero(H0)
+    w, px, y = np.unravel_index(gw_at, H0.shape)
+    p = px >= d
+    # R0[o, i, j] = c[i, m_j, o] over the whole basis, w_i and w_{m_j} both
+    # on the row 0; a row o in k holds only a mark at (m_0, 0) while it is
+    # scanned, the place of its one entry, whose product w_{m_0}^2 is >= 0
+    R0 = np.ascontiguousarray(c.take(m, axis=1).transpose(2, 0, 1))
+    q0 = R0.take(m, axis=0).take(m, axis=1)
+    mark = np.zeros((d, dm))
+    mark[m[0], 0] = 1.0
+    R0[k] = mark
+    d_at = (R0 != 0).ravel().nonzero()[0]
+    R0[k] = 0.0
+    o, i, j = np.unravel_index(d_at, R0.shape)
+    mj = m[j]
+    table = _table(
+        np.concatenate((w, dm + o)),
+        np.concatenate((np.array((px, y + 2 * d * p)), np.array((i, mj))), axis=1),
+        np.concatenate((H0.take(gw_at), R0.take(d_at))),
+        # no coefficient on [w_k, w_m]
+        np.concatenate((part[np.where(p, m[w], y)], (part[mj] + 4 * part[o]) * (part[i] > 0))),
+        dm + d,
+    )
+    return DefectTables(table, q0)
 
 
 def _part_block_max(c, part_indices, order) -> np.ndarray:

@@ -156,7 +156,8 @@ def resolve_space(tokens):
         return load_space_json(joined, tol_structural=tol)
     norm = re.sub(r"[(),]", " ", joined).strip().lower()
     name, digits = re.fullmatch(r"(.*?)([\d\s-]*)", norm, re.S).groups()
-    sizes = [int(q) for q in re.findall(r"\d+", digits)]
+    # a "-" after a space is a minus sign, one after a digit or the name a separator
+    sizes = [int(q) for q in re.findall(r"(?:(?<=\s)-)?\d+", digits)]
     build, needs, listed = CATALOG.get(name, (None, None, ()))
     if build and len(sizes) == len(listed):
         return build(*sizes, tol_structural=tol)

@@ -24,10 +24,13 @@ O(d^2) per row and t, never forming its d x d matrix.  ``ad_exps`` still
 forms the matrices, uncached, for the identity checks and the tests.
 
 A curve keeps the rows of the last scalar t and those of the last grid,
-so ``gw_defect_all`` and ``connection_defect`` at the same t or grid
-build them once; a grid is kept as a copy and compared by value, so one
-changed in place gets new rows.  The kept rows are read-only, and every
-array a method returns belongs to the caller.  Every time-dependent
+each with the contraction of the decomposition's defect table on them
+(``defects``) for the last metric object that asked, so
+``gw_defect_all`` and ``connection_defect`` at the same t or grid build
+the rows and contract the table once; a grid is kept as a copy and
+compared by value, so one changed in place gets new rows.  The kept
+arrays are read-only, and every array the defects return belongs to the
+caller.  Every time-dependent
 method takes a scalar t or a 1-D array of T times by one code path: an
 array adds a leading time axis, giving (T, d) velocities, (T, d, d)
 Ad-exponentials and a (T, n, n) stack of lift matrices, so a whole
@@ -100,7 +103,8 @@ class ProductExpCurve:
         steps = [(f.coeffs, A) for f, A in zip(self.factors[3:], ad_mats[2:])]
         self._later = list(zip(later, steps + [None]))
         # the last scalar t and the last grid, each with its read-only rows
-        self._kept = [(None, None), (None, None)]
+        # and the defects of the last metric on them
+        self._kept = [[None] * 4, [None] * 4]
         self._amb_spectra = None  # built on the first evaluate
 
     @property
@@ -125,15 +129,32 @@ class ProductExpCurve:
         or the next grid.  s = TX + TY + Z, p = TX + TY and
         q = TY + Z hold for r <= 3 only (absent factors zero); s is the
         velocity w at any r."""
+        return self._keep(t)[1]
+
+    def defects(self, g, t) -> np.ndarray:
+        """The decomposition's defect table (``catalog.DefectTables``) at the
+        metric g's values on the rows at t: a read-only (d_m + d,) array of
+        G_W over m, then D - w_dot_m over the basis, or (T, d_m + d) at a
+        1-D array of T times; kept with the rows for the last metric
+        object that asked."""
+        kept = self._keep(t)
+        if kept[2] is not g:
+            out = accel.contract(kept[1], self.dec.defect_tables.table, g.defect_values)
+            out.flags.writeable = False
+            kept[2:] = g, out
+        return kept[3]
+
+    def _keep(self, t) -> list:
+        # [t, rows, metric, defects] kept for the last scalar t or grid
         grid = accel.is_grid(t)
-        key, rows = self._kept[grid]
-        if not (np.array_equal(key, t) if grid else float(t) == key):
+        kept = self._kept[grid]
+        if not (np.array_equal(kept[0], t) if grid else float(t) == kept[0]):
             # a grid is kept as a copy, so one changed in place misses
             key = t.copy() if grid else float(t)
             rows = self._rows(key)
             rows.flags.writeable = False
-            self._kept[grid] = key, rows
-        return rows
+            kept = self._kept[grid] = [key, rows, None, None]
+        return kept
 
     def _rows(self, t) -> np.ndarray:
         R = self._phase(t) @ self._fold

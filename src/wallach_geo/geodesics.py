@@ -13,12 +13,14 @@ sum_k c[i, j, k] K[k, l], G_W over the m-basis is
 
     G_W[w] = sum cK[m_w, j, l] sigma_l s_j s_l + sum cK[i, j, m_w] sigma_{m_w} p_i q_j,
 
-one sparse table of the decomposition (``defect_tables.gw``) with the
-metric's ``gw_values``: each entry multiplies two coordinates of the
-rows s, p and q of ``ProductExpCurve.defect_rows`` and its value, and
-each W sums its run of entries.  The curve keeps the rows of the last
-scalar t and of the last grid, so ``connection_defect`` at the same t
-reads them again.
+the first d_m outputs of the decomposition's one sparse defect table
+(``defect_tables.table``) at the metric's ``defect_values``: each entry
+multiplies two coordinates of the rows s, p and q of
+``ProductExpCurve.defect_rows`` and its value, and each W sums its run
+of entries.  The table's other outputs are the connection defect of
+``oracle``, so ``ProductExpCurve.defects`` contracts it once for both,
+and the curve keeps that contraction with the rows of the last scalar t
+and of the last grid; ``gw_defect_all`` returns a copy of its part.
 
 For a free module m_i, the metrics whose two coefficients other than
 lambda_i are equal form one locus: closed-form case 4 - i, the two-summand
@@ -33,7 +35,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import accel
 from .catalog import _MODULES, ReductiveDecomposition, TwoSummandView
 from .core import (
     AlgebraElement,
@@ -56,7 +57,7 @@ def gw_defect_all(curve: ProductExpCurve, g: DiagonalMetric, t) -> np.ndarray:
     if len(curve.factors) > 3:
         raise ValueError("defect formula supports at most three factors")
     _same_decomposition(g, curve.dec)
-    return accel.contract(curve.defect_rows(t), g.dec.defect_tables.gw, g.gw_values)
+    return curve.defects(g, t)[..., : len(g.m_indices)].copy()
 
 
 def gw_defect(curve: ProductExpCurve, g: DiagonalMetric, W: AlgebraElement, t: float) -> float:

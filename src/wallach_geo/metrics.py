@@ -7,14 +7,14 @@ product of two elements automatically discards k-components.
 
 With sigma the coefficient of each basis vector's module, G = K diag(sigma)
 for K the ``module_killing``.  The decomposition's ``defect_tables``,
-built once per space, hold every Levi-Civita term as a sparse table of
-base values (see ``catalog.ContractionTable``); a metric supplies only
-each entry's sigma ratio, built on first use (d_m = dim m, indices of m
-in its basis order):
+built once per space, hold every Levi-Civita term of both defects as one
+sparse table of base values (see ``catalog.ContractionTable``); a metric
+supplies only each entry's sigma ratio, built on first use (d_m = dim m,
+indices of m in its basis order):
 
-- ``gw_values`` and ``connection_values``: each table's base values times
-  sigma_p / sigma_q, the entries of G_W (see ``geodesics``) and of the
-  connection defect D (see ``oracle``);
+- ``defect_values``: the table's base values times sigma_p / sigma_q,
+  the entries of G_W (see ``geodesics``) and of the connection defect D
+  (see ``oracle``);
 - ``u_operator`` Q (d_m, d_m^2), which shooting reads: U(x, x)_m =
   Q (x_m (x) x_m), with Q[l, a * d_m + j] = c[m_a, m_j, m_l]
   sigma_{m_j} / sigma_{m_l}, the decomposition's Q0 rescaled.  This is
@@ -22,7 +22,7 @@ in its basis order):
   as B is ad-invariant and the parts are B-orthogonal.
 
 A metric is tied to its decomposition: the defects and the shot refuse
-a metric of another one (``ContextMismatchError``), whose tables would
+a metric of another one (``ContextMismatchError``), whose table would
 index another space's values.
 """
 
@@ -65,23 +65,13 @@ class DiagonalMetric:
         return (self.dec.defect_tables.q0 * (s / s[:, None])[:, None]).reshape(len(s), -1)
 
     @functools.cached_property
-    def gw_values(self) -> np.ndarray:
-        """The values of the decomposition's G_W table at this metric."""
-        return self._values(self.dec.defect_tables.gw)
-
-    @functools.cached_property
-    def connection_values(self) -> np.ndarray:
-        """The values of the decomposition's connection table at this metric."""
-        return self._values(self.dec.defect_tables.connection)
-
-    @functools.cached_property
-    def _ratios(self) -> np.ndarray:
-        # sigma_p / sigma_q at p + 4 q, the part k (p or q = 0) standing for 1
+    def defect_values(self) -> np.ndarray:
+        """The values of the decomposition's defect table at this metric:
+        each base value times sigma_p / sigma_q, the part k (p or q = 0)
+        standing for 1."""
+        table = self.dec.defect_tables.table
         s = np.array((1.0,) + self.lambdas)
-        return (s / s[:, None]).ravel()
-
-    def _values(self, table) -> np.ndarray:
-        return table.base * self._ratios.take(table.scale)
+        return table.base * (s / s[:, None]).ravel().take(table.scale)
 
 
 def _same_decomposition(g: DiagonalMetric, dec: ReductiveDecomposition) -> None:

@@ -3,18 +3,19 @@
 The connection defect evaluates the body-frame covariant derivative
 D(t) = v_dot + [w_k, v] + U(v, v) along a lifted curve, v = w_m; it
 vanishes iff the curve is a geodesic, and <W, D(t)> must reproduce the
-defect G_W of ``geodesics`` for every W.  D_m = w_dot_m + [w_k, w_m]_m
-+ U(w_m, w_m) is one sparse table of the decomposition
-(``defect_tables.connection``) with the metric's ``connection_values``:
+defect G_W of ``geodesics`` for every W.  D_m - w_dot_m = [w_k, w_m]_m
++ U(w_m, w_m) is the last d outputs (one per basis vector, 0 on k) of the
+decomposition's sparse defect table (``defect_tables.table``), whose
+first d_m are G_W, at the metric's ``defect_values``:
 
     D_m[l] - w_dot_m[l] = sum c[i, m_j, m_l] w_i w_{m_j}, times
     sigma_{m_j} / sigma_{m_l} for i in m,
 
 as U(X, X)_m = Lambda^-1 [X, Lambda X]_m for the metric -B(Lambda ., .)
-(see ``metrics``).  w and w_dot_m are read from
-``ProductExpCurve.defect_rows``, the rows ``gw_defect_all`` reads too;
-the curve keeps them for the last scalar t and the last grid, and D is
-a new array either way.
+(see ``metrics``).  ``ProductExpCurve.defects`` contracts the table on
+the curve's rows once for G_W and D, and keeps the result for the last
+scalar t and the last grid; D is its part plus w_dot times the m mask, a
+new array either way.
 
 Geodesic shooting integrates the same equation forward with RK4 as a
 second, fully independent check, on bare arrays, and returns the lifts and
@@ -61,12 +62,9 @@ def connection_defect(curve: ProductExpCurve, g: DiagonalMetric, t):
     ContextMismatchError.
     """
     _same_decomposition(g, curve.dec)
-    rows, mi = curve.defect_rows(t), g.m_indices
-    # D_m = w_dot_m + [w_k, w_m]_m + U(w_m, w_m)
-    Dm = rows[..., 3, :].take(mi, axis=-1)
-    Dm += accel.contract(rows, g.dec.defect_tables.connection, g.connection_values)
-    D = np.zeros(rows.shape[:-2] + (curve.context.dim,))
-    D.T[mi] = Dm.T  # the m columns; D[..., mi] costs more at a scalar t
+    # D = w_dot_m + [w_k, w_m]_m + U(w_m, w_m), the last two from the table
+    w_dot_m = curve.defect_rows(t)[..., 3, :] * g.dec.part_masks["m"]
+    D = curve.defects(g, t)[..., len(g.m_indices):] + w_dot_m
     return D if accel.is_grid(t) else AlgebraElement(curve.context, D)
 
 

@@ -22,7 +22,7 @@ from wallach_geo import (
     verify_fibration,
     verify_structure,
 )
-from .conftest import counterexample_swapped, make_rng
+from .conftest import counterexample_swapped, make_rng, rotated, sheared
 
 EXPECTED_DIMS = {
     "so-blocks(1,1,1)": (1, 1, 1),
@@ -271,20 +271,106 @@ def test_part_tables_match_their_gathered_definitions(spaces):
         assert verify_structure(dec).checks[0].max_residual == ortho, dec.name
 
 
-def test_connection_output_with_no_entry_is_w_dot(spaces):
-    """so(3) split as k = span(e_1, e_2), m1 = span(e_3) (k is not a
-    subalgebra) has no c[i, m_j, m_l] != 0: the one output of the
-    connection table gets a zero entry, and D_m is w_dot_m."""
+def _split_so3(spaces):
+    """so(3) split as k = span(e_1, e_2), m1 = span(e_3): k is not a
+    subalgebra, and no c[i, m_j, m_l] is nonzero."""
     ix = spaces["so-blocks(1,1,1)"].part_indices
     ctx = spaces["so-blocks(1,1,1)"].context
-    split = ReductiveDecomposition(
+    return ReductiveDecomposition(
         ctx, {"k": [*ix["m1"], *ix["m2"]], "m1": ix["m3"], "m2": [], "m3": []}, verify=False
     )
-    assert split.defect_tables.connection.base.tolist() == [0.0]
+
+
+def test_connection_output_with_no_entry_is_w_dot(spaces):
+    """so(3) split as k = span(e_1, e_2), m1 = span(e_3) (k is not a
+    subalgebra) has no c[i, m_j, m_l] != 0: each connection output of the
+    defect table gets one zero entry, and D_m is w_dot_m."""
+    split = _split_so3(spaces)
+    ctx = split.context
+    table = split.defect_tables.table  # G_W's one output, then D's three
+    assert table.base[table.starts[1]:].tolist() == [0.0] * 3
     rng = make_rng(21)
     curve = ProductExpCurve(split, [ctx.element(rng.standard_normal(3)) for _ in range(2)])
     D = connection_defect(curve, DiagonalMetric(split, (1.0, 2.0, 3.0)), 0.4)
     assert np.array_equal(D.coeffs, curve.body_velocity(0.4)[1] * split.part_masks["m"])
+
+
+def _reference_table(out, ab, base, scale, n_out):
+    """(ab, base, scale, starts) of entries sorted by output; an output with
+    no entry gets one (0, 0) entry of base 0 and scale 0."""
+    counts = np.bincount(out, minlength=n_out)
+    at = np.searchsorted(out, np.flatnonzero(counts == 0))
+    ab = np.insert(ab, at, 0, axis=1)
+    base, scale = np.insert(base, at, 0.0), np.insert(scale, at, 0)
+    counts = np.maximum(counts, 1)
+    return ab, base, scale, counts.cumsum() - counts
+
+
+def _dense_reference_tables(dec):
+    """The G_W and connection tables, each found by a scan of a dense
+    metric-free operator: cK = c K by one GEMM (K the module_killing),
+    G_W's H0[w, 0, j, l] = cK[m_w, j, l] and H0[w, 1, i, j] = cK[i, j, m_w],
+    and R0[l, i, j] = c[i, m_j, m_l] with its outputs l over m."""
+    c, d, K = dec.context.structure_constants, dec.context.dim, dec.module_killing
+    m, part = dec.part_indices["m"], dec.part_of
+    dm = len(m)
+    cK = c.reshape(d * d, d).dot(K).reshape(d, d, d)
+    H0 = np.stack((cK[m], cK[..., m].transpose(2, 0, 1)), axis=1)
+    w, p, x, y = np.nonzero(H0)
+    row = p * d
+    gw = _reference_table(w, np.array((row + x, 2 * row + y)), H0[w, p, x, y],
+                          part[np.where(p, m[w], y)], dm)
+    R0 = c.transpose(2, 0, 1)[m][:, :, m]
+    l, i, j = np.nonzero(R0)
+    pm = part[m]
+    connection = _reference_table(l, np.array((i, m[j])), R0[l, i, j],
+                                  (pm[j] + 4 * pm[l]) * (part[i] > 0), dm)
+    return gw, connection
+
+
+def _runs(table):
+    """Each output's (ab, base, scale) entries, one tuple per output."""
+    ab, base, scale, starts = table
+    ends = [*starts[1:], len(base)]
+    return [(ab[:, a:b], base[a:b], scale[a:b]) for a, b in zip(starts, ends)]
+
+
+def _check_table_against_dense_reference(dec, tol):
+    """The table's outputs are G_W's, then D's over the whole basis: G_W's
+    and D's on m hold the reference's entries in its order (ab and scale
+    exactly, the bases within ``tol`` relative), and each k output one
+    entry of base 0."""
+    table = dec.defect_tables.table
+    gw, connection = (_runs(t) for t in _dense_reference_tables(dec))
+    m, d = dec.part_indices["m"], dec.context.dim
+    want = gw + [None] * d
+    for l, o in enumerate(m):
+        want[len(m) + o] = connection[l]
+    got = _runs(table)
+    assert len(got) == len(want) == len(table.starts), dec.name
+    top = max(np.abs(table.base).max(initial=0.0), 1.0)
+    for o, (run, ref) in enumerate(zip(got, want)):
+        if ref is None:  # an output on k
+            assert run[1].tolist() == [0.0], (dec.name, o)
+            continue
+        assert run[0].tolist() == ref[0].tolist(), (dec.name, o)
+        assert run[2].tolist() == ref[2].tolist(), (dec.name, o)
+        assert len(run[1]) == len(ref[1]), (dec.name, o)
+        assert np.abs(run[1] - ref[1]).max() <= tol * top, (dec.name, o)
+
+
+def test_defect_table_matches_the_dense_reference(spaces):
+    """The one defect table holds the two tables of separate dense scans,
+    G_W's then D's: entry for entry on the suite spaces, the split so(3)
+    and a basis whose m is out of basis order, within 1e-12 on
+    so-blocks(2,2,2) in a rotated basis (dense c) and a sheared one."""
+    scattered = _scattered(spaces["so-blocks(2,3,4)"], 1)
+    assert (np.diff(scattered.part_indices["m"]) < 0).any()
+    for dec in [*spaces.values(), _split_so3(spaces), scattered]:
+        _check_table_against_dense_reference(dec, 0.0)
+    so222 = spaces["so-blocks(2,2,2)"]
+    for dec in (rotated(so222, 160), sheared(so222)):
+        _check_table_against_dense_reference(dec, 1e-12)
 
 
 def _skew(N, a, b):

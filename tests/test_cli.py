@@ -444,14 +444,32 @@ def test_every_numeric_option_has_a_checked_type():
         ["verify-space", "so-blocks", "0", "1", "2"],
         ["verify-space", "stiefel", "1"],
         ["go-check", "so-blocks", "1", "1", "0"],
+        ["verify-space", "stiefel", "-3"],
+        ["verify-space", "so-blocks", "2", "-2", "2"],
+        ["verify-space", "so-blocks(2,-2,2)"],
+        ["geodesic", "--space", "stiefel -3", "--metric", "1", "1", "0.5"],
     ],
 )
 def test_degenerate_space_is_an_input_error(capsys, argv):
-    """A catalog family asked for a space it cannot build is bad input."""
+    """A catalog family asked for a space it cannot build is bad input; a
+    size written with a minus sign reaches the builder signed."""
     code, out, err = run(capsys, *argv)
     assert code == 3
     assert out == ""
     assert err.count("\n") == 1 and err.startswith("error: need ")
+
+
+@pytest.mark.parametrize(
+    "spec, name",
+    [
+        ("so-blocks 1-1-3", "so-blocks(1,1,3)"),
+        ("stiefel-3", "stiefel(3)"),
+        ("stiefel - 3", "stiefel(3)"),
+    ],
+)
+def test_a_dash_after_a_digit_or_the_name_separates(spec, name):
+    """A "-" is a minus sign only after a space, "(" or ","."""
+    assert cli.resolve_space(spec).name == name
 
 
 def _strict_json(text):

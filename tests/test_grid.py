@@ -23,6 +23,7 @@ from wallach_geo import (
     shoot_geodesic,
     u_map,
 )
+from wallach_geo import accel
 from wallach_geo.catalog import ReductiveDecomposition, _find_commuting_pairs
 from wallach_geo.oracle import _polar_orthonormalize
 from .conftest import make_rng, rotated
@@ -149,6 +150,41 @@ def test_defects_on_one_grid_build_its_rows_once(stiefel3, monkeypatch):
     assert np.array_equal(D, connection_defect(ref, g, grid))
 
 
+def test_defects_at_one_t_contract_the_table_once(stiefel3, monkeypatch):
+    """G_W then D at one scalar t contract the defect table once, and so do
+    G_W then D on one grid; a second metric object at the same t, and the
+    grid changed in place, contract it again.  D is 0 on k, and writing
+    into a returned array changes no later result."""
+    calls = []
+    contract = accel.contract
+    monkeypatch.setattr(accel, "contract", lambda *args: calls.append(1) or contract(*args))
+    rng = make_rng(507)
+    curve = ProductExpCurve(stiefel3, [stiefel3.random_module_vector("m", rng) for _ in range(3)])
+    g = DiagonalMetric(stiefel3, (1.0, 1.4, 0.7))
+    grid = GRID.copy()
+    out = [gw_defect_all(curve, g, 0.7), connection_defect(curve, g, 0.7).coeffs]
+    assert len(calls) == 1
+    out += [gw_defect_all(curve, g, grid), connection_defect(curve, g, grid)]
+    assert len(calls) == 2
+    g2 = DiagonalMetric(stiefel3, g.lambdas)
+    assert np.array_equal(connection_defect(curve, g2, 0.7).coeffs, out[1])
+    assert np.array_equal(gw_defect_all(curve, g2, 0.7), out[0])
+    assert len(calls) == 3
+    k = stiefel3.part_indices["k"]
+    assert np.abs(out[1]).max() > 0.1 and not out[1][k].any() and not out[3][:, k].any()
+    kept = [a.copy() for a in out]
+    for a in out:
+        a[...] = np.nan
+    assert np.array_equal(gw_defect_all(curve, g2, 0.7), kept[0])
+    assert np.array_equal(connection_defect(curve, g, grid), kept[3])
+    assert np.array_equal(gw_defect_all(curve, g, grid), kept[2])
+    assert len(calls) == 3  # the grid's defects are kept beside the scalar t's
+    grid[3] += 0.05
+    gw_defect_all(curve, g, grid)
+    connection_defect(curve, g, grid)
+    assert len(calls) == 4
+
+
 def test_a_new_metric_builds_no_dense_operator(spaces):
     """On so-blocks(5,5,5) (d = 105, d_m = 75), once its tables are built,
     a second metric's curve and both defects on the grid peak under half
@@ -170,10 +206,11 @@ def test_a_new_metric_builds_no_dense_operator(spaces):
     tracemalloc.stop()
     assert peak < dm * 2 * d * d * 8 / 2
     assert np.abs(gw).max() < 1e-9 and np.abs(D).max() < 1e-9
-    tables = rotated(spaces["so-blocks(2,2,2)"], 160).defect_tables
+    table = rotated(spaces["so-blocks(2,2,2)"], 160).defect_tables.table
     d, dm = 15, 12
-    assert len(tables.gw.base) <= dm * 2 * d * d
-    assert len(tables.connection.base) <= dm * d * dm
+    gw_entries = table.starts[dm]  # G_W's outputs come first
+    assert gw_entries <= dm * 2 * d * d
+    assert len(table.base) - gw_entries <= dm * d * dm
 
 
 def test_grid_coset_distances_match_per_pair(spaces):
