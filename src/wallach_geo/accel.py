@@ -60,11 +60,13 @@ def spectral_apply(P, lam, Q, t, V):
 
 
 def exp_factors(A, L=None, L_inv=None):
-    """(P, lam, Q) with exp(-t A) = ``spectral_exp(P, lam, Q, t)``, or None
-    when A = 0.  A is skew, or, given the Cholesky factor L of -B,
-    S = L^T A L^-T is skew and exp(-t A) = L^-T exp(-t S) L^T."""
+    """(P, lam, Q) with exp(-t A) = ``spectral_exp(P, lam, Q, t)``; a zero A
+    gets the identity's (P = Q = I, lam = 0), complex like any other's.  A
+    is skew, or, given the Cholesky factor L of -B, S = L^T A L^-T is skew
+    and exp(-t A) = L^-T exp(-t S) L^T."""
     if not A.any():
-        return None
+        eye = np.eye(len(A), dtype=complex)
+        return eye, np.zeros(len(A)), eye
     if L is None:
         lam, V = skew_eigh(A)
         return V, lam, V.conj().T

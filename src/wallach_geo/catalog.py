@@ -41,10 +41,8 @@ class CheckResult:
 class StructureReport:
     """Per-relation residuals for one decomposition."""
 
-    space: str
     checks: list[CheckResult] = field(default_factory=list)
     commuting_pairs: frozenset = frozenset()
-    module_dims: tuple = ()
 
     @property
     def verdict(self) -> bool:
@@ -61,8 +59,8 @@ class ReductiveDecomposition:
     """Adapted partition g = k + m1 + m2 + m3 with part masks and flags.
 
     Compactness and orthogonality are gated by ``AlgebraContext``; this
-    checks the partition and, unless ``verify`` is false, the generalized
-    Wallach relations.
+    checks the partition and, unless ``verify`` is false, that each module
+    has a basis vector and the generalized Wallach relations hold.
     """
 
     def __init__(
@@ -98,6 +96,9 @@ class ReductiveDecomposition:
         if not verify:
             self.commuting_pairs = _find_commuting_pairs(self)
             return
+        for p in _MODULES:
+            if not len(self.part_indices[p]):
+                raise StructureError(f"{context.name}: module {p} has no basis vector")
         report = verify_structure(self)
         if not report.verdict:
             failed = [c.name for c in report.checks if not c.passed]
@@ -138,10 +139,12 @@ class ReductiveDecomposition:
         return AlgebraElement(self.context, X.coeffs * mask)
 
     @functools.cached_property
-    def defect_tables(self) -> DefectTables:
-        """The sparse table of both geodesic defects and the dense Q0 of
-        ``metrics.DiagonalMetric.u_operator``; built on first use."""
-        return _defect_tables(self)
+    def defect_table(self) -> ContractionTable:
+        """The sparse table of both geodesic defects: its first d_m outputs
+        are G_W over the m-basis (``geodesics``), its last d the connection
+        defect D less w_dot_m over the whole basis (``oracle``), 0 on k;
+        built on first use."""
+        return _defect_table(self)
 
     def bracket_residual(self, parts_a, parts_b, allowed) -> float:
         """Largest |c[i, j, l]| over i in parts_a, j in parts_b and l outside
@@ -168,16 +171,6 @@ class ContractionTable(NamedTuple):
     starts: np.ndarray
 
 
-class DefectTables(NamedTuple):
-    """A decomposition's defect table and Q0 (d_m, d_m, d_m).  The table's
-    first d_m outputs are G_W over the m-basis (``geodesics``), its last d
-    the connection defect D less w_dot_m over the whole basis (``oracle``),
-    0 on k."""
-
-    table: ContractionTable
-    q0: np.ndarray
-
-
 def _table(out, ab, base, scale, n_out) -> ContractionTable:
     """The table of entries already sorted by output; an output with no
     entry gets one of base 0, as each run of ``np.add.reduceat`` must hold
@@ -191,7 +184,7 @@ def _table(out, ab, base, scale, n_out) -> ContractionTable:
     return ContractionTable(ab, base, scale, counts.cumsum() - counts)
 
 
-def _defect_tables(dec) -> DefectTables:
+def _defect_table(dec) -> ContractionTable:
     """The table of ``geodesics.gw_defect_all`` and ``oracle.connection_defect``
     from the nonzero structure constants.  Write cK[i, j, l] = sum_k c[i, j, k]
     K[k, l] with K the ``module_killing``, so that a metric's Gram matrix
@@ -203,14 +196,10 @@ def _defect_tables(dec) -> DefectTables:
     - output d_m + m_l: D_m[l] - w_dot_m[l] = sum c[i, m_j, m_l] w_i w_{m_j}
       over i in k, which is [w_k, w_m]_m, plus the same sum over i in m
       times sigma_{m_j} / sigma_{m_l}, which is U(w_m, w_m);
-    - output d_m + i for i in k: 0.
-
-    U(X, X)_m = Q (x (x) x) with Q = G_mm^-1 C (see ``metrics``) is
-    Q0[l, a, j] sigma_{m_j} / sigma_{m_l} with Q0 = K_mm^-1 cK[m, m, m], and
-    as B is ad-invariant and the parts B-orthogonal, Q0[l, a, j] =
-    c[m_a, m_j, m_l]: no inverse is formed."""
+    - output d_m + i for i in k: 0, from the one entry of base 0 that
+      ``_table`` gives an output with none."""
     c, d, K = dec.context.structure_constants, dec.context.dim, dec.module_killing
-    m, k, part = dec.part_indices["m"], dec.part_indices["k"], dec.part_of
+    m, part = dec.part_indices["m"], dec.part_of
     dm = len(m)
     cK = c.reshape(d * d, d).dot(K).reshape(d, d, d)
     # H0[w, 0, j, l] = cK[m_w, j, l] and H0[w, 1, i, j] = cK[i, j, m_w]: G_W's
@@ -224,18 +213,14 @@ def _defect_tables(dec) -> DefectTables:
     w, px, y = np.unravel_index(gw_at, H0.shape)
     p = px >= d
     # R0[o, i, j] = c[i, m_j, o] over the whole basis, w_i and w_{m_j} both
-    # on the row 0; a row o in k holds only a mark at (m_0, 0) while it is
-    # scanned, the place of its one entry, whose product w_{m_0}^2 is >= 0
+    # on the row 0; the rows o in k are zeroed, so each gets ``_table``'s
+    # entry at (0, 0), whose product s_0^2 is >= 0 and keeps D_k at +0.0
     R0 = np.ascontiguousarray(c.take(m, axis=1).transpose(2, 0, 1))
-    q0 = R0.take(m, axis=0).take(m, axis=1)
-    mark = np.zeros((d, dm))
-    mark[m[0], 0] = 1.0
-    R0[k] = mark
+    R0[dec.part_indices["k"]] = 0.0
     d_at = (R0 != 0).ravel().nonzero()[0]
-    R0[k] = 0.0
     o, i, j = np.unravel_index(d_at, R0.shape)
     mj = m[j]
-    table = _table(
+    return _table(
         np.concatenate((w, dm + o)),
         np.concatenate((np.array((px, y + 2 * d * p)), np.array((i, mj))), axis=1),
         np.concatenate((H0.take(gw_at), R0.take(d_at))),
@@ -243,7 +228,6 @@ def _defect_tables(dec) -> DefectTables:
         np.concatenate((part[np.where(p, m[w], y)], (part[mj] + 4 * part[o]) * (part[i] > 0))),
         dm + d,
     )
-    return DefectTables(table, q0)
 
 
 def _part_block_max(c, part_indices, order) -> np.ndarray:
@@ -280,7 +264,7 @@ def verify_structure(dec: ReductiveDecomposition) -> StructureReport:
     """Exhaustive basis-pair check of the generalized Wallach relations."""
     tol = dec.context.tol_structural
     K = dec.context.killing
-    report = StructureReport(space=dec.name, module_dims=dec.module_dims())
+    report = StructureReport()
 
     # the largest |B[i, j]| over i and j in two different parts
     ortho = np.abs(K)[dec.part_of[:, None] < dec.part_of].max(initial=0.0)
@@ -303,7 +287,7 @@ def verify_fibration(dec: ReductiveDecomposition, i: int) -> StructureReport:
     tol = dec.context.tol_structural
     gi = ("k", f"m{i}")
     mprime = tuple(p for p in _MODULES if p != f"m{i}")
-    report = StructureReport(space=f"{dec.name} fibration i={i}", module_dims=dec.module_dims())
+    report = StructureReport()
 
     report.add(f"g{i} = k+m{i} is a subalgebra", dec.bracket_residual(gi, gi, gi), tol)
     report.add(f"[m', m'] in g{i}", dec.bracket_residual(mprime, mprime, gi), tol)

@@ -365,11 +365,10 @@ def killing_norm(ctx: AlgebraContext, coeffs: np.ndarray):
 def matrix_exp(X: AlgebraElement, t: float = 1.0) -> GroupElement:
     """exp(t X) in the ambient matrix group, from one eigendecomposition of
     the skew matrix X."""
-    factors = None if t == 0.0 else accel.exp_factors(X.matrix)
-    if factors is None:
+    if t == 0.0:
         return X.context.identity()
     # the factors give exp(-s X), so exp(t X) is their value at s = -t
-    return GroupElement(X.context, accel.spectral_exp(*factors, -t))
+    return GroupElement(X.context, accel.spectral_exp(*accel.exp_factors(X.matrix), -t))
 
 
 def adjoint(g: GroupElement, X: AlgebraElement) -> AlgebraElement:

@@ -1,9 +1,9 @@
 """Product-of-exponential curves and their body velocities.
 
-A curve t -> exp(t X_1) ... exp(t X_r) . o is evaluated in the ambient
-group, while velocities are computed exactly in coordinates through the
-adjoint representation: Ad(exp(-t F)) acts on coefficient vectors as
-exp(-t ad F).  The curve owns both kinds of exponential.  ad F is skew in
+A curve t -> exp(t X_1) ... exp(t X_r) . o of the paper's r <= 3 factors
+is evaluated in the ambient group, while velocities are computed exactly
+in coordinates through the adjoint representation: Ad(exp(-t F)) acts on
+coefficient vectors as exp(-t ad F).  The curve owns both kinds of exponential.  ad F is skew in
 a -B-orthonormal frame and the ambient factors are skew matrices, so one
 eigendecomposition per factor, exp(-t A) = Re(P diag(exp(i lam t)) Q),
 gives its exponential at any t.  The Ad spectra are taken at construction;
@@ -18,10 +18,9 @@ constant vectors, so the rows before the next factor are affine in the
 pairs (cos lam t, sin lam t), the real view of its phase vector
 exp(i lam t).  A real matrix built at construction maps that vector, with
 a last eigenvalue 0 whose pair (1, 0) carries the constant offsets, to
-all four rows: one complex exponential and one product per t.  Each
-later factor acts on the rows through ``accel.spectral_apply``, in
-O(d^2) per row and t, never forming its d x d matrix.  ``ad_exps`` still
-forms the matrices, uncached, for the identity checks and the tests.
+all four rows: one complex exponential and one product per t.  A third
+factor acts on the rows through ``accel.spectral_apply``, in O(d^2) per
+row and t, never forming its d x d matrix.
 
 A curve keeps the rows of the last scalar t and those of the last grid,
 each with the contraction of the decomposition's defect table on them
@@ -32,9 +31,8 @@ compared by value, so one changed in place gets new rows.  The kept
 arrays are read-only, and every array the defects return belongs to the
 caller.  Every time-dependent
 method takes a scalar t or a 1-D array of T times by one code path: an
-array adds a leading time axis, giving (T, d) velocities, (T, d, d)
-Ad-exponentials and a (T, n, n) stack of lift matrices, so a whole
-t-grid is one pass.
+array adds a leading time axis, giving (T, d) velocities and a (T, n, n)
+stack of lift matrices, so a whole t-grid is one pass.
 """
 
 from __future__ import annotations
@@ -46,24 +44,15 @@ from .catalog import ReductiveDecomposition
 from .core import ContextMismatchError, GroupElement
 
 
-def _spectrum(A, size, *chol):
-    # the spectral factors of exp(-t A); a zero A gets the identity's
-    # (P = Q = I, lam = 0), complex like any other's
-    factors = accel.exp_factors(A, *chol)
-    if factors is None:
-        eye = np.eye(size, dtype=complex)
-        factors = eye, np.zeros(size), eye
-    return factors
-
-
 class ProductExpCurve:
-    """Curve t -> exp(t X_1) ... exp(t X_r) . o given by its factor list."""
+    """Curve t -> exp(t X_1) ... exp(t X_r) . o given by its r = 1, 2 or 3
+    factors."""
 
     def __init__(self, dec: ReductiveDecomposition, factors):
-        if not factors:
-            raise ValueError("factor list must be non-empty")
         self.dec = dec
         self.factors = list(factors)
+        if not 1 <= len(self.factors) <= 3:
+            raise ValueError("a curve takes one to three factors")
         ctx = dec.context
         for f in self.factors:
             if f.context is not ctx:
@@ -73,7 +62,7 @@ class ProductExpCurve:
         d = ctx.dim
         ad_mats = [ctx.ad_matrix(f.coeffs) for f in self.factors[1:]]
         chol = ctx.killing_chol, ctx.killing_chol_inv
-        self._spectra = [_spectrum(A, d, *chol) for A in ad_mats]
+        spectra = [accel.exp_factors(A, *chol) for A in ad_mats]
         # With A_q = Ad(exp(-t X_q)), T = A_3 A_2 and x_3 = 0 when r < 3,
         # the rows before A_3 are s = A_2 x_1 + x_2 + x_3, p = s - x_3,
         # q = x_2 + x_3 and w_dot = -A_2 ad(X_2) x_1 - ad(X_3) w_2 with
@@ -81,7 +70,7 @@ class ProductExpCurve:
         # p = TX + TY and q = TY + Z.  A_2 v = Re(P (exp(i lam t) * Q v)),
         # and -ad(X_2) x_1 has eigenbasis coordinates i lam Q x_1, so each
         # row is Re(B exp(i lam t)) + c, with B = Pu or Pw below (0 for q)
-        P, lam, Q = self._spectra[0] if self._spectra else _spectrum(np.zeros((d, d)), d)
+        P, lam, Q = spectra[0] if spectra else accel.exp_factors(np.zeros((d, d)))
         x1, x2, x3 = (f.coeffs for f in (self.factors + [ctx.zero()] * 2)[:3])
         Pu = P * (Q @ x1)
         Pw = Pu * (1j * lam)
@@ -97,11 +86,8 @@ class ProductExpCurve:
         M[:, :, -2] = C
         self._fold = M.reshape(-1, 2 * d + 2).T
         self._ilam = 1j * np.append(lam, 0.0)
-        # A_q for q = 3, ..., r, each with the next factor's coefficients
-        # and ad matrix (None after the last)
-        later = self._spectra[1:]
-        steps = [(f.coeffs, A) for f, A in zip(self.factors[3:], ad_mats[2:])]
-        self._later = list(zip(later, steps + [None]))
+        # A_3's spectrum, applied to the rows at t (None when r < 3)
+        self._last = spectra[1] if len(spectra) > 1 else None
         # the last scalar t and the last grid, each with its read-only rows
         # and the defects of the last metric on them
         self._kept = [[None] * 4, [None] * 4]
@@ -110,12 +96,6 @@ class ProductExpCurve:
     @property
     def context(self):
         return self.dec.context
-
-    def ad_exps(self, t) -> list:
-        """Coefficient-space matrices of Ad(exp(-t X_i)) for i = 2, ..., r:
-        (d, d) each at a scalar t, (T, d, d) stacks at T times.  The velocity
-        and the defects never form them (see ``defect_rows``)."""
-        return [accel.spectral_exp(*sp, t) for sp in self._spectra]
 
     def _phase(self, t) -> np.ndarray:
         # the real view of A_2's exp(i lam t), then of the constant phase 1:
@@ -126,20 +106,19 @@ class ProductExpCurve:
     def defect_rows(self, t) -> np.ndarray:
         """The rows s, p, q and w_dot at t: a read-only (4, d) array, or
         (T, 4, d) at a 1-D array of T times, kept until the next scalar t
-        or the next grid.  s = TX + TY + Z, p = TX + TY and
-        q = TY + Z hold for r <= 3 only (absent factors zero); s is the
-        velocity w at any r."""
+        or the next grid, with absent factors zero in s = TX + TY + Z,
+        p = TX + TY and q = TY + Z; s is the velocity w."""
         return self._keep(t)[1]
 
     def defects(self, g, t) -> np.ndarray:
-        """The decomposition's defect table (``catalog.DefectTables``) at the
-        metric g's values on the rows at t: a read-only (d_m + d,) array of
+        """The decomposition's ``defect_table`` at the metric g's values
+        on the rows at t: a read-only (d_m + d,) array of
         G_W over m, then D - w_dot_m over the basis, or (T, d_m + d) at a
         1-D array of T times; kept with the rows for the last metric
         object that asked."""
         kept = self._keep(t)
         if kept[2] is not g:
-            out = accel.contract(kept[1], self.dec.defect_tables.table, g.defect_values)
+            out = accel.contract(kept[1], self.dec.defect_table, g.defect_values)
             out.flags.writeable = False
             kept[2:] = g, out
         return kept[3]
@@ -159,23 +138,14 @@ class ProductExpCurve:
     def _rows(self, t) -> np.ndarray:
         R = self._phase(t) @ self._fold
         R = R.reshape(R.shape[:-1] + (4, -1))
-        # w_q = A_q (w_{q-1} + x_q) as A_q x_q = x_q, and as ad(X_q) commutes
-        # with A_q, d/dt w_q = A_q (d/dt w_{q-1} - ad(X_q) w_{q-1})
-        for sp, step in self._later:
-            R = accel.spectral_apply(*sp, t, R)
-            if step is not None:
-                x, ad = step
-                R[..., 3, :] -= R[..., 0, :] @ ad.T
-                R[..., 0, :] += x
-        return R
+        return R if self._last is None else accel.spectral_apply(*self._last, t, R)
 
     def evaluate(self, t):
         """Lift a(t) = exp(t X_1) ... exp(t X_r) in the ambient group: a
         GroupElement at a scalar t, a (T, n, n) array of lift matrices at a
         1-D array of T times."""
-        n = self.context.ambient_size
         if self._amb_spectra is None:
-            self._amb_spectra = [_spectrum(f.matrix, n) for f in self.factors]
+            self._amb_spectra = [accel.exp_factors(f.matrix) for f in self.factors]
         # the factors give exp(-s M), so exp(t M) is their value at s = -t
         M, *rest = (accel.spectral_exp(*sp, -t) for sp in self._amb_spectra)
         for E in rest:

@@ -14,7 +14,7 @@ sum_k c[i, j, k] K[k, l], G_W over the m-basis is
     G_W[w] = sum cK[m_w, j, l] sigma_l s_j s_l + sum cK[i, j, m_w] sigma_{m_w} p_i q_j,
 
 the first d_m outputs of the decomposition's one sparse defect table
-(``defect_tables.table``) at the metric's ``defect_values``: each entry
+(``defect_table``) at the metric's ``defect_values``: each entry
 multiplies two coordinates of the rows s, p and q of
 ``ProductExpCurve.defect_rows`` and its value, and each W sums its run
 of entries.  The table's other outputs are the connection defect of
@@ -54,8 +54,6 @@ def gw_defect_all(curve: ProductExpCurve, g: DiagonalMetric, t) -> np.ndarray:
     decomposition's G_W table at the metric's values on the rows of
     ``curve.defect_rows``.  A metric of another decomposition is a
     ContextMismatchError."""
-    if len(curve.factors) > 3:
-        raise ValueError("defect formula supports at most three factors")
     _same_decomposition(g, curve.dec)
     return curve.defects(g, t)[..., : len(g.m_indices)].copy()
 

@@ -6,7 +6,7 @@ blocks) with each column scaled by its module's coefficient, so the inner
 product of two elements automatically discards k-components.
 
 With sigma the coefficient of each basis vector's module, G = K diag(sigma)
-for K the ``module_killing``.  The decomposition's ``defect_tables``,
+for K the ``module_killing``.  The decomposition's ``defect_table``,
 built once per space, hold every Levi-Civita term of both defects as one
 sparse table of base values (see ``catalog.ContractionTable``); a metric
 supplies only each entry's sigma ratio, built on first use (d_m = dim m,
@@ -17,9 +17,9 @@ indices of m in its basis order):
   (see ``oracle``);
 - ``u_operator`` Q (d_m, d_m^2), which shooting reads: U(x, x)_m =
   Q (x_m (x) x_m), with Q[l, a * d_m + j] = c[m_a, m_j, m_l]
-  sigma_{m_j} / sigma_{m_l}, the decomposition's Q0 rescaled.  This is
-  G_mm^-1 C, C[j, (i, l)] = sum over k in m of c[m_j, m_i, m_k] G[k, l],
-  as B is ad-invariant and the parts are B-orthogonal.
+  sigma_{m_j} / sigma_{m_l}.  This is G_mm^-1 C, C[j, (i, l)] = sum over
+  k in m of c[m_j, m_i, m_k] G[k, l], as B is ad-invariant and the parts
+  are B-orthogonal, so no inverse is formed.
 
 A metric is tied to its decomposition: the defects and the shot refuse
 a metric of another one (``ContextMismatchError``), whose table would
@@ -58,18 +58,20 @@ class DiagonalMetric:
 
     @functools.cached_property
     def u_operator(self) -> np.ndarray:
-        """Q of the module docstring, (d_m, d_m^2): the decomposition's Q0
-        with entry (l, a, j) scaled by sigma_{m_j} / sigma_{m_l}; built on
+        """Q of the module docstring, (d_m, d_m^2): Q0[l, a, j] =
+        c[m_a, m_j, m_l] scaled by sigma_{m_j} / sigma_{m_l}; built on
         first use."""
-        s = self._scale.take(self.m_indices)
-        return (self.dec.defect_tables.q0 * (s / s[:, None])[:, None]).reshape(len(s), -1)
+        m, c = self.m_indices, self.dec.context.structure_constants
+        s = self._scale.take(m)
+        q0 = c[m[:, None], m, m[:, None, None]]
+        return (q0 * (s / s[:, None])[:, None]).reshape(len(s), -1)
 
     @functools.cached_property
     def defect_values(self) -> np.ndarray:
         """The values of the decomposition's defect table at this metric:
         each base value times sigma_p / sigma_q, the part k (p or q = 0)
         standing for 1."""
-        table = self.dec.defect_tables.table
+        table = self.dec.defect_table
         s = np.array((1.0,) + self.lambdas)
         return table.base * (s / s[:, None]).ravel().take(table.scale)
 

@@ -287,7 +287,7 @@ def test_connection_output_with_no_entry_is_w_dot(spaces):
     defect table gets one zero entry, and D_m is w_dot_m."""
     split = _split_so3(spaces)
     ctx = split.context
-    table = split.defect_tables.table  # G_W's one output, then D's three
+    table = split.defect_table  # G_W's one output, then D's three
     assert table.base[table.starts[1]:].tolist() == [0.0] * 3
     rng = make_rng(21)
     curve = ProductExpCurve(split, [ctx.element(rng.standard_normal(3)) for _ in range(2)])
@@ -340,7 +340,7 @@ def _check_table_against_dense_reference(dec, tol):
     and D's on m hold the reference's entries in its order (ab and scale
     exactly, the bases within ``tol`` relative), and each k output one
     entry of base 0."""
-    table = dec.defect_tables.table
+    table = dec.defect_table
     gw, connection = (_runs(t) for t in _dense_reference_tables(dec))
     m, d = dec.part_indices["m"], dec.context.dim
     want = gw + [None] * d

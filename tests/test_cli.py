@@ -305,6 +305,41 @@ def test_non_compact_json_space_is_rejected(capsys, tmp_path):
         assert err.count("\n") == 1 and "positive definite" in err
 
 
+@pytest.mark.parametrize("space", ["so3", "product-spheres"])
+def test_json_space_with_an_empty_module_is_rejected(capsys, tmp_path, space):
+    """A verified space needs a basis vector in each of m1, m2 and m3: so(3)
+    with every basis vector in k, and product-spheres with m3 moved into k
+    (still a subalgebra there), are input errors on every command."""
+    from wallach_geo import build_product_spheres, build_so_blocks
+
+    if space == "so3":
+        dec = build_so_blocks(1, 1, 1)
+        parts = {"k": [0, 1, 2], "m1": [], "m2": [], "m3": []}
+    else:
+        dec = build_product_spheres()
+        parts = {p: [int(i) for i in dec.part_indices[p]] for p in ("k", "m1", "m2", "m3")}
+        parts["k"] += parts["m3"]
+        parts["m3"] = []
+    data = {
+        "name": space,
+        "ambient_size": dec.context.ambient_size,
+        "basis": [M.tolist() for M in dec.context.basis],
+        "parts": parts,
+    }
+    path = tmp_path / "empty_module.json"
+    path.write_text(json.dumps(data))
+    for argv in (
+        ("verify-space", str(path)),
+        ("geodesic", "--space", str(path), "--metric", "1", "1", "0.5", "--trials", "1"),
+        ("go-check", str(path)),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 3, argv
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert "no basis vector" in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("trials", ["0", "-2"])
 def test_geodesic_rejects_nonpositive_trials(capsys, trials):
     argv = GEO_ARGS[:GEO_ARGS.index("--trials") + 1] + [trials, "--steps", "100"]

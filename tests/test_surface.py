@@ -45,6 +45,31 @@ def _unused_imports(path: Path, exported=()) -> list:
     return [f"{path.name}:{line} {name}" for name, line in bound.items() if name not in read]
 
 
+def test_every_private_module_level_name_is_read():
+    """Each private function, class and constant defined at module level
+    in the package is read (an ast Name or Attribute load) somewhere in
+    it, so a deletion leaves no orphaned helper behind."""
+    trees = {path.name: ast.parse(path.read_text()) for path in PACKAGE_DIR.glob("*.py")}
+    defined, read = [], set()
+    for name, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                targets = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                nodes = node.targets if isinstance(node, ast.Assign) else [node.target]
+                targets = [t.id for t in nodes if isinstance(t, ast.Name)]
+            else:
+                continue
+            defined += [(name, t) for t in targets if t.startswith("_") and not t.startswith("__")]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    assert len(defined) > 20
+    assert [f"{name}: {t}" for name, t in sorted(defined) if t not in read] == []
+
+
 def test_no_module_level_import_goes_unused():
     unused = []
     for path in sorted(PACKAGE_DIR.glob("*.py")):
