@@ -21,7 +21,6 @@ from .core import (
     AlgebraElement,
     ContextMismatchError,
     DegenerateSpaceError,
-    GenericityError,
     GroupElement,
     GroupingInvalidError,
     HypothesisViolatedError,
@@ -42,12 +41,12 @@ from .core import (
 from .curves import ProductExpCurve
 from .geodesics import (
     RestrictionSolution,
+    certify_nonexistence,
     closed_form_geodesic,
     dohira_geodesic,
     gw_defect,
     gw_defect_all,
     homogeneous_geodesic,
-    nonexistence_probe,
     restriction_residual,
     solution_families,
 )

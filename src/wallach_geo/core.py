@@ -62,10 +62,6 @@ class HypothesisViolatedError(WallachGeoError):
     """Hypotheses of a geodesic constructor are not met."""
 
 
-class GenericityError(WallachGeoError):
-    """Probe called with metric parameters covered by a solution family."""
-
-
 class OutOfChartError(WallachGeoError):
     """Principal-logarithm chart does not contain the argument."""
 

@@ -25,20 +25,23 @@ and of the last grid; ``gw_defect_all`` returns a copy of its part.
 For a free module m_i, the metrics whose two coefficients other than
 lambda_i are equal form one locus: closed-form case 4 - i, the two-summand
 grouping M2 = m_i and a pair of restriction families (i = 3: s1/s2, i = 2:
-s3/s4, i = 1: s5/s6).  The table ``_LOCI`` holds that map.
+s3/s4, i = 1: s5/s6).  The table ``_LOCI`` holds that map.  Off every
+locus, ``certify_nonexistence`` proves exactly that the restriction system
+has no solution, so no three-factor geodesic exists there.
 """
 
 from __future__ import annotations
 
+import itertools
 import warnings
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
 from .catalog import _MODULES, ReductiveDecomposition, TwoSummandView
 from .core import (
     AlgebraElement,
-    GenericityError,
     HypothesisViolatedError,
     InvalidMetricError,
     WrongModuleError,
@@ -191,9 +194,11 @@ class RestrictionSolution:
 def restriction_residual(sol, lambda2: float, lambda3: float) -> np.ndarray:
     """Signed residuals (LHS - RHS) of the nine restriction equations
     characterizing G_W(0) = 0 and dG_W/dt(0) = 0, at one parameter vector
-    (a1, a2, a3, b1, b2, b3) or, row by row, at a (..., 6) stack of them."""
+    (a1, a2, a3, b1, b2, b3) or, row by row, at a (..., 6) stack of them;
+    an object array (of ``Fraction``, say) is evaluated exactly, as it is."""
     require_positive_finite("lambda2 and lambda3", lambda2, lambda3)
-    p = sol.params() if isinstance(sol, RestrictionSolution) else np.asarray(sol, np.float64)
+    p = sol.params() if isinstance(sol, RestrictionSolution) else np.asarray(sol)
+    p = p if p.dtype == object else np.asarray(p, np.float64)
     a1, a2, a3, b1, b2, b3 = np.moveaxis(p, -1, 0)
     l2, l3 = lambda2, lambda3
     return np.stack(
@@ -256,96 +261,58 @@ def solution_families(lambda_free: float, extra_free: float) -> list[Restriction
     ]
 
 
-_GENERICITY_GAP = 0.05
-_PROBE_BLOCK = 4096  # starts that descend together, about 3 KB each
-
-
-def applicable_families(lambda2: float, lambda3: float, tol: float = 1e-12):
+def applicable_families(lambda2: float, lambda3: float):
     """(families, lam): the solution families whose metric locus, lambda2 = 1
     (s1, s2), lambda3 = 1 (s3, s4) or lambda2 = lambda3 (s5, s6), holds
-    within ``tol``, and the free metric coefficient that instantiates them
-    in ``solution_families``."""
+    exactly, and the free metric coefficient that instantiates them in
+    ``solution_families``.  Off every locus ``certify_nonexistence`` proves
+    that the restriction system has no solution."""
     require_positive_finite("lambda2 and lambda3", lambda2, lambda3)
-    loci = list(_on_loci((1.0, lambda2, lambda3), tol))
+    loci = list(_on_loci((1.0, lambda2, lambda3), 0.0))
     families = [f for i in loci for f in _LOCI[i][1]]
     # lambda3 is free on the s1/s2 and s5/s6 loci, lambda2 on the s3/s4 one
     return families, lambda2 if loci == [2] else lambda3
 
 
-def nonexistence_probe(
-    lambda2: float,
-    lambda3: float,
-    multistarts: int = 200,
-    seed: int = 0,
-    max_iter: int = 200,
-) -> float:
-    """Best residual norm found by multistart Levenberg-Marquardt descent
-    on the nine restriction equations from uniform starts in [-5, 5]^6.
-
-    The starts advance in blocks of at most 4,096, each block as one
-    (block, 6) array, so memory is bounded whatever ``multistarts`` is.
-    Each iteration solves (J^T J + mu I) p = -J^T r per start with a
-    central-difference Jacobian (step 1e-6), whose J^T J and J^T r are
-    kept until a step moves x; mu falls by 0.3 (floor 1e-12) on a step
-    that lowers the residual and otherwise rises by 3.
-    A start stops when mu exceeds 1e8, after ``max_iter`` iterations or
-    when its system is singular; a start with a nan residual never counts.
-
-    A descent floor bounded away from zero supports (but does not prove)
-    that no three-exponential geodesic exists for a generic metric.
-    """
-    # applicable_families refuses a metric that is not positive and finite
-    if applicable_families(lambda2, lambda3, _GENERICITY_GAP)[0]:
-        raise GenericityError(
-            f"metric ({lambda2}, {lambda3}) lies within {_GENERICITY_GAP} of a "
-            "solution-family locus (lambda2 = 1, lambda3 = 1 or lambda2 = lambda3), "
-            "where the probe is not run"
-        )
-    rng = np.random.default_rng(np.random.Philox(seed))
-    x = rng.uniform(-5.0, 5.0, (multistarts, 6))
-    # the starts are independent: each gets the same bits in any block
-    blocks = np.split(x, range(_PROBE_BLOCK, multistarts, _PROBE_BLOCK))
-    f = np.concatenate([_descend(b, lambda2, lambda3, max_iter) for b in blocks])
-    # fmin passes over the nan residual norm of a start that overflowed
-    return float(np.fmin.reduce(np.sqrt(f), initial=np.inf))
+def _cofactors(p, l2, l3) -> np.ndarray:
+    """The cofactors Q_0..Q_8 of the identity sum_i Q_i r_i = E (see
+    ``certify_nonexistence``) at a (..., 6) stack p of (a1, a2, a3, b1, b2, b3)."""
+    a1, a2, a3, b1, b2, b3 = np.moveaxis(p, -1, 0)
+    u, v, w = l2 - 1, l3 - 1, l2 - l3
+    return np.stack(
+        [
+            l2 * l3 * u * v * (a3 - a2) / 2 + l2 * l3 * u * v * w * b1,
+            l2 * l2 * l3 * u * w * (a3 - a1) / 2 - l2 * l3 * u * v * w * b2,
+            l2 * l3 * l3 * w * v * (a1 - a2) / 2 + l2 * l3 * u * v * w * b3,
+            -l2 * l3 * w * v * (1 + b1) / 2,
+            l2 * l3 * u * w * (1 + b1) / 2,
+            l3 * w * v * (1 + b2) / 2,
+            l3 * u * v * (1 + b2) / 2,
+            -l2 * u * w * (1 + b3) / 2,
+            -l2 * u * v * (1 + b3) / 2,
+        ],
+        axis=-1,
+    )
 
 
-def _descend(x, lambda2: float, lambda3: float, max_iter: int) -> np.ndarray:
-    """The probe's descent from the (starts, 6) array x, in place; r @ r per start."""
-    r = restriction_residual(x, lambda2, lambda3)
-    f = (r[:, None] @ r[..., None])[:, 0, 0]  # r @ r per start
-    mu = np.full(len(x), 1e-3)
-    live = np.arange(len(x))  # the starts still descending
-    # J^T J and -J^T r per start, formed again only where a step moved x
-    JtJ, g = np.empty((len(x), 6, 6)), np.empty((len(x), 6, 1))
-    moved = live
-    h, eye = 1e-6, np.eye(6)
-    for _ in range(max_iter):
-        if not live.size:
-            break
-        if moved.size:
-            xm = x[moved, None]  # row j of xm +- h I is x +- h e_j, giving J's column j
-            d = restriction_residual(xm + h * eye, lambda2, lambda3)
-            d -= restriction_residual(xm - h * eye, lambda2, lambda3)
-            # C-ordered (9, 6) Jacobians round J^T J and J^T r as one start would
-            J = np.ascontiguousarray((d / (2 * h)).swapaxes(1, 2))
-            JtJ[moved] = J.swapaxes(1, 2) @ J
-            g[moved] = -J.swapaxes(1, 2) @ r[moved, :, None]
-        A = JtJ[live] + mu[live, None, None] * eye
-        gl = g[live]
-        try:
-            step = np.linalg.solve(A, gl)
-        except np.linalg.LinAlgError:  # a singular system stops only its own start
-            ok = np.linalg.slogdet(A)[0] != 0
-            live, A, gl = live[ok], A[ok], gl[ok]
-            step = np.linalg.solve(A, gl)
-        xn = x[live] + step[..., 0]
-        rn = restriction_residual(xn, lambda2, lambda3)
-        fn = (rn[:, None] @ rn[..., None])[:, 0, 0]
-        down = fn < f[live]  # a nan residual never descends
-        won = live[down]
-        x[won], r[won], f[won] = xn[down], rn[down], fn[down]
-        mu[live] = np.where(down, np.maximum(mu[live] * 0.3, 1e-12), mu[live] * 3.0)
-        live = live[mu[live] <= 1e8]
-        moved = won  # mu fell on these, so they are all still live
-    return f
+def certify_nonexistence(lambda2: float, lambda3: float) -> bool:
+    """Whether the nine restriction equations provably have no common zero,
+    complex or real, at the metric (1, lambda2, lambda3): no three-factor
+    geodesic exp(tX)exp(tY)exp(tZ).o exists there.
+
+    The cofactors Q_i of ``_cofactors``, linear in (a, b), satisfy
+
+        sum_i Q_i r_i = E = ((lambda2 - 1)(lambda3 - 1)(lambda2 - lambda3))^2
+
+    identically, so a common zero of the r_i would make E = 0 (a weak
+    Nullstellensatz certificate).  The check runs over ``Fraction`` at the exact
+    binary value of each float: both sides have degree <= 3 in (a, b), so
+    equality on the 84 points {x in N^6 : |x| <= 3}, a unisolvent set for
+    cubics, proves the identity at this metric.  It is proved when the
+    identity holds and E != 0, i.e. off the three family loci."""
+    require_positive_finite("lambda2 and lambda3", lambda2, lambda3)
+    l2, l3 = Fraction(lambda2), Fraction(lambda3)
+    x = np.array([q for q in itertools.product(range(4), repeat=6) if sum(q) <= 3], object)
+    lhs = (_cofactors(x, l2, l3) * restriction_residual(x, l2, l3)).sum(axis=-1)
+    E = ((l2 - 1) * (l3 - 1) * (l2 - l3)) ** 2
+    return E != 0 and bool((lhs == E).all())

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import wallach_geo
-from wallach_geo import build_so_blocks, cli
+from wallach_geo import build_so_blocks, cli, geodesics
 from wallach_geo.cli import build_parser, main
 
 GEO_ARGS = [
@@ -215,23 +215,42 @@ def test_restriction_family_mode(capsys):
 
 
 def test_restriction_probe_mode(capsys):
-    code, out, _ = run(
-        capsys, "restriction", "--lambda2", "1.3", "--lambda3", "0.7", "--trials", "20"
-    )
+    """Off every locus the restriction command reports the exact certificate."""
+    code, out, _ = run(capsys, "restriction", "--lambda2", "1.3", "--lambda3", "0.7")
     assert code == 0
     report = json.loads(out)
-    assert "best-effort" in report["mode"]
-    assert report["best_residual_norm"] > 1e-4
+    assert report["mode"] == "certificate"
+    assert report["proved"] is True
+    assert report["differences"] == [1.3 - 1, 0.7 - 1, 1.3 - 0.7]
+    assert "no common zero" in report["statement"]
 
 
-@pytest.mark.parametrize("l2, l3", [("1.01", "0.7"), ("1.3", "1.04"), ("0.7", "0.71")])
+@pytest.mark.parametrize("l2, l3", [("1.01", "0.7"), ("1.3", "1.04"), ("0.7", "0.71"),
+                                    ("1.0000000000000002", "0.7")])
 def test_restriction_near_a_family_locus_exit_code(capsys, l2, l3):
-    """Between the 1e-12 family match and the 0.05 probe gap no family
-    applies and the probe is not run: exit 4 with one true line."""
+    """Next to a locus, as anywhere off one, no family applies and the
+    certificate proves nonexistence: exit 0."""
     code, out, err = run(capsys, "restriction", "--lambda2", l2, "--lambda3", l3)
-    assert code == 4
-    assert out == ""
-    assert err.count("\n") == 1 and "within 0.05 of a solution-family locus" in err
+    assert (code, err) == (0, "")
+    report = json.loads(out)
+    assert (report["mode"], report["proved"]) == ("certificate", True)
+
+
+@pytest.mark.parametrize("l2, l3", [("1e300", "1e-300"), ("5e-324", "1.7e308")])
+def test_restriction_proves_at_extreme_metrics(capsys, l2, l3):
+    """The differences in the report stay finite where E would overflow."""
+    code, out, err = run(capsys, "restriction", "--lambda2", l2, "--lambda3", l3)
+    assert (code, err) == (0, "")
+    assert _strict_json(out)["proved"] is True
+
+
+def test_restriction_with_a_wrong_cofactor_fails(capsys, monkeypatch):
+    """Negative control: a perturbed cofactor proves nothing, and exit 1."""
+    cofactors = geodesics._cofactors
+    monkeypatch.setattr(geodesics, "_cofactors", lambda p, l2, l3: cofactors(p, l2, l3) * 2)
+    code, out, _ = run(capsys, "restriction", "--lambda2", "1.3", "--lambda3", "0.7")
+    assert code == 1
+    assert json.loads(out)["proved"] is False
 
 
 def test_restriction_invalid_metric_exit_code(capsys):
@@ -411,11 +430,12 @@ def test_geodesic_rejects_nonpositive_steps(capsys, steps):
 
 
 def test_restriction_rejects_nonpositive_trials(capsys):
-    code, out, err = run(capsys, "restriction", "--lambda2", "1.3", "--lambda3", "0.7",
-                         "--trials", "0")
-    assert code == 3
-    assert out == ""
-    assert "--trials" in err
+    """The certificate takes no trials: --trials is an unknown option."""
+    for trials in ("0", "5"):
+        code, out, err = run(capsys, "restriction", "--lambda2", "1.3", "--lambda3", "0.7",
+                             "--trials", trials)
+        assert (code, out) == (3, "")
+        assert err.count("\n") == 1 and "unrecognized arguments: --trials" in err
 
 
 @pytest.mark.parametrize(
@@ -427,7 +447,7 @@ def test_restriction_rejects_nonpositive_trials(capsys):
         GEO_ARGS + ["--t1", "inf"],
         ["geodesic", "--space", "stiefel3", "--metric", "inf", "1", "1", "--trials", "1"],
         ["go-check", "product-spheres", "--trials", "1", "--tol-defect", "inf"],
-        ["restriction", "--lambda2", "nan", "--lambda3", "0.7", "--trials", "2"],
+        ["restriction", "--lambda2", "nan", "--lambda3", "0.7"],
     ],
 )
 def test_non_finite_values_are_rejected(capsys, argv):
@@ -520,7 +540,7 @@ def _strict_json(text):
         GEO_ARGS,
         ["go-check", "product-spheres", "--trials", "2"],
         ["restriction", "--lambda2", "1", "--lambda3", "0.7"],
-        ["restriction", "--lambda2", "1.3", "--lambda3", "0.7", "--trials", "1"],
+        ["restriction", "--lambda2", "1.3", "--lambda3", "0.7"],
     ],
 )
 def test_reports_are_strict_json(capsys, argv):

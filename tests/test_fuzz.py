@@ -6,6 +6,7 @@ import json
 import math
 import warnings
 
+import numpy as np
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
@@ -92,17 +93,23 @@ def test_fuzz_go_check(capsys, space, options):
     _run(capsys, ["go-check", space, *options])
 
 
+# a locus value and its float neighbours: on a locus, or off it by one ulp
+locus_scales = st.one_of(
+    scales, st.sampled_from([1.0, float(np.nextafter(1.0, 0.0)), float(np.nextafter(1.0, 2.0))])
+)
+
+
 @FUZZ
 @given(
-    # lambda2 = lambda3 puts the metric on the s5/s6 family locus
+    # lambda2 = lambda3 puts the metric on the s5/s6 family locus, and a
+    # neighbour of lambda2 next to it one ulp off that locus
     lambdas=st.one_of(
-        st.tuples(scales, scales), scales.map(lambda x: (x, x)),
+        st.tuples(locus_scales, locus_scales), scales.map(lambda x: (x, x)),
+        st.floats(0.1, 3.0).map(lambda x: (x, float(np.nextafter(x, 4.0)))),
     ),
-    options=_options({"trials": st.integers(1, 2), "seed": st.integers(0, 9)},
-                     {"trials": counts, "seed": counts}),
 )
-def test_fuzz_restriction(capsys, lambdas, options):
-    _run(capsys, ["restriction", f"--lambda2={lambdas[0]}", f"--lambda3={lambdas[1]}", *options])
+def test_fuzz_restriction(capsys, lambdas):
+    _run(capsys, ["restriction", f"--lambda2={lambdas[0]}", f"--lambda3={lambdas[1]}"])
 
 
 _VALID = {

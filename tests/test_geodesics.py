@@ -1,6 +1,7 @@
 """Closed-form geodesics, the defect functional and the restriction system."""
 
-import tracemalloc
+import itertools
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -11,17 +12,16 @@ from wallach_geo import (
     DiagonalMetric,
     HypothesisViolatedError,
     InvalidMetricError,
-    GenericityError,
     ProductExpCurve,
     TwoSummandView,
     WrongModuleError,
+    certify_nonexistence,
     closed_form_geodesic,
     dohira_geodesic,
     gw_defect,
     gw_defect_all,
     homogeneous_geodesic,
     matrix_exp,
-    nonexistence_probe,
     restriction_residual,
     solution_families,
 )
@@ -230,21 +230,9 @@ def test_families_reject_nonpositive_metric():
             with pytest.raises(InvalidMetricError):
                 restriction_residual(sol, l2, l3)
             with pytest.raises(InvalidMetricError):
-                nonexistence_probe(l2, l3, multistarts=1)
+                certify_nonexistence(l2, l3)
             with pytest.raises(InvalidMetricError):
                 applicable_families(l2, l3)
-
-
-def test_probe_rejects_family_covered_metrics():
-    with pytest.raises(GenericityError):
-        nonexistence_probe(1.0, 0.7, multistarts=1)
-    with pytest.raises(GenericityError):
-        nonexistence_probe(1.3, 1.31, multistarts=1)
-
-
-def test_probe_finds_residual_floor():
-    floor = nonexistence_probe(1.3, 0.7, multistarts=20, seed=0)
-    assert floor > 1e-4
 
 
 def test_residual_rows_match_single_calls():
@@ -258,92 +246,53 @@ def test_residual_rows_match_single_calls():
     assert (np.abs(rows - singles) <= 1e-15 * np.abs(singles).max(axis=1, keepdims=True)).all()
 
 
-@pytest.mark.parametrize(
-    "l2, l3, floor",
-    [(1.3, 0.7, 0.10149906884859027), (1.1, 0.9, 0.003466536821987761),
-     (0.25, 1.8, 1.0839121662357103)],
-)
-def test_probe_floors_pinned(l2, l3, floor):
-    """Three of acceptance criterion 5's floors (seed 50, 200 starts)."""
-    assert nonexistence_probe(l2, l3, multistarts=200, seed=50) == pytest.approx(floor, rel=1e-9)
+# -- the nonexistence certificate ---------------------------------------------
+
+# {x in N^6 : |x| <= 3}: a polynomial of degree <= 3 in (a, b) that vanishes there is 0
+_LATTICE = np.array([x for x in itertools.product(range(4), repeat=6) if sum(x) <= 3], object)
 
 
-def _probe_one_start_at_a_time(lambda2, lambda3, multistarts, seed, max_iter=200):
-    """Reference probe: the same Levenberg-Marquardt descent as plain loops
-    over starts and Jacobian columns."""
-    rng = np.random.default_rng(np.random.Philox(seed))
-    best, h = np.inf, 1e-6
-    for _ in range(multistarts):
-        x = rng.uniform(-5.0, 5.0, 6)
-        r = restriction_residual(x, lambda2, lambda3)
-        f, mu = r @ r, 1e-3
-        for _ in range(max_iter):
-            J = np.empty((9, 6))
-            for j, e in enumerate(h * np.eye(6)):
-                J[:, j] = (restriction_residual(x + e, lambda2, lambda3)
-                           - restriction_residual(x - e, lambda2, lambda3)) / (2 * h)
-            try:
-                p = np.linalg.solve(J.T @ J + mu * np.eye(6), -J.T @ r)
-            except np.linalg.LinAlgError:
-                break
-            rn = restriction_residual(x + p, lambda2, lambda3)
-            if rn @ rn < f:
-                x, r, f, mu = x + p, rn, rn @ rn, max(mu * 0.3, 1e-12)
-            else:
-                mu *= 3.0
-                if mu > 1e8:
-                    break
-        best = min(best, float(np.sqrt(f)))
-    return best
+def _identity_gap(l2, l3):
+    """sum_i Q_i r_i - E on the lattice, exactly, at rational (l2, l3)."""
+    lhs = (geodesics._cofactors(_LATTICE, l2, l3) * restriction_residual(_LATTICE, l2, l3)).sum(-1)
+    return lhs - ((l2 - 1) * (l3 - 1) * (l2 - l3)) ** 2
 
 
-@pytest.mark.parametrize("l2, l3", [(1.3, 0.7), (1.6, 2.4)])
-def test_probe_matches_one_start_at_a_time(l2, l3):
-    """Single starts (one per seed) and an 8-start floor end where the loops do."""
-    for seed, starts in [(0, 1), (2, 1), (4, 8)]:
-        expected = _probe_one_start_at_a_time(l2, l3, starts, seed)
-        assert nonexistence_probe(l2, l3, starts, seed) == pytest.approx(expected, rel=1e-9)
+def test_cofactor_identity_holds_in_all_eight_variables():
+    """l2 l3 (sum_i Q_i r_i - E) has degree <= 3 in (a, b) and <= 5 in each
+    lambda, so its vanishing on the lattice at each point of a 6 x 6
+    rational grid (loci included) makes it the zero polynomial."""
+    assert len(_LATTICE) == 84
+    grid = [Fraction(1, 3), Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(2), Fraction(7, 3)]
+    for l2, l3 in itertools.product(grid, grid):
+        assert (_identity_gap(l2, l3) == 0).all(), (l2, l3)
 
 
-def test_probe_singular_system_stops_only_its_start(monkeypatch):
-    """A singular LM system stops its own start; the others go on."""
-    floor = nonexistence_probe(1.3, 0.7, multistarts=20, seed=0)
-    solve, sizes = np.linalg.solve, []
-
-    def singular_first(A, b):
-        if not sizes:
-            A[0] = 0.0  # the first start's first system, zeroed in place
-        sizes.append(len(A))
-        return solve(A, b)
-
-    monkeypatch.setattr(np.linalg, "solve", singular_first)
-    assert nonexistence_probe(1.3, 0.7, multistarts=20, seed=0) == floor
-    assert sizes[:3] == [20, 19, 19]
+@pytest.mark.parametrize("l2, l3", [(1.01, 0.7), (1 + 2.0**-40, 0.7), (1e-9, 1e9),
+                                    (1e300, 1e-300), (5e-324, 1.7e308)])
+def test_certificate_proves_off_the_loci(l2, l3):
+    assert certify_nonexistence(l2, l3) is True
+    assert applicable_families(l2, l3)[0] == []
 
 
-def test_probe_is_deterministic():
-    a = nonexistence_probe(2.0, 0.5, multistarts=5, seed=3)
-    b = nonexistence_probe(2.0, 0.5, multistarts=5, seed=3)
-    assert a == b
+@pytest.mark.parametrize("l2, l3", [(1.0, 0.7), (1.3, 1.0), (0.8, 0.8)])
+def test_certificate_refuses_the_loci(l2, l3):
+    """E = 0 on a locus, where the families solve the system."""
+    assert certify_nonexistence(l2, l3) is False
+    assert applicable_families(l2, l3)[0]
 
 
-def test_probe_blocks_keep_every_floor(monkeypatch):
-    """Starts descend independently, so any block size gives the same floor."""
-    whole = nonexistence_probe(1.3, 0.7, multistarts=50, seed=5, max_iter=40)
-    monkeypatch.setattr(geodesics, "_PROBE_BLOCK", 7)
-    assert nonexistence_probe(1.3, 0.7, multistarts=50, seed=5, max_iter=40) == whole
+def test_a_wrong_cofactor_breaks_the_certificate(monkeypatch):
+    """Negative control: one cofactor scaled by 1 + 1e-6 fails the check."""
+    cofactors = geodesics._cofactors
 
+    def perturbed(p, l2, l3):
+        Q = cofactors(p, l2, l3)
+        Q[..., 4] *= 1 + Fraction(1, 10**6)
+        return Q
 
-def test_probe_memory_is_bounded_by_its_block():
-    """All 20,000 starts at once peaked at 61 MB; blocks of 4,096 stay under 20 MB."""
-    nonexistence_probe(1.3, 0.7, multistarts=10, max_iter=3)  # first-call setup
-    tracemalloc.start()
-    try:
-        nonexistence_probe(1.3, 0.7, multistarts=20_000, max_iter=3)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 20e6
+    monkeypatch.setattr(geodesics, "_cofactors", perturbed)
+    assert certify_nonexistence(1.3, 0.7) is False
 
 
 # -- the metric loci: one table against the two it replaced -----------------
@@ -372,7 +321,7 @@ def _reference_match_case(metric, requested):
     return candidates[0]
 
 
-def _reference_applicable_families(lambda2, lambda3, tol=1e-12):
+def _reference_applicable_families(lambda2, lambda3, tol):
     """applicable_families as written with its own family table and gaps."""
     family_loci = (("s1", "s2"), ("s3", "s4"), ("s5", "s6"))
     gaps = (abs(lambda2 - 1), abs(lambda3 - 1), abs(lambda2 - lambda3))
@@ -418,11 +367,10 @@ def _locus_pairs():
 def test_locus_table_matches_the_separate_case_and_family_tables():
     """match_case and applicable_families read one locus table; their
     results, order, lam and messages equal those of the two tables it
-    replaced, at 1e-12 and at the probe's 0.05."""
+    replaced, the families at tol 0 (exactly the metrics where E = 0)."""
     rng = make_rng(102)
     for l2, l3 in _locus_pairs():
-        for tol in (1e-12, 0.05):
-            assert applicable_families(l2, l3, tol) == _reference_applicable_families(l2, l3, tol)
+        assert applicable_families(l2, l3) == _reference_applicable_families(l2, l3, 0.0)
         for l1 in (1.0, float(rng.uniform(0.2, 5.0))):
             metric = (l1, l1 * l2, l1 * l3)
             for requested in ("auto", "1", "2", "3"):
