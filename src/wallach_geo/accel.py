@@ -79,14 +79,6 @@ def is_grid(t) -> bool:
     return isinstance(t, np.ndarray) and t.ndim > 0
 
 
-def outer_flat(x, y):
-    """x (x) y flattened to d^2 entries, per row when x or y is a (T, d) stack."""
-    if x.ndim == y.ndim == 1:
-        return (x[:, None] * y).ravel()
-    xy = x[..., :, None] * y[..., None, :]
-    return xy.reshape(xy.shape[:-2] + (-1,))
-
-
 def contract(rows, table, values):
     """A sparse bilinear map (``catalog.ContractionTable``) with the given
     entry values on the flattened (k, n) rows, or on each of a (T, k, n)
@@ -99,9 +91,10 @@ def contract(rows, table, values):
 
 
 def bracket_coeffs(c, x, y):
-    """Coefficients of [x, y] (per row for (T, d) stacks): x (x) y against c
-    viewed as a d^2 x d matrix, one product."""
-    return outer_flat(x, y) @ c.reshape(-1, c.shape[-1])
+    """Coefficients of [x, y] (per row for (T, d) stacks): x (x) y flattened
+    to d^2 entries against c viewed as a d^2 x d matrix, one product."""
+    xy = x[..., :, None] * y[..., None, :]
+    return xy.reshape(xy.shape[:-2] + (-1,)) @ c.reshape(-1, c.shape[-1])
 
 
 def ad_matrix(c, x):

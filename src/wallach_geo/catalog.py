@@ -146,6 +146,25 @@ class ReductiveDecomposition:
         built on first use."""
         return _defect_table(self)
 
+    @functools.cached_property
+    def u_pairs(self) -> tuple:
+        """(at, flat, A, B): the ``defect_table`` entries at ``at`` are its
+        U(w_m, w_m) terms, the D entries with a coefficient (i in m); each
+        adds to S.ravel()[flat] = S[l, p] for its output m_l and the pair p
+        of m-positions (A[p] <= B[p]) of (a, b) or (b, a); built on first use."""
+        table, m = self.defect_table, self.part_indices["m"]
+        dm, lo = len(m), table.starts[len(m)]
+        at = lo + table.scale[lo:].nonzero()[0]
+        pos = np.empty_like(self.part_of)  # the m-position of each index in m
+        pos[m] = np.arange(dm)
+        a, b = pos[table.ab[:, at]]
+        key = np.minimum(a, b) * dm + np.maximum(a, b)
+        hit = np.zeros(dm * dm, np.intp)
+        hit[key] = 1
+        A, B = np.divmod(hit.nonzero()[0], dm)
+        out = pos[table.starts.searchsorted(at, "right") - (dm + 1)]
+        return at, out * len(A) + hit.cumsum()[key] - 1, A, B
+
     def bracket_residual(self, parts_a, parts_b, allowed) -> float:
         """Largest |c[i, j, l]| over i in parts_a, j in parts_b and l outside
         the allowed parts: how far [parts_a, parts_b] leaves the allowed span."""

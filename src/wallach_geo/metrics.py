@@ -7,19 +7,19 @@ product of two elements automatically discards k-components.
 
 With sigma the coefficient of each basis vector's module, G = K diag(sigma)
 for K the ``module_killing``.  The decomposition's ``defect_table``,
-built once per space, hold every Levi-Civita term of both defects as one
+built once per space, holds every Levi-Civita term of both defects as one
 sparse table of base values (see ``catalog.ContractionTable``); a metric
-supplies only each entry's sigma ratio, built on first use (d_m = dim m,
-indices of m in its basis order):
+supplies only each entry's sigma ratio, built on first use (d_m = dim m):
 
 - ``defect_values``: the table's base values times sigma_p / sigma_q,
   the entries of G_W (see ``geodesics``) and of the connection defect D
   (see ``oracle``);
-- ``u_operator`` Q (d_m, d_m^2), which shooting reads: U(x, x)_m =
-  Q (x_m (x) x_m), with Q[l, a * d_m + j] = c[m_a, m_j, m_l]
-  sigma_{m_j} / sigma_{m_l}.  This is G_mm^-1 C, C[j, (i, l)] = sum over
-  k in m of c[m_j, m_i, m_k] G[k, l], as B is ad-invariant and the parts
-  are B-orthogonal, so no inverse is formed.
+- ``u_pairs`` (S, A, B), which shooting and ``u_map`` read: U(x, x)_m =
+  S (x[A] x[B]) for m-coordinates x.  As U(X, X)_m = Lambda^-1 [X, Lambda
+  X]_m (B is ad-invariant, the parts B-orthogonal), U's terms are the D
+  entries of the table with both coordinates in m, which the
+  decomposition's ``u_pairs`` merges into symmetric pairs (A[p], B[p]);
+  S (d_m, pairs) is one ``bincount`` of their values, no d_m^3 array.
 
 A metric is tied to its decomposition: the defects and the shot refuse
 a metric of another one (``ContextMismatchError``), whose table would
@@ -32,7 +32,6 @@ import functools
 
 import numpy as np
 
-from . import accel
 from .catalog import ReductiveDecomposition
 from .core import AlgebraElement, ContextMismatchError, require_positive_finite
 
@@ -47,24 +46,13 @@ class DiagonalMetric:
         self.lambdas = (l1, l2, l3)
         # G is -B on the block of m_i times lambda_i: ``module_killing`` with
         # each column scaled by its module's coefficient (0 on k)
-        self._scale = np.array((0.0,) + self.lambdas)[dec.part_of]
-        self.gram_full = dec.module_killing * self._scale
+        self.gram_full = dec.module_killing * np.array((0.0,) + self.lambdas)[dec.part_of]
         self.m_indices = dec.part_indices["m"]
         self.gram = self.gram_full[self.m_indices[:, None], self.m_indices]
 
     @property
     def context(self):
         return self.dec.context
-
-    @functools.cached_property
-    def u_operator(self) -> np.ndarray:
-        """Q of the module docstring, (d_m, d_m^2): Q0[l, a, j] =
-        c[m_a, m_j, m_l] scaled by sigma_{m_j} / sigma_{m_l}; built on
-        first use."""
-        m, c = self.m_indices, self.dec.context.structure_constants
-        s = self._scale.take(m)
-        q0 = c[m[:, None], m, m[:, None, None]]
-        return (q0 * (s / s[:, None])[:, None]).reshape(len(s), -1)
 
     @functools.cached_property
     def defect_values(self) -> np.ndarray:
@@ -74,6 +62,15 @@ class DiagonalMetric:
         table = self.dec.defect_table
         s = np.array((1.0,) + self.lambdas)
         return table.base * (s / s[:, None]).ravel().take(table.scale)
+
+    @functools.cached_property
+    def u_pairs(self) -> tuple:
+        """(S, A, B) of the module docstring: S[l, p] sums the U entries at
+        this metric that add to output m_l and pair p; built on first use."""
+        at, flat, A, B = self.dec.u_pairs
+        dm = len(self.m_indices)
+        S = np.bincount(flat, self.defect_values[at], dm * len(A))
+        return S.reshape(dm, len(A)), A, B
 
 
 def _same_decomposition(g: DiagonalMetric, dec: ReductiveDecomposition) -> None:
@@ -90,25 +87,16 @@ def inner(g: DiagonalMetric, X: AlgebraElement, Y: AlgebraElement) -> float:
     return float(X.coeffs @ g.gram_full @ Y.coeffs)
 
 
-def u_coeffs(g: DiagonalMetric, x: np.ndarray, y: np.ndarray | None = None) -> np.ndarray:
-    """m-coordinates of U(X, Y) from the m-coordinates x and y of X and Y
-    (vectors or (T, d_m) stacks): 0.5 Q (x (x) y + y (x) x), or Q (x (x) x)
-    for U(X, X) when y is omitted."""
-    # (G U)_j = 0.5 sum_ik c[j, i, k] (x_i (G y)_k + y_i (G x)_k) over m
-    if y is None:
-        return accel.outer_flat(x, x) @ g.u_operator.T
-    return 0.5 * (accel.outer_flat(x, y) + accel.outer_flat(y, x)) @ g.u_operator.T
-
-
 def u_map(g: DiagonalMetric, X: AlgebraElement, Y: AlgebraElement) -> AlgebraElement:
     """The symmetric bilinear map U on m with
     2<U(X,Y), Z> = <[Z,X]_m, Y> + <X, [Z,Y]_m> for all Z in m
-    (k-components of X and Y are ignored), one product against the
-    metric's precomputed operator Q."""
+    (k-components of X and Y are ignored): S 0.5 (x[A] y[B] + x[B] y[A])
+    on m-coordinates (``u_pairs``), at X = Y the bits of S (x[A] x[B])."""
     if X.context is not g.context or Y.context is not g.context:
         raise ContextMismatchError("elements do not belong to the metric's context")
     mi = g.m_indices
+    S, A, B = g.u_pairs
+    x, y = X.coeffs[mi], Y.coeffs[mi]
     u = np.zeros(X.context.dim)
-    u[mi] = u_coeffs(g, X.coeffs[mi], Y.coeffs[mi])
+    u[mi] = S.dot(0.5 * (x[A] * y[B] + x[B] * y[A]))
     return AlgebraElement(X.context, u)
-

@@ -17,14 +17,15 @@ the curve's rows once for G_W and D, and keeps the result for the last
 scalar t and the last grid; D is its part plus w_dot times the m mask, a
 new array either way.
 
-Geodesic shooting integrates the same equation forward with RK4 as a
-second, fully independent check, on bare arrays, and returns the lifts and
-velocities as two arrays (``ShotGeodesic``).
-Its velocity equation v_dot = -U(v, v) does not involve the lift
-a, so the v recurrence runs alone; the lift's RK4 step is linear in a,
-a_{k+1} = a_k Phi_k, and as polar(a Phi) = a polar(Phi) for orthogonal a,
-re-orthonormalizing every step becomes Newton-Schulz steps on the stack of
-all the Phi_k and their running product, the same map in exact
+Geodesic shooting integrates the same equation forward with RK4 from v0
+alone, a second check that never reads the closed form, on bare arrays,
+and returns the lifts and velocities as two arrays (``ShotGeodesic``).
+Its U(v, v) = S (v[A] v[B]) sums the table's U entries (``metrics``).  Its
+velocity equation v_dot = -U(v, v) does not involve the lift a, so the v
+recurrence runs alone; the lift's RK4 step is linear in a, a_{k+1} =
+a_k Phi_k, and as polar(a Phi) = a polar(Phi) for orthogonal a,
+re-orthonormalizing every step becomes Newton-Schulz steps on the stack
+of all the Phi_k and their running product, the same map in exact
 arithmetic.  A last Newton-Schulz step takes out the drift that rounding
 gives that product; a step size so large that the iteration does not
 converge is an IntegrationFailureError.
@@ -33,11 +34,12 @@ converge is an IntegrationFailureError.
 ``coset_distance`` a pair of group elements or two (T, n, n) stacks, so a
 whole t-grid is checked with one call each (a^-1 b as the product a^T b of
 orthogonal matrices, then a batched ``eigh`` and logarithm).
+``identity_checks`` applies each Ad-exponential to its vectors from the
+spectral factors (``accel.spectral_apply``), forming no d x d matrix.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -168,25 +170,26 @@ def shoot_geodesic(
     states = np.empty((steps + 1, 4, dm))
     states[0, 0] = v0.coeffs[mi]
     # every step writes into these buffers, so a stage costs a few numpy
-    # calls and no allocation: X is w (x) w, U holds the step's U(w, w) of
-    # each stage and W those times their RK4 weights, which add.reduce sums
-    # row after row, as u1 + 2 u2 + 2 u3 + u4 is summed
-    X, U, W, tmp = np.empty((dm, dm)), np.empty((4, dm)), np.empty((4, dm)), np.empty(dm)
-    x, (u1, u2, u3, u4) = X.reshape(-1), U
+    # calls and allocates only w[A] and w[B]: P is w[A] w[B], U holds the
+    # step's U(w, w) = S P of each stage and W those times their RK4 weights,
+    # which add.reduce sums row after row, as u1 + 2 u2 + 2 u3 + u4 is summed
+    S, A, B = g.u_pairs
+    P, U, W, tmp = np.empty(len(A)), np.empty((4, dm)), np.empty((4, dm)), np.empty(dm)
+    u1, u2, u3, u4 = U
     weights = np.array([[1.0], [2.0], [2.0], [1.0]])
-    quad, mul, sub, add = g.u_operator.dot, np.multiply, np.subtract, np.add
+    quad, mul, sub, add = S.dot, np.multiply, np.subtract, np.add
     # an overflow is reported below, at the step where it first shows
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(steps):
             v, s1, s2, s3 = states[k]
-            mul(v[:, None], v, X)
-            sub(v, mul(half, quad(x, u1), tmp), s1)
-            mul(s1[:, None], s1, X)
-            sub(v, mul(half, quad(x, u2), tmp), s2)
-            mul(s2[:, None], s2, X)
-            sub(v, mul(h, quad(x, u3), tmp), s3)
-            mul(s3[:, None], s3, X)
-            quad(x, u4)
+            mul(v[A], v[B], P)
+            sub(v, mul(half, quad(P, u1), tmp), s1)
+            mul(s1[A], s1[B], P)
+            sub(v, mul(half, quad(P, u2), tmp), s2)
+            mul(s2[A], s2[B], P)
+            sub(v, mul(h, quad(P, u3), tmp), s3)
+            mul(s3[A], s3[B], P)
+            quad(P, u4)
             add.reduce(mul(U, weights, W), 0, None, tmp)
             sub(v, mul(sixth, tmp, tmp), states[k + 1, 0])
         velocities = states[:, 0]
@@ -296,44 +299,40 @@ def identity_checks(dec: ReductiveDecomposition, seed: int = 0, h: float = 1e-4)
         c = ctx.structure_constants
         spectra = [accel.exp_factors(ctx.ad_matrix(q), *chol) for q in (x, y, z)]
 
-        @functools.cache
-        def ad_exp(f, t):
-            # Ad(exp(-t F)) for F = (X, Y, Z)[f], formed once per (f, t)
-            return accel.spectral_exp(*spectra[f], t)
-
-        def T(t):
-            return ad_exp(2, t) @ ad_exp(1, t)
+        def ad_exp(fs, t, v):
+            # Ad(exp(-t F)) v for F = (X, Y, Z)[f], f in fs in turn
+            for f in fs:
+                v = accel.spectral_apply(*spectra[f], t, v[None])[0]
+            return v
 
         # (d/dt)|0 T(t)X = [X, Y+Z]
-        fd = (T(h) @ x - T(-h) @ x) / (2 * h)
+        fd = (ad_exp((1, 2), h, x) - ad_exp((1, 2), -h, x)) / (2 * h)
         exact = accel.bracket_coeffs(c, x, y + z)
         err17 = max(err17, np.abs(fd - exact).max())
 
         # Ad(exp(tX))X = X, exact
         for t in (0.3, 1.7):
-            err18 = max(err18, np.abs(ad_exp(0, -t) @ x - x).max())
+            err18 = max(err18, np.abs(ad_exp((0,), -t, x) - x).max())
 
         # (d/ds)|0 Ad(exp(-(t+s)Z))Y = [TY, Z] at fixed t
         t0 = 0.4
-        Ty = ad_exp(2, t0) @ y
-        fd = (ad_exp(2, t0 + h) @ y - ad_exp(2, t0 - h) @ y) / (2 * h)
+        Ty = ad_exp((2,), t0, y)
+        fd = (ad_exp((2,), t0 + h, y) - ad_exp((2,), t0 - h, y)) / (2 * h)
         exact = accel.bracket_coeffs(c, Ty, z)
         err19 = max(err19, np.abs(fd - exact).max())
 
-        # (d/ds)|0 Ad(alpha(t+s)^-1)X = [TX, Z] + [TX, TY]
-        def ad_alpha_inv(s):
-            return T(s) @ ad_exp(0, s)
-
-        fd = (ad_alpha_inv(t0 + h) @ x - ad_alpha_inv(t0 - h) @ x) / (2 * h)
-        Tt = T(t0)
-        Tx, Ty2 = Tt @ x, Tt @ y
+        # (d/ds)|0 Ad(alpha(t+s)^-1)X = [TX, Z] + [TX, TY], Ad(alpha(s)^-1) =
+        # T(s) Ad(exp(-sX))
+        ahead, behind = (ad_exp((0, 1, 2), t0 + e, x) for e in (h, -h))
+        fd = (ahead - behind) / (2 * h)
+        Tx, Ty2 = ad_exp((1, 2), t0, x), ad_exp((1, 2), t0, y)
         exact = accel.bracket_coeffs(c, Tx, z) + accel.bracket_coeffs(c, Tx, Ty2)
         err20 = max(err20, np.abs(fd - exact).max())
 
         # (d/ds)|0 P_m(Ad(alpha(t+s)^-1)X) = P_m([TX, Z] + [TX, TY]): the
         # difference quotient of the projected curve against the projected bracket
         mask = dec.part_masks["m"]
-        fd_m = ((ad_alpha_inv(t0 + h) @ x) * mask - (ad_alpha_inv(t0 - h) @ x) * mask) / (2 * h)
+        fd_m = (ahead * mask - behind * mask) / (2 * h)
         err25 = max(err25, np.abs(fd_m - exact * mask).max())
 
     report.add("T(t) derivative at 0 equals [X, Y+Z]", err17, fd_tol)

@@ -57,6 +57,30 @@ def sheared(dec):
     return ReductiveDecomposition(AlgebraContext(dec.name + " sheared", basis), parts)
 
 
+def dense_u_operator(g):
+    """The dense U operator Q (d_m, d_m^2) of the metric g, gathered from c
+    rather than read from the defect table: Q[l, a d_m + j] =
+    c[m_a, m_j, m_l] sigma_{m_j} / sigma_{m_l}, so that U(x, x)_m =
+    Q (x_m (x) x_m)."""
+    m, c = g.m_indices, g.dec.context.structure_constants
+    s = np.array((0.0,) + g.lambdas)[g.dec.part_of].take(m)
+    q0 = c[m[:, None], m, m[:, None, None]]
+    return (q0 * (s / s[:, None])[:, None]).reshape(len(m), -1)
+
+
+def dense_u(Q, x, y=None):
+    """m-coordinates of U(X, Y) from those of X and Y (vectors or (T, d_m)
+    stacks) through a dense operator Q: 0.5 Q (x (x) y + y (x) x), or
+    Q (x (x) x) when y is omitted."""
+    def outer(a, b):
+        ab = a[..., :, None] * b[..., None, :]
+        return ab.reshape(ab.shape[:-2] + (-1,))
+
+    if y is None:
+        return outer(x, x) @ Q.T
+    return 0.5 * (outer(x, y) + outer(y, x)) @ Q.T
+
+
 @pytest.fixture(scope="session")
 def spaces():
     """All catalog spaces, built once per test session."""

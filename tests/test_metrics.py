@@ -13,7 +13,7 @@ from wallach_geo import (
     u_map,
 )
 from wallach_geo import accel
-from .conftest import make_rng
+from .conftest import dense_u, dense_u_operator, make_rng
 
 
 def test_positive_coefficients_required(stiefel3):
@@ -76,7 +76,7 @@ def test_u_map_closed_form_on_cross_module_pairs(spaces):
 
 
 def test_u_map_matches_gram_solve_reference(spaces):
-    """U from the per-metric operator Q agrees with the contraction against
+    """U from the metric's pair matrix agrees with the contraction against
     c[m] followed by the inverse Gram matrix, for X != Y in m."""
     rng = make_rng(12)
     for dec in spaces.values():
@@ -95,6 +95,43 @@ def test_u_map_matches_gram_solve_reference(spaces):
             ref[g.m_indices] = 0.5 * (G_inv @ rhs)
             got = u_map(g, X, Y).coeffs
             assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+def _pair_u_excess(g, pairs):
+    """The largest |u_map(g, X, Y) - U(X, Y)| on m over the (X, Y) pairs,
+    less the rounding bound 16 eps sum |Q| |x (x) y| (the sum of the
+    absolute terms), for U of the dense reference Q: <= 0 to rounding."""
+    Q, mi, excess = dense_u_operator(g), g.m_indices, -np.inf
+    for X, Y in pairs:
+        x, y = X.coeffs[mi], Y.coeffs[mi]
+        got = u_map(g, X, Y).coeffs
+        assert not got[g.dec.part_indices["k"]].any()
+        bound = 16 * np.finfo(float).eps * dense_u(np.abs(Q), np.abs(x), np.abs(y))
+        excess = max(excess, (np.abs(got[mi] - dense_u(Q, x, y)) - bound).max())
+    return excess
+
+
+def test_pair_matrix_reproduces_the_dense_u_operator(spaces):
+    """The metric's pair matrix, read from the defect table, gives U(X, Y)
+    of the dense gather of c to rounding, on every space at a metric on a
+    solution locus and one off all of them; dropping one pair (its
+    largest column) breaks the agreement.  On product-spheres U vanishes
+    and there is no pair to drop."""
+    rng = make_rng(21)
+    for dec in spaces.values():
+        for lambdas in ((1.0, 1.0, 0.5), (0.8, 1.3, 2.1)):
+            g = DiagonalMetric(dec, lambdas)
+            draws = [dec.random_module_vector("m", rng) for _ in range(3)]
+            pairs = [(draws[0], draws[1]), (draws[1], draws[2]), (draws[2], draws[2])]
+            assert _pair_u_excess(g, pairs) <= 0.0, (dec.name, lambdas)
+            S, A, B = g.u_pairs
+            assert (A <= B).all() and len(set(zip(A, B))) == len(A)
+            if not len(A):
+                continue
+            dropped = S.copy()
+            dropped[:, np.abs(S).max(axis=0).argmax()] = 0.0
+            g.u_pairs = (dropped, A, B)
+            assert _pair_u_excess(g, pairs) > 0.0, (dec.name, lambdas)
 
 
 def test_u_map_vanishes_on_single_module_arguments(stiefel3):
