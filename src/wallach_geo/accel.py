@@ -1,5 +1,7 @@
 """Hot numerical kernels: spectral exponentials of skew matrices, the
-logarithm of an orthogonal matrix and structure-constant contractions.
+logarithm of an orthogonal matrix and the two contractions of the
+structure constants, brackets and ad matrices, each one ``bincount`` over
+c's listed nonzero entries, so neither does d^3 work.
 
 ``AlgebraContext`` admits only compact algebras with skew basis matrices,
 so ambient generators are skew, and so is ad F in a -B-orthonormal frame.
@@ -44,11 +46,8 @@ def skew_eigh(S):
 
 def spectral_exp(P, lam, Q, t):
     """Re(P diag(exp(i lam t)) Q): a matrix exponential at t from its spectral
-    factors, one complex product (one for the (T, d, d) stack at T times)."""
-    if not is_grid(t):
-        return ((P * np.exp(1j * t * lam)) @ Q).real
-    scaled = P * np.exp(1j * np.multiply.outer(t, lam))[:, None, :]
-    return (scaled.reshape(-1, len(lam)) @ Q).real.reshape(len(t), len(P), -1)
+    factors, one complex product (a (T, d, d) stack at T times)."""
+    return ((P * np.exp(1j * np.multiply.outer(t, lam))[..., None, :]) @ Q).real
 
 
 def spectral_apply(P, lam, Q, t, V):
@@ -90,13 +89,14 @@ def contract(rows, table, values):
     return np.add.reduceat(prod, table.starts, axis=-1)
 
 
-def bracket_coeffs(c, x, y):
-    """Coefficients of [x, y] (per row for (T, d) stacks): x (x) y flattened
-    to d^2 entries against c viewed as a d^2 x d matrix, one product."""
-    xy = x[..., :, None] * y[..., None, :]
-    return xy.reshape(xy.shape[:-2] + (-1,)) @ c.reshape(-1, c.shape[-1])
+def bracket_coeffs(entries, x, y):
+    """Coefficients of [x, y], sum x_i y_j c[i, j, l] over c's entries listed
+    as (i, j, l, c) (``AlgebraContext.structure_entries``): one ``bincount``."""
+    i, j, l, c = entries
+    return np.bincount(l, weights=x[i] * y[j] * c, minlength=len(x))
 
 
-def ad_matrix(c, x):
-    """Matrix of ad(x) in the basis: (ad x)[k, j] = sum_i x_i c[i, j, k]."""
-    return np.einsum("i,ijk->kj", x, c)
+def ad_matrix(entries, x):
+    """Matrix of ad(x), (ad x)[l, j] = sum_i x_i c[i, j, l]: one ``bincount``."""
+    (i, j, l, c), d = entries, len(x)
+    return np.bincount(l * d + j, weights=x[i] * c, minlength=d * d).reshape(d, d)

@@ -24,6 +24,7 @@ from .core import (
     StructureError,
     SubspaceSelectorError,
     _same_context,
+    _sum_runs,
 )
 
 _MODULES = ("m1", "m2", "m3")
@@ -88,11 +89,14 @@ class ReductiveDecomposition:
             self.part_masks[p] = mask
         self.equivalence_note = equivalence_note
 
-        c = context.structure_constants
         # -B on the blocks of m1, m2 and m3, zero elsewhere: a diagonal metric rescales it
         same_module = (self.part_of[:, None] == self.part_of) & (self.part_of > 0)
         self.module_killing = np.where(same_module, -context.killing, 0.0)
-        self.block_max = _part_block_max(c, self.part_indices, all_ix).tolist()
+        # block_max[p][q][r] = max |c[i, j, l]| over i in part p, j in q, l in r
+        i, j, l, v = context.structure_entries
+        block = np.zeros(64)
+        np.maximum.at(block, (self.part_of[i] * 4 + self.part_of[j]) * 4 + self.part_of[l], abs(v))
+        self.block_max = block.reshape(4, 4, 4).tolist()
         if not verify:
             self.commuting_pairs = _find_commuting_pairs(self)
             return
@@ -190,83 +194,62 @@ class ContractionTable(NamedTuple):
     starts: np.ndarray
 
 
-def _table(out, ab, base, scale, n_out) -> ContractionTable:
-    """The table of entries already sorted by output; an output with no
-    entry gets one of base 0, as each run of ``np.add.reduceat`` must hold
-    one."""
-    counts = np.bincount(out, minlength=n_out)
-    if np.count_nonzero(counts) < n_out:
-        at = np.searchsorted(out, np.flatnonzero(counts == 0))
-        ab = np.insert(ab, at, 0, axis=1)
-        base, scale = np.insert(base, at, 0.0), np.insert(scale, at, 0)
-        counts = np.maximum(counts, 1)
-    return ContractionTable(ab, base, scale, counts.cumsum() - counts)
+def _pairs(last, first) -> tuple:
+    """(a, b): every pair of positions with last[a] == first[b], for a
+    sorted ``last``, in order of b."""
+    lo = last.searchsorted(first)
+    count = last.searchsorted(first, "right") - lo
+    b = np.repeat(np.arange(len(first)), count)
+    return np.arange(len(b)) + np.repeat(lo - count.cumsum() + count, count), b
 
 
 def _defect_table(dec) -> ContractionTable:
     """The table of ``geodesics.gw_defect_all`` and ``oracle.connection_defect``
-    from the nonzero structure constants.  Write cK[i, j, l] = sum_k c[i, j, k]
-    K[k, l] with K the ``module_killing``, so that a metric's Gram matrix
-    is K diag(sigma).  The rows of ``defect_rows`` are s, p, q and w_dot,
-    so v[r d + i] is coordinate i of row r.
+    from the listed nonzero structure constants (``structure_entries``).
+    Write cK[i, j, y] = sum_l c[i, j, l] K[l, y] with K the ``module_killing``,
+    so that a metric's Gram matrix is K diag(sigma).  The rows of
+    ``defect_rows`` are s, p, q and w_dot, so v[r d + i] is coordinate i of
+    row r.  Each output's entries run in order of the index pairs below.
 
-    - output w < d_m: G_W[w] = sum cK[m_w, j, l] sigma_l s_j s_l
+    - output w < d_m: G_W[w] = sum cK[m_w, j, y] sigma_y s_j s_y
       + sum cK[i, j, m_w] sigma_{m_w} p_i q_j;
     - output d_m + m_l: D_m[l] - w_dot_m[l] = sum c[i, m_j, m_l] w_i w_{m_j}
       over i in k, which is [w_k, w_m]_m, plus the same sum over i in m
       times sigma_{m_j} / sigma_{m_l}, which is U(w_m, w_m);
-    - output d_m + i for i in k: 0, from the one entry of base 0 that
-      ``_table`` gives an output with none."""
-    c, d, K = dec.context.structure_constants, dec.context.dim, dec.module_killing
-    m, part = dec.part_indices["m"], dec.part_of
+    - output d_m + i for i in k, or any with nothing to sum: one entry of
+      base 0 at (0, 0), as each run of ``np.add.reduceat`` must hold one."""
+    ctx, K = dec.context, dec.module_killing
+    d, m, part = ctx.dim, dec.part_indices["m"], dec.part_of
     dm = len(m)
-    cK = c.reshape(d * d, d).dot(K).reshape(d, d, d)
-    # H0[w, 0, j, l] = cK[m_w, j, l] and H0[w, 1, i, j] = cK[i, j, m_w]: G_W's
-    # operator at sigma = 1, whose nonzeros come out ordered by w; as
-    # (d_m, 2d, d), entry (w, pd + x, y) multiplies s_x s_y (p = 0) or p_x q_y
-    H0 = np.empty((dm, 2, d, d))
-    cK.take(m, axis=0, out=H0[:, 0])
-    H0[:, 1] = cK[..., m].transpose(2, 0, 1)
-    H0 = H0.reshape(dm, 2 * d, d)
-    gw_at = (H0 != 0).ravel().nonzero()[0]  # a boolean scan, well ahead of np.nonzero(H0)
-    w, px, y = np.unravel_index(gw_at, H0.shape)
-    p = px >= d
-    # R0[o, i, j] = c[i, m_j, o] over the whole basis, w_i and w_{m_j} both
-    # on the row 0; the rows o in k are zeroed, so each gets ``_table``'s
-    # entry at (0, 0), whose product s_0^2 is >= 0 and keeps D_k at +0.0
-    R0 = np.ascontiguousarray(c.take(m, axis=1).transpose(2, 0, 1))
-    R0[dec.part_indices["k"]] = 0.0
-    d_at = (R0 != 0).ravel().nonzero()[0]
-    o, i, j = np.unravel_index(d_at, R0.shape)
-    mj = m[j]
-    return _table(
-        np.concatenate((w, dm + o)),
-        np.concatenate((np.array((px, y + 2 * d * p)), np.array((i, mj))), axis=1),
-        np.concatenate((H0.take(gw_at), R0.take(d_at))),
-        # no coefficient on [w_k, w_m]
-        np.concatenate((part[np.where(p, m[w], y)], (part[mj] + 4 * part[o]) * (part[i] > 0))),
-        dm + d,
-    )
-
-
-def _part_block_max(c, part_indices, order) -> np.ndarray:
-    """B[p, q, r] = max |c[i, j, l]| over i in p, j in q, l in r for the parts
-    (k, m1, m2, m3), whose indices run through ``order``; 0 where a part is
-    empty."""
-    sizes = [len(part_indices[p]) for p in _PARTS]
-    nonempty = [q for q, size in enumerate(sizes) if size]
-    starts = np.cumsum([0] + sizes[:-1])[nonempty]
-    if not np.array_equal(order, np.arange(len(order))):
-        # gather c in part order only when the parts are not contiguous in it
-        c = c[order[:, None, None], order[:, None], order]
-    block = np.abs(c)
-    for axis in range(3):
-        block = np.maximum.reduceat(block, starts, axis=axis)
-    if len(nonempty) == 4:
-        return block
-    out = np.zeros((4, 4, 4))
-    out[np.ix_(nonempty, nonempty, nonempty)] = block
-    return out
+    pos = np.zeros_like(part)  # the m-position of each index in m
+    pos[m] = np.arange(dm)
+    i, j, l, v = ctx.structure_entries
+    # cK's entries: each c[i, j, l] times each nonzero K[l, y] of its row,
+    # summed per (i, j, y), exact zeros dropped
+    kl, ky = K.nonzero()
+    kx, at = _pairs(kl, l)
+    key, cK = _sum_runs((i * d + j)[at] * d + ky[kx], v[at] * K[kl, ky][kx])
+    ci, cj, y = np.unravel_index(key[cK != 0], (d, d, d))
+    cK = cK[cK != 0]
+    left, on_m = part[ci] > 0, (part[j] > 0) & (part[l] > 0)
+    # per entry: its output, its rank there, the two coordinates and the scale
+    cols = np.concatenate((
+        # G_W's first sum, over the cK[m_w, j, y]: s_j s_y
+        np.array((pos[ci], cj * d + y, cj, y, part[y]))[:, left],
+        # its second, over the cK[i, j, m_w]: p_i q_j
+        np.array((pos[y], (d + ci) * d + cj, d + ci, 2 * d + cj, part[y])),
+        # D's, over the c[i, m_j, m_l]: w_i w_{m_j}, no coefficient on [w_k, w_m]
+        np.array((dm + l, i * dm + pos[j], i, j, (part[j] + 4 * part[l]) * (part[i] > 0)))[:, on_m],
+    ), axis=1)
+    # an output with no entry gets one, of rank, coordinates, scale and base 0
+    counts = np.bincount(cols[0], minlength=dm + d)
+    none = np.flatnonzero(counts == 0)
+    cols = np.concatenate((cols, np.zeros((5, len(none)), cols.dtype)), axis=1)
+    cols[0, cols.shape[1] - len(none):] = none
+    base = np.concatenate((cK[left], cK, v[on_m], np.zeros(len(none))))
+    order = np.argsort(cols[0] * 2 * d * d + cols[1], kind="stable")
+    cols, counts = cols.take(order, axis=1), np.maximum(counts, 1)
+    return ContractionTable(cols[2:4], base[order], cols[4], counts.cumsum() - counts)
 
 
 def _find_commuting_pairs(dec) -> frozenset:
@@ -312,17 +295,16 @@ def verify_fibration(dec: ReductiveDecomposition, i: int) -> StructureReport:
     report.add(f"[m', m'] in g{i}", dec.bracket_residual(mprime, mprime, gi), tol)
     report.add(f"[g{i}, m'] in m'", dec.bracket_residual(gi, mprime, mprime), tol)
 
-    # [[m_i, m_i], m_i] subset m_i: Lie triple system
-    ctx = dec.context
-    c = ctx.structure_constants
-    ix = dec.part_indices[f"m{i}"]
-    res = 0.0
-    if len(ix):
-        inner = c[np.ix_(ix, ix)]  # (a, b, dim) coefficients of [e_a, e_b]
-        # [[e_a, e_b], e_d] = sum_l inner[a,b,l] c[l, d, :], one BLAS product
-        triple = np.tensordot(inner, c[:, ix, :], axes=(2, 0))
-        res = float(np.abs(triple * (1.0 - dec.part_masks[f"m{i}"])).max())
-    report.add(f"m{i} is a Lie triple system", res, tol)
+    # [[m_i, m_i], m_i] subset m_i: Lie triple system.  Sum c[a, b, l] c[l, e, n]
+    # over l, for a, b, e in m_i and n outside it, from the entries' pairs
+    d, (first, second, last, v) = dec.context.dim, dec.context.structure_entries
+    on = dec.part_of == i
+    inner, outer = on[first] & on[second], on[second] & ~on[last]
+    a, b = _pairs(last[inner], first[outer])
+    ab = first[inner][a] * d + second[inner][a]
+    triple = _sum_runs((ab * d + second[outer][b]) * d + last[outer][b],
+                       v[inner][a] * v[outer][b])[1]
+    report.add(f"m{i} is a Lie triple system", float(np.abs(triple).max(initial=0.0)), tol)
     return report
 
 

@@ -4,6 +4,8 @@ exponentials and adjoint actions.
 An :class:`AlgebraContext` is built once from an ordered basis of real
 matrices; structure constants, the Killing matrix and the trace-form Gram
 factorization are precomputed and the context is immutable afterwards.
+Past its own dense checks, every reader of the structure constants c takes
+the one list of c's nonzero entries, ``structure_entries``.
 """
 
 from __future__ import annotations
@@ -150,12 +152,20 @@ def _sum_runs(key: np.ndarray, val: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     return key[heads], np.add.reduceat(val[srt], heads)
 
 
-def _jacobi_check(c: np.ndarray, tol: float) -> tuple[float, float, bool]:
-    """Jacobi residual max|J|, max|T| and whether J passes for structure constants c.
+def _nonzero_entries(c: np.ndarray) -> tuple:
+    """c's nonzero entries as four arrays (i, j, l, value), sorted by l, then i, j."""
+    ij, l = np.nonzero(c.reshape(-1, len(c)))
+    srt = np.argsort(l, kind="stable")
+    return (*np.divmod(ij[srt], len(c)), l[srt], c.reshape(-1, len(c))[ij, l][srt])
+
+
+def _jacobi_check(entries: tuple, d: int, tol: float) -> tuple[float, float, bool]:
+    """Jacobi residual max|J|, max|T| and whether J passes for structure
+    constants c of dimension d, given as their list ``_nonzero_entries``.
 
     T[i,j,k,m] = sum_l c[i,j,l] c[l,k,m] is the m-coefficient of [[e_i, e_j], e_k]
     and J[i,j,k] = T[i,j,k] + T[k,i,j] + T[j,k,i] its cyclic sum; J passes when
-    max|J| <= tol * max(1, max|T|).  T is formed only from pairs of nonzero
+    max|J| <= tol * max(1, max|T|).  T is formed only from pairs of listed
     entries that share l, and each T entry is summed into the rotation of
     (i, j, k) that is least in lexicographic order, which gives every J once.
     Rotations keep m, so the pass runs in blocks of pairs ordered by m and
@@ -166,19 +176,17 @@ def _jacobi_check(c: np.ndarray, tol: float) -> tuple[float, float, bool]:
     is added three times to max|J| and taken off max|T|, so the verdict is never
     weaker than the dense one; the cut keeps that bound under tol / 10.
     """
-    d = c.shape[0]
-    a = np.abs(c).ravel()
-    big = float(a.max())
+    first, second, last, v = entries
+    a = np.abs(v)
+    big = float(a.max(initial=0.0))
     q = 0.1 * tol  # 3 d cut (2 big + cut) = q, solved for cut
     cut = 2 * q / (6 * d * big + math.sqrt((6 * d * big) ** 2 + 12 * d * q)) if q > 0 else 0.0
     keep = a > cut
-    dropped = float(np.where(keep, 0.0, a).max())
+    dropped = float(a[~keep].max(initial=0.0))
     slack = d * dropped * (2 * big + dropped)
-    # kept entries ordered by their last index: as left factors c[i, j, l] they
-    # are grouped by l, as right factors c[l, k, m] ordered by m
-    last, ij = np.divmod(np.flatnonzero(keep.reshape(d * d, d).T), d * d)
-    v = c.reshape(d * d, d)[ij, last]
-    first, second = np.divmod(ij, d)
+    # the kept entries, ordered by their last index: as left factors c[i, j, l]
+    # they are grouped by l, as right factors c[l, k, m] ordered by m
+    first, second, last, v = first[keep], second[keep], last[keep], v[keep]
     lo = np.searchsorted(last, first)  # left factors of each right factor's l
     count = np.searchsorted(last, first, "right") - lo
     ends = np.cumsum(count)
@@ -273,7 +281,9 @@ class AlgebraContext:
         if anti > self.tol_structural * max(1.0, np.abs(c).max()):
             raise StructureError(f"{name}: structure constants not antisymmetric ({anti:.3e})")
 
-        self._jacobi_residual, _, jacobi_ok = _jacobi_check(c, self.tol_structural)
+        # outside this construction's dense checks, every reader takes c from this list
+        entries = self.structure_entries = _nonzero_entries(c)
+        self._jacobi_residual, _, jacobi_ok = _jacobi_check(entries, d, self.tol_structural)
         if not jacobi_ok:
             raise StructureError(f"{name}: Jacobi identity fails ({self._jacobi_residual:.3e})")
 
@@ -341,14 +351,14 @@ class AlgebraContext:
 
     def ad_matrix(self, x: np.ndarray) -> np.ndarray:
         """Matrix of ad(x) acting on coefficient vectors."""
-        return accel.ad_matrix(self.structure_constants, x)
+        return accel.ad_matrix(self.structure_entries, x)
 
 
 def bracket(X: AlgebraElement, Y: AlgebraElement) -> AlgebraElement:
     """Lie bracket [X, Y] via structure-constant contraction."""
     _same_context(X, Y)
     ctx = X.context
-    return AlgebraElement(ctx, accel.bracket_coeffs(ctx.structure_constants, X.coeffs, Y.coeffs))
+    return AlgebraElement(ctx, accel.bracket_coeffs(ctx.structure_entries, X.coeffs, Y.coeffs))
 
 
 def killing_norm(ctx: AlgebraContext, coeffs: np.ndarray):

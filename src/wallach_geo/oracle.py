@@ -277,11 +277,16 @@ def coset_distance(a, b, dec: ReductiveDecomposition):
     return float(dist) if dist.ndim == 0 else dist
 
 
-def identity_checks(dec: ReductiveDecomposition, seed: int = 0, h: float = 1e-4) -> StructureReport:
+_FD_STEP = 1e-4  # the step of identity_checks' central differences
+
+
+def identity_checks(dec: ReductiveDecomposition, seed: int = 0) -> StructureReport:
     """Finite-difference verification of the derivative relations of
-    T(t) = Ad(exp(-tZ) exp(-tY)) on random draws, plus the exact
-    Ad(exp(tX))X = X identity and linearity of projection under
-    differentiation."""
+    T(t) = Ad(exp(-tZ) exp(-tY)) on random draws, at step ``_FD_STEP``,
+    plus the exact Ad(exp(tX))X = X identity and linearity of projection
+    under differentiation.  Brackets and ad matrices read only c's listed
+    nonzero entries, and each Ad-exponential is applied to its vectors from
+    its spectral factors, never formed."""
     ctx = dec.context
     rng = np.random.default_rng(np.random.Philox(seed))
     report = StructureReport()
@@ -292,11 +297,10 @@ def identity_checks(dec: ReductiveDecomposition, seed: int = 0, h: float = 1e-4)
         n = np.linalg.norm(v)
         return v / n if n > 0 else v
 
-    fd_tol = 1e-6
+    fd_tol, h, c = 1e-6, _FD_STEP, ctx.structure_entries
     err17 = err18 = err19 = err20 = err25 = 0.0
     for _ in range(5):
         x, y, z = rand_m(), rand_m(), rand_m()
-        c = ctx.structure_constants
         spectra = [accel.exp_factors(ctx.ad_matrix(q), *chol) for q in (x, y, z)]
 
         def ad_exp(fs, t, v):

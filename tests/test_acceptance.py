@@ -234,7 +234,7 @@ def test_criterion_09_derivative_identities(spaces):
     ok = True
     worst_fd = worst_exact = 0.0
     for dec in spaces.values():
-        rep = identity_checks(dec, seed=90, h=1e-4)
+        rep = identity_checks(dec, seed=90)
         ok = ok and rep.verdict
         for chk in rep.checks:
             if "exact" in chk.name:
