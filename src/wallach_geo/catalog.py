@@ -43,7 +43,6 @@ class StructureReport:
     """Per-relation residuals for one decomposition."""
 
     checks: list[CheckResult] = field(default_factory=list)
-    commuting_pairs: frozenset = frozenset()
 
     @property
     def verdict(self) -> bool:
@@ -97,8 +96,8 @@ class ReductiveDecomposition:
         block = np.zeros(64)
         np.maximum.at(block, (self.part_of[i] * 4 + self.part_of[j]) * 4 + self.part_of[l], abs(v))
         self.block_max = block.reshape(4, 4, 4).tolist()
+        self.commuting_pairs = _find_commuting_pairs(self)
         if not verify:
-            self.commuting_pairs = _find_commuting_pairs(self)
             return
         for p in _MODULES:
             if not len(self.part_indices[p]):
@@ -107,7 +106,6 @@ class ReductiveDecomposition:
         if not report.verdict:
             failed = [c.name for c in report.checks if not c.passed]
             raise StructureError(f"{context.name}: structure verification failed: {failed}")
-        self.commuting_pairs = report.commuting_pairs
 
     @property
     def name(self) -> str:
@@ -280,7 +278,6 @@ def verify_structure(dec: ReductiveDecomposition) -> StructureReport:
     for mi, mj, mk in (("m1", "m2", "m3"), ("m1", "m3", "m2"), ("m2", "m3", "m1")):
         report.add(f"derived [{mi}, {mj}] in {mk}", dec.bracket_residual((mi,), (mj,), (mk,)), tol)
     report.add("k is a subalgebra", dec.bracket_residual(k, k, k), tol)
-    report.commuting_pairs = _find_commuting_pairs(dec)
     return report
 
 

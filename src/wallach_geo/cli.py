@@ -281,18 +281,22 @@ def _geodesic_report(args, dec, metric, case: int, c: float) -> int:
         "notes": notes,
     }
     text = _dump_json(report)
-    print(text)
     if args.out:
-        with open(args.out, "w") as f:
-            if args.format == "json":
-                f.write(text + "\n")
-            else:
-                f.write("t,defect_norm,max_abs_gw,coset_dist\n")
-                for k, t in enumerate(grid):
-                    f.write(
-                        f"{_fmt_float(t)},{_fmt_float(per_t[k, 0])},"
-                        f"{_fmt_float(per_t[k, 1])},{_fmt_float(per_t[k, 2])}\n"
-                    )
+        # write before printing: a failed write (say, a full disk) prints no report
+        try:
+            with open(args.out, "w") as f:
+                if args.format == "json":
+                    f.write(text + "\n")
+                else:
+                    f.write("t,defect_norm,max_abs_gw,coset_dist\n")
+                    for k, t in enumerate(grid):
+                        f.write(
+                            f"{_fmt_float(t)},{_fmt_float(per_t[k, 0])},"
+                            f"{_fmt_float(per_t[k, 1])},{_fmt_float(per_t[k, 2])}\n"
+                        )
+        except OSError as exc:
+            raise UsageError(f"--out {args.out!r} cannot be written: {exc.strerror}") from None
+    print(text)
     return EXIT_PASS if verdict else EXIT_FAIL
 
 
@@ -455,7 +459,9 @@ def main(argv=None) -> int:
         # which _dump_json turns into a one-line error instead of numpy warnings
         with np.errstate(all="ignore"):
             return args.func(args)
-    except WallachGeoError as exc:
+    except (WallachGeoError, MemoryError) as exc:
+        if isinstance(exc, MemoryError):  # numpy's names the allocation that failed
+            exc = UsageError(f"out of memory: {exc}" if str(exc) else "out of memory")
         # a control character (say, a newline in a JSON space name) would split the line
         message = re.sub(r"[\x00-\x1f\x7f]", lambda m: repr(m.group())[1:-1], str(exc))
         print(f"error: {message}", file=sys.stderr)

@@ -2,10 +2,10 @@
 exponentials and adjoint actions.
 
 An :class:`AlgebraContext` is built once from an ordered basis of real
-matrices; structure constants, the Killing matrix and the trace-form Gram
-factorization are precomputed and the context is immutable afterwards.
-Past its own dense checks, every reader of the structure constants c takes
-the one list of c's nonzero entries, ``structure_entries``.
+matrices; the structure constants c, the Killing matrix and the trace-form
+Gram factorization are precomputed and the context is immutable afterwards.
+The dense c lives only in the constructor's own checks: the context keeps c
+as the one list of its nonzero entries, ``structure_entries``.
 """
 
 from __future__ import annotations
@@ -236,7 +236,9 @@ class AlgebraContext:
     antisymmetry, the Jacobi identity, the commutator/structure-constant
     match and ad-invariance of the Killing form on basis triples.  Then -B
     must be positive definite and the basis skew (SpaceDefinitionError), so
-    every context is compact semisimple with an orthogonal group.
+    every context is compact semisimple with an orthogonal group.  It keeps
+    c only as ``structure_entries``, next to the Killing form and its
+    Cholesky factors: the dense c and its d^2 n^2 products die in here.
     """
 
     def __init__(self, name: str, basis, tol_structural: float = 1e-12):
@@ -265,23 +267,24 @@ class AlgebraContext:
         prods = basis.reshape(d * n, n) @ basis.transpose(1, 0, 2).reshape(n, d * n)
         prods = prods.reshape(d, n, d, n).transpose(0, 2, 1, 3)
         comms = prods - prods.transpose(1, 0, 2, 3)
-        rhs = comms.reshape(d * d, n * n) @ flat.T
-        self.structure_constants = (rhs @ self._gram_inv.T).reshape(d, d, d)
+        del prods  # each temporary is freed once read: at most two d^2 n^2 arrays live
+        scale = max(1.0, np.abs(comms).max())
+        c = (comms.reshape(d * d, n * n) @ flat.T @ self._gram_inv.T).reshape(d, d, d)
 
-        recon = (self.structure_constants.reshape(d * d, d) @ flat).reshape(d, d, n, n)
-        self._commutator_residual = float(np.abs(recon - comms).max())
-        if self._commutator_residual > self.tol_structural * max(1.0, np.abs(comms).max()):
+        recon = (c.reshape(d * d, d) @ flat).reshape(d, d, n, n)
+        recon -= comms
+        residual = float(np.abs(recon, out=recon).max())
+        del comms, recon
+        if residual > self.tol_structural * scale:
             raise StructureError(
-                f"{name}: commutators leave the basis span "
-                f"(residual {self._commutator_residual:.3e})"
+                f"{name}: commutators leave the basis span (residual {residual:.3e})"
             )
 
-        c = self.structure_constants
         anti = np.abs(c + np.transpose(c, (1, 0, 2))).max()
         if anti > self.tol_structural * max(1.0, np.abs(c).max()):
             raise StructureError(f"{name}: structure constants not antisymmetric ({anti:.3e})")
 
-        # outside this construction's dense checks, every reader takes c from this list
+        # c is kept only as this list of its nonzero entries, which every reader takes
         entries = self.structure_entries = _nonzero_entries(c)
         self._jacobi_residual, _, jacobi_ok = _jacobi_check(entries, d, self.tol_structural)
         if not jacobi_ok:
@@ -297,11 +300,9 @@ class AlgebraContext:
             raise StructureError(f"{name}: Killing matrix not symmetric ({sym:.3e})")
         K = self.killing
         adinv = (c.reshape(-1, d) @ K).reshape(d, d, d) + K @ c.transpose(0, 2, 1)
-        self._ad_invariance_residual = float(np.abs(adinv).max())
-        if self._ad_invariance_residual > 10 * self.tol_structural * kb:
-            raise StructureError(
-                f"{name}: Killing form not ad-invariant ({self._ad_invariance_residual:.3e})"
-            )
+        residual = float(np.abs(adinv).max())
+        if residual > 10 * self.tol_structural * kb:
+            raise StructureError(f"{name}: Killing form not ad-invariant ({residual:.3e})")
 
         # metrics weigh -B per module, so g must be compact semisimple: -B positive
         # definite, i.e. its Cholesky exists with no pivot at rounding level

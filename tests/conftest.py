@@ -57,12 +57,21 @@ def sheared(dec):
     return ReductiveDecomposition(AlgebraContext(dec.name + " sheared", basis), parts)
 
 
+def dense_c(ctx):
+    """The dense structure constants c (d, d, d) of a context, scattered
+    from the one list of its nonzero entries, ``structure_entries``."""
+    i, j, l, v = ctx.structure_entries
+    c = np.zeros((ctx.dim,) * 3)
+    c[i, j, l] = v
+    return c
+
+
 def dense_u_operator(g):
     """The dense U operator Q (d_m, d_m^2) of the metric g, gathered from c
     rather than read from the defect table: Q[l, a d_m + j] =
     c[m_a, m_j, m_l] sigma_{m_j} / sigma_{m_l}, so that U(x, x)_m =
     Q (x_m (x) x_m)."""
-    m, c = g.m_indices, g.dec.context.structure_constants
+    m, c = g.m_indices, dense_c(g.dec.context)
     s = np.array((0.0,) + g.lambdas)[g.dec.part_of].take(m)
     q0 = c[m[:, None], m, m[:, None, None]]
     return (q0 * (s / s[:, None])[:, None]).reshape(len(m), -1)

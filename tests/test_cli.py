@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, report schema and determinism."""
 
 import argparse
+import io
 import json
 import os
 import subprocess
@@ -148,6 +149,45 @@ def test_failed_run_leaves_no_out_file_it_created(capsys, tmp_path):
         assert (code, out) == (1, "") and "energy drift" in err
     assert not new.exists()
     assert old.read_text() == "kept"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full here")
+def test_out_on_a_full_device_ends_in_one_line(capsys):
+    """/dev/full accepts the open but fails the write: exit 3, one line
+    naming --out and the OS reason, and no report on stdout."""
+    code, out, err = run(capsys, *GEO_ARGS, "--out", "/dev/full")
+    assert (code, out) == (3, "")
+    assert err.count("\n") == 1 and "--out" in err and "No space left on device" in err
+
+
+def test_failed_out_write_removes_the_file_it_created(capsys, monkeypatch, tmp_path):
+    """A write that fails after the trials prints no report, exits 3 with
+    one line, and removes the --out file the run created."""
+    class Full(io.StringIO):
+        def write(self, text):
+            raise OSError(28, "No space left on device")
+
+    # the check before the trials opens the file to append, the report write truncates
+    monkeypatch.setattr(cli, "open", lambda f, mode: Full() if mode == "w" else open(f, mode),
+                        raising=False)
+    path = tmp_path / "new.csv"
+    code, out, err = run(capsys, *GEO_ARGS, "--out", str(path), "--format", "csv")
+    assert (code, out) == (3, "")
+    assert err.count("\n") == 1 and "--out" in err and "No space left on device" in err
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("message", ["Unable to allocate 9.74 GiB for an array", ""])
+def test_a_space_too_large_for_memory_ends_in_one_line(capsys, monkeypatch, message):
+    """A MemoryError (as numpy raises for a space such as stiefel 40) exits
+    3 with one line on stderr; no test attempts the real allocation."""
+    def too_large(*sizes, tol_structural):
+        raise MemoryError(message)
+
+    monkeypatch.setitem(cli.CATALOG, "stiefel", (too_large, *cli.CATALOG["stiefel"][1:]))
+    code, out, err = run(capsys, "verify-space", "stiefel", "40")
+    assert (code, out) == (3, "")
+    assert err == f"error: out of memory{': ' * bool(message)}{message}\n"
 
 
 @pytest.mark.parametrize("metric", [["1", "1", "1e-9"], ["1e-9", "1", "1"], ["1", "1e-9", "1"]])

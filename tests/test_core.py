@@ -21,7 +21,7 @@ from wallach_geo import (
 )
 from wallach_geo import accel
 from wallach_geo.core import _jacobi_check, _nonzero_entries
-from .conftest import make_rng
+from .conftest import dense_c, make_rng
 
 
 def _spectral_expm(A):
@@ -254,19 +254,24 @@ def _conjugated_basis(dec, seed):
 
 def test_context_construction_memory_is_bounded():
     """The Jacobi check multiplies only pairs of nonzero structure constants,
-    in blocks, and drops rounding noise first: building the so-blocks(3,3,4)
-    context (d = 45), whose d^4 tensor alone would take 31 MiB, peaks at no
-    more than 32 MiB, also on a conjugated basis whose c has 89,100 nonzero
-    entries of which 720 are genuine."""
+    in blocks, and drops rounding noise first, and the constructor frees each
+    d^2 n^2 product once its check has read it: building the so-blocks(3,3,4)
+    context (d = 45, n = 10), whose d^4 tensor alone would take 31 MiB and
+    each d^2 n^2 product 1.5 MiB, peaks at 3.8 MiB traced (bound 6 MiB), and
+    at 6.2 MiB (bound 9 MiB) on a conjugated basis whose c has 89,100 nonzero
+    entries of which 720 are genuine.  The live context holds c only as its
+    entry list: beyond the list, it retains at most 0.5 MiB."""
     dec = build_so_blocks(3, 3, 4)
-    for basis in (dec.context.basis, _conjugated_basis(dec, 16)):
+    for basis, bound in ((dec.context.basis, 6), (_conjugated_basis(dec, 16), 9)):
         tracemalloc.start()
         try:
-            AlgebraContext("so-blocks(3,3,4)", basis)
-            peak = tracemalloc.get_traced_memory()[1]
+            ctx = AlgebraContext("so-blocks(3,3,4)", basis)
+            retained, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 32 * 2**20, peak
+        assert peak <= bound * 2**20, peak
+        listed = sum(a.nbytes for a in ctx.structure_entries)
+        assert retained <= listed + 2**19, (retained, listed)
 
 
 def _chunked_jacobi(c, chunk=2**17):
@@ -297,7 +302,7 @@ def test_jacobi_check_matches_the_dense_formula(spaces):
     residual, and the check fails.  A zero c passes at tol 0."""
     rng = make_rng(15)
     for name, dec in spaces.items():
-        c = dec.context.structure_constants
+        c = dense_c(dec.context)
         assert _jacobi(c, 1e-12) == (0.0, _chunked_jacobi(c)[1], True), name
         bent = c.copy()
         bent.ravel()[rng.choice(c.size, 5, replace=False)] += 1e-3
@@ -321,7 +326,7 @@ def test_jacobi_check_bounds_the_dropped_noise():
     nonzero, 60 genuine) and charges their bound, which stays under a tenth of
     the threshold: never below the dense residual, nor far above it."""
     basis = _conjugated_basis(build_so_blocks(1, 2, 2), 13)
-    c = AlgebraContext("so5-conjugated", basis).structure_constants
+    c = dense_c(AlgebraContext("so5-conjugated", basis))
     assert np.count_nonzero(c) == 900
     residual, t_max, ok = _jacobi(c, 1e-12)
     want_residual, want_t_max = _chunked_jacobi(c)
@@ -389,13 +394,13 @@ def test_context_matches_einsum_formulas(spaces):
     for name, dec in spaces.items():
         ctx = dec.context
         for got, want in zip(
-            (ctx.structure_constants, ctx.killing, ctx.killing_chol), _einsum_context(ctx.basis)
+            (dense_c(ctx), ctx.killing, ctx.killing_chol), _einsum_context(ctx.basis)
         ):
             assert np.array_equal(got, want), name
     basis = _conjugated_basis(build_so_blocks(1, 2, 2), 13)
     ctx = AlgebraContext("so5-conjugated", basis)
     for got, want in zip(
-        (ctx.structure_constants, ctx.killing, ctx.killing_chol), _einsum_context(basis)
+        (dense_c(ctx), ctx.killing, ctx.killing_chol), _einsum_context(basis)
     ):
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 

@@ -22,8 +22,9 @@ from wallach_geo import (
     matrix_exp,
     shoot_geodesic,
     u_map,
+    verify_structure,
 )
-from wallach_geo import accel
+from wallach_geo import accel, catalog
 from wallach_geo.catalog import ReductiveDecomposition, _find_commuting_pairs
 from wallach_geo.oracle import _polar_orthonormalize
 from .conftest import make_rng, rotated
@@ -303,6 +304,25 @@ def test_projection_identity_check_compares_two_computations(spaces):
 
 
 def test_verified_decomposition_takes_commuting_pairs_from_its_report(spaces):
+    """Verified or not, a decomposition finds its commuting pairs at build,
+    so a bare one over the same split holds the same pairs."""
     for dec in spaces.values():
         bare = ReductiveDecomposition(dec.context, dec.part_indices, verify=False)
-        assert bare.commuting_pairs == dec.commuting_pairs == _find_commuting_pairs(dec)
+        assert bare.commuting_pairs == dec.commuting_pairs
+
+
+@pytest.mark.parametrize("verify", [True, False])
+def test_commuting_pairs_are_found_once_per_build(so222, monkeypatch, verify):
+    """Building a decomposition calls ``_find_commuting_pairs`` exactly once,
+    verified or not, and ``verify_structure`` never calls it."""
+    calls = []
+
+    def spy(dec):
+        calls.append(dec)
+        return _find_commuting_pairs(dec)
+
+    monkeypatch.setattr(catalog, "_find_commuting_pairs", spy)
+    dec = ReductiveDecomposition(so222.context, so222.part_indices, verify=verify)
+    assert calls == [dec] and dec.commuting_pairs == so222.commuting_pairs
+    verify_structure(dec)
+    assert calls == [dec]

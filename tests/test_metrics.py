@@ -13,7 +13,7 @@ from wallach_geo import (
     u_map,
 )
 from wallach_geo import accel
-from .conftest import dense_u, dense_u_operator, make_rng
+from .conftest import dense_c, dense_u, dense_u_operator, make_rng
 
 
 def test_positive_coefficients_required(stiefel3):
@@ -81,7 +81,7 @@ def test_u_map_matches_gram_solve_reference(spaces):
     rng = make_rng(12)
     for dec in spaces.values():
         g = DiagonalMetric(dec, rng.uniform(0.3, 3.0, 3))
-        c = dec.context.structure_constants
+        c = dense_c(dec.context)
         G_inv = np.linalg.inv(g.gram)
         for _ in range(3):
             X = dec.random_module_vector("m", rng)

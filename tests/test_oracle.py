@@ -25,7 +25,7 @@ from wallach_geo import (
     u_map,
 )
 from wallach_geo import oracle
-from .conftest import dense_u, dense_u_operator, make_rng, rotated, sheared
+from .conftest import dense_c, dense_u, dense_u_operator, make_rng, rotated, sheared
 
 
 def _draws(dec, seed):
@@ -53,7 +53,7 @@ def _reference_defects(curve, g, t):
     from scipy's Pade exponentials, einsum contractions and a dense Gram
     solve."""
     ctx = curve.context
-    c = ctx.structure_constants
+    c = dense_c(ctx)
     mi = g.m_indices
     G = g.gram_full
     X, Y, Z = (list(curve.factors) + [ctx.zero()] * 2)[:3]
@@ -92,7 +92,7 @@ def test_defects_match_pade_reference_on_non_geodesics(spaces):
     grid = np.linspace(0.0, 2.0, 21)
     so222 = spaces["so-blocks(2,2,2)"]
     rebased = [rotated(so222, 160), sheared(so222)]
-    nonzero = [np.count_nonzero(q.context.structure_constants) for q in (so222, rebased[0])]
+    nonzero = [np.count_nonzero(dense_c(q.context)) for q in (so222, rebased[0])]
     assert nonzero[1] >= 5 * nonzero[0]
     ix = rebased[1].part_indices["m1"]
     assert rebased[1].module_killing[ix[0], ix[1]] != 0

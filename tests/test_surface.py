@@ -71,16 +71,16 @@ def test_every_private_module_level_name_is_read():
 
 
 def test_only_core_reads_the_dense_structure_constants():
-    """Past the construction's own checks in ``core``, every reader takes
-    c's one list of nonzero entries (``structure_entries``): no other
-    module of the package loads the attribute ``structure_constants``."""
-    readers = []
+    """The dense c lives only in ``core``'s constructor, as a local: a
+    context keeps c as its one list of nonzero entries (``structure_entries``),
+    and no module of the package stores or loads an attribute named
+    ``structure_constants``."""
+    uses = []
     for path in sorted(PACKAGE_DIR.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
-            if (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
-                    and node.attr == "structure_constants"):
-                readers.append(f"{path.name}:{node.lineno}")
-    assert readers and all(r.startswith("core.py:") for r in readers), readers
+            if isinstance(node, ast.Attribute) and node.attr == "structure_constants":
+                uses.append(f"{path.name}:{node.lineno}")
+    assert uses == []
 
 
 def test_no_module_level_import_goes_unused():
