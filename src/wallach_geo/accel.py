@@ -78,12 +78,12 @@ def is_grid(t) -> bool:
     return isinstance(t, np.ndarray) and t.ndim > 0
 
 
-def contract(rows, table, values):
+def contract(flat, table, values):
     """A sparse bilinear map (``catalog.ContractionTable``) with the given
-    entry values on the flattened (k, n) rows, or on each of a (T, k, n)
-    stack: both factors taken from the flat rows, one product per entry and
-    one sum per output run."""
-    v = rows.reshape(rows.shape[:-2] + (-1,)).take(table.ab, axis=-1)
+    entry values on a flat vector, or on each row of a (T, n) stack: both
+    factors taken from it, one product per entry and one sum per output
+    run."""
+    v = flat.take(table.ab, axis=-1)
     prod = v[..., 0, :] * v[..., 1, :]
     prod *= values
     return np.add.reduceat(prod, table.starts, axis=-1)

@@ -86,6 +86,8 @@ class ReductiveDecomposition:
             mask = np.zeros(context.dim)
             mask[ix] = 1.0
             self.part_masks[p] = mask
+        # row i - 1 is 1 off module m_i and 0 on it
+        self.module_outside = 1.0 - np.array([self.part_masks[p] for p in _MODULES])
         self.equivalence_note = equivalence_note
 
         # -B on the blocks of m1, m2 and m3, zero elsewhere: a diagonal metric rescales it
@@ -317,6 +319,9 @@ class TwoSummandView:
         self.M2_part = f"m{i}"
         self.M1_parts = tuple(p for p in _MODULES if p != self.M2_part)
         M1, M2 = self.M1_parts, (self.M2_part,)
+        # 1 off M1 (first row) and off M2 (second row), 0 on them
+        masks = parent.part_masks
+        self.outside = 1.0 - np.array([masks[M1[0]] + masks[M1[1]], masks[self.M2_part]])
         checks = [
             ("[M2, M2] in k", parent.bracket_residual(M2, M2, ("k",))),
             ("[M1, M1] in k+M2", parent.bracket_residual(M1, M1, ("k",) + M2)),

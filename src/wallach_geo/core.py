@@ -96,26 +96,33 @@ class AlgebraElement:
 
     def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
         _same_context(self, other)
-        return AlgebraElement(self.context, self.coeffs + other.coeffs)
+        return _element(self.context, self.coeffs + other.coeffs)
 
     def __sub__(self, other: "AlgebraElement") -> "AlgebraElement":
         _same_context(self, other)
-        return AlgebraElement(self.context, self.coeffs - other.coeffs)
+        return _element(self.context, self.coeffs - other.coeffs)
 
     def __mul__(self, scalar) -> "AlgebraElement":
-        return AlgebraElement(self.context, self.coeffs * float(scalar))
+        return _element(self.context, self.coeffs * float(scalar))
 
     __rmul__ = __mul__
 
     def __neg__(self) -> "AlgebraElement":
-        return AlgebraElement(self.context, -self.coeffs)
+        return _element(self.context, -self.coeffs)
 
     def norm_b(self) -> float:
         """Norm in the -B form (real and nonnegative on compact algebras)."""
-        return float(killing_norm(self.context, self.coeffs))
+        return killing_norm(self.context, self.coeffs)
 
     def __repr__(self) -> str:
         return f"AlgebraElement({self.context.name}, {self.coeffs})"
+
+
+def _element(context: "AlgebraContext", coeffs: np.ndarray) -> AlgebraElement:
+    # an element over a (dim,) float64 array that already fits, unchecked
+    X = object.__new__(AlgebraElement)
+    X.context, X.coeffs = context, coeffs
+    return X
 
 
 class GroupElement:
@@ -363,10 +370,15 @@ def bracket(X: AlgebraElement, Y: AlgebraElement) -> AlgebraElement:
 
 
 def killing_norm(ctx: AlgebraContext, coeffs: np.ndarray):
-    """-B norm of a coefficient vector, or of each row of a (T, d) stack."""
-    y = coeffs @ ctx.killing
-    q = y @ coeffs if coeffs.ndim == 1 else np.einsum("ti,ti->t", y, coeffs)
-    return np.sqrt(np.maximum(-q, 0.0))
+    """-B norm of a coefficient vector (a float), or of each row of a (T, d)
+    stack; a zero norm is +0.0."""
+    # dot costs less per call than @ on a vector
+    y = coeffs.dot(ctx.killing)
+    if coeffs.ndim == 1:
+        # max(-0.0, 0.0) is -0.0, and so is its sqrt; adding 0.0 gives +0.0
+        # and keeps a nan
+        return math.sqrt(max(-float(y.dot(coeffs)), 0.0)) + 0.0
+    return np.sqrt(np.maximum(-np.einsum("ti,ti->t", y, coeffs), 0.0))
 
 
 def matrix_exp(X: AlgebraElement, t: float = 1.0) -> GroupElement:

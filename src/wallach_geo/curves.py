@@ -22,14 +22,16 @@ all four rows: one complex exponential and one product per t.  A third
 factor acts on the rows through ``accel.spectral_apply``, in O(d^2) per
 row and t, never forming its d x d matrix.
 
-A curve keeps the rows of the last scalar t and those of the last grid,
-each with the contraction of the decomposition's defect table on them
-(``defects``) for the last metric object that asked, so
-``gw_defect_all`` and ``connection_defect`` at the same t or grid build
-the rows and contract the table once; a grid is kept as a copy and
-compared by value, so one changed in place gets new rows.  The kept
-arrays are read-only, and every array the defects return belongs to the
-caller.  Every time-dependent
+A curve keeps the rows of the last scalar t and those of the last grid:
+the product itself, flat as (4d,) or (T, 4d), beside its (4, d) or
+(T, 4, d) view, each with the contraction of the decomposition's defect
+table on the flat rows (``defects``) for the last metric object that
+asked.  ``defects`` hands back the rows with the contraction, so
+``gw_defect_all`` and ``connection_defect`` each probe the kept entry
+once, and at the same t or grid the two build the rows and contract the
+table once; a grid is kept as a copy and compared by value, so one
+changed in place gets new rows.  The kept arrays are read-only, and every
+array the defects return belongs to the caller.  Every time-dependent
 method takes a scalar t or a 1-D array of T times by one code path: an
 array adds a leading time axis, giving (T, d) velocities and a (T, n, n)
 stack of lift matrices, so a whole t-grid is one pass.
@@ -71,10 +73,11 @@ class ProductExpCurve:
         # and -ad(X_2) x_1 has eigenbasis coordinates i lam Q x_1, so each
         # row is Re(B exp(i lam t)) + c, with B = Pu or Pw below (0 for q)
         P, lam, Q = spectra[0] if spectra else accel.exp_factors(np.zeros((d, d)))
-        x1, x2, x3 = (f.coeffs for f in (self.factors + [ctx.zero()] * 2)[:3])
+        zero = np.zeros(d)
+        x1, x2, x3 = ([f.coeffs for f in self.factors] + [zero, zero])[:3]
         Pu = P * (Q @ x1)
         Pw = Pu * (1j * lam)
-        C = np.array([x2 + x3, x2, x2 + x3, np.zeros(d)])
+        C = np.array([x2 + x3, x2, x2 + x3, zero])
         if len(self.factors) > 2:
             Pw -= ad_mats[1] @ Pu
             C[3] = -ad_mats[1] @ x2
@@ -90,55 +93,57 @@ class ProductExpCurve:
         self._last = spectra[1] if len(spectra) > 1 else None
         # the last scalar t and the last grid, each with its read-only rows
         # and the defects of the last metric on them
-        self._kept = [[None] * 4, [None] * 4]
+        self._kept = [[None] * 5, [None] * 5]
         self._amb_spectra = None  # built on the first evaluate
 
     @property
     def context(self):
         return self.dec.context
 
-    def _phase(self, t) -> np.ndarray:
-        # the real view of A_2's exp(i lam t), then of the constant phase 1:
-        # (2d + 2,), or (T, 2d + 2) at T times
-        lam_t = np.multiply.outer(t, self._ilam) if accel.is_grid(t) else t * self._ilam
-        return np.exp(lam_t).view(np.float64)
-
     def defect_rows(self, t) -> np.ndarray:
         """The rows s, p, q and w_dot at t: a read-only (4, d) array, or
         (T, 4, d) at a 1-D array of T times, kept until the next scalar t
         or the next grid, with absent factors zero in s = TX + TY + Z,
         p = TX + TY and q = TY + Z; s is the velocity w."""
-        return self._keep(t)[1]
+        return self._keep(t)[2]
 
-    def defects(self, g, t) -> np.ndarray:
-        """The decomposition's ``defect_table`` at the metric g's values
-        on the rows at t: a read-only (d_m + d,) array of
-        G_W over m, then D - w_dot_m over the basis, or (T, d_m + d) at a
-        1-D array of T times; kept with the rows for the last metric
-        object that asked."""
+    def defects(self, g, t) -> tuple:
+        """(rows, defects): the ``defect_rows`` at t and the
+        decomposition's ``defect_table`` at the metric g's values on them,
+        a read-only (d_m + d,) array of G_W over m, then D - w_dot_m over
+        the basis, or (T, d_m + d) at a 1-D array of T times; the defects
+        are kept with the rows for the last metric object that asked."""
         kept = self._keep(t)
-        if kept[2] is not g:
+        if kept[3] is not g:
             out = accel.contract(kept[1], self.dec.defect_table, g.defect_values)
-            out.flags.writeable = False
-            kept[2:] = g, out
-        return kept[3]
+            out.setflags(write=False)
+            kept[3:] = g, out
+        return kept[2], kept[4]
 
     def _keep(self, t) -> list:
-        # [t, rows, metric, defects] kept for the last scalar t or grid
+        # [t, flat rows (..., 4d), their (..., 4, d) view, metric, defects]
+        # for the last scalar t or grid
         grid = accel.is_grid(t)
         kept = self._kept[grid]
         if not (np.array_equal(kept[0], t) if grid else float(t) == kept[0]):
             # a grid is kept as a copy, so one changed in place misses
             key = t.copy() if grid else float(t)
-            rows = self._rows(key)
-            rows.flags.writeable = False
-            kept = self._kept[grid] = [key, rows, None, None]
+            flat = self._rows(key)
+            flat.setflags(write=False)
+            rows = flat.reshape(flat.shape[:-1] + (4, -1))
+            kept = self._kept[grid] = [key, flat, rows, None, None]
         return kept
 
     def _rows(self, t) -> np.ndarray:
-        R = self._phase(t) @ self._fold
-        R = R.reshape(R.shape[:-1] + (4, -1))
-        return R if self._last is None else accel.spectral_apply(*self._last, t, R)
+        # the rows at t flattened to (4d,), or (T, 4d) at T times, from the
+        # real view of A_2's exp(i lam t) and of the constant phase 1; dot
+        # costs less per call than @ on arrays this small
+        lam_t = np.multiply.outer(t, self._ilam) if accel.is_grid(t) else t * self._ilam
+        R = np.exp(lam_t).view(np.float64).dot(self._fold)
+        if self._last is None:
+            return R
+        R = accel.spectral_apply(*self._last, t, R.reshape(R.shape[:-1] + (4, -1)))
+        return R.reshape(R.shape[:-2] + (-1,))
 
     def evaluate(self, t):
         """Lift a(t) = exp(t X_1) ... exp(t X_r) in the ambient group: a

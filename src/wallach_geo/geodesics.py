@@ -58,7 +58,7 @@ def gw_defect_all(curve: ProductExpCurve, g: DiagonalMetric, t) -> np.ndarray:
     ``curve.defect_rows``.  A metric of another decomposition is a
     ContextMismatchError."""
     _same_decomposition(g, curve.dec)
-    return curve.defects(g, t)[..., : len(g.m_indices)].copy()
+    return curve.defects(g, t)[1][..., : len(g.m_indices)].copy()
 
 
 def gw_defect(curve: ProductExpCurve, g: DiagonalMetric, W: AlgebraElement, t: float) -> float:
@@ -70,12 +70,17 @@ def gw_defect(curve: ProductExpCurve, g: DiagonalMetric, W: AlgebraElement, t: f
     return float(Wm.coeffs[g.m_indices] @ gw_defect_all(curve, g, t))
 
 
-def _require_module(dec: ReductiveDecomposition, X: AlgebraElement, *parts: str) -> None:
-    # the sum starts from the first part's mask, so one part adds nothing
-    inside = sum((dec.part_masks[p] for p in parts[1:]), dec.part_masks[parts[0]])
-    out = np.abs(X.coeffs * (1.0 - inside)).max()
-    if out > 1e-10 * max(1.0, np.abs(X.coeffs).max()):
-        raise WrongModuleError(f"vector is not in {'+'.join(parts)} (outside component {out:.3e})")
+def _require_parts(Xs, outside: np.ndarray, names) -> None:
+    """Raise WrongModuleError for the first X of Xs with a component off
+    its part, ``names[q]`` for Xs[q], in one vectorized check: row q of
+    ``outside`` is 1 off that part and 0 on it (one row serves every X)."""
+    A = np.abs([X.coeffs for X in Xs])
+    out = (A * outside).max(axis=1)
+    # fmax, like max(1.0, .), ignores a nan
+    bad = out > 1e-10 * np.fmax(1.0, A.max(axis=1))
+    q = int(bad.argmax())
+    if bad[q]:
+        raise WrongModuleError(f"vector is not in {names[q]} (outside component {out[q]:.3e})")
 
 
 # free module i -> (closed-form case, restriction families); the order ranks ties
@@ -143,8 +148,7 @@ def closed_form_geodesic(
     if case not in _MODULE_OF_CASE:
         raise ValueError("case must be 1, 2 or 3")
     Xs = (X1, X2, X3)
-    for X, part in zip(Xs, _MODULES):
-        _require_module(dec, X, part)
+    _require_parts(Xs, dec.module_outside, _MODULES)
     i = _MODULE_OF_CASE[case]
     others = sum((X for q, X in enumerate(Xs, 1) if q != i), dec.context.zero())
     return _two_factor_geodesic(dec, i, c, others, Xs[i - 1])
@@ -153,8 +157,7 @@ def closed_form_geodesic(
 def dohira_geodesic(view: TwoSummandView, c: float, X1: AlgebraElement, X2: AlgebraElement):
     """Two-summand geodesic on the grouped view: metric (1, c) on (M1, M2),
     factors (X1 + cX2, (1-c)X2)."""
-    _require_module(view.parent, X1, *view.M1_parts)
-    _require_module(view.parent, X2, view.M2_part)
+    _require_parts((X1, X2), view.outside, ("+".join(view.M1_parts), view.M2_part))
     return _two_factor_geodesic(view.parent, view.i, c, X1, X2)
 
 
@@ -168,7 +171,7 @@ def homogeneous_geodesic(
             f"{dec.name}: no commuting module pair; exp(tX).o is not certified "
             "as a geodesic for arbitrary diagonal metrics"
         )
-    _require_module(dec, X, "m")
+    _require_parts((X,), 1.0 - dec.part_masks["m"], ("m",))
     return ProductExpCurve(dec, [X])
 
 

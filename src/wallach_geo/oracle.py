@@ -13,9 +13,11 @@ first d_m are G_W, at the metric's ``defect_values``:
 
 as U(X, X)_m = Lambda^-1 [X, Lambda X]_m for the metric -B(Lambda ., .)
 (see ``metrics``).  ``ProductExpCurve.defects`` contracts the table on
-the curve's rows once for G_W and D, and keeps the result for the last
-scalar t and the last grid; D is its part plus w_dot times the m mask, a
-new array either way.
+the curve's flat rows once for G_W and D, and keeps the result with the
+rows for the last scalar t and the last grid; ``connection_defect``
+probes that entry once for both, and D is its part plus w_dot times the
+m mask, a new array either way (at a scalar t, wrapped as an
+AlgebraElement without a second shape check).
 
 Geodesic shooting integrates the same equation forward with RK4 from v0
 alone, a second check that never reads the closed form, on bare arrays,
@@ -51,6 +53,7 @@ from .core import (
     ContextMismatchError,
     IntegrationFailureError,
     OutOfChartError,
+    _element,
     killing_norm,
 )
 from .curves import ProductExpCurve
@@ -65,10 +68,10 @@ def connection_defect(curve: ProductExpCurve, g: DiagonalMetric, t):
     ContextMismatchError.
     """
     _same_decomposition(g, curve.dec)
-    # D = w_dot_m + [w_k, w_m]_m + U(w_m, w_m), the last two from the table
-    w_dot_m = curve.defect_rows(t)[..., 3, :] * g.dec.part_masks["m"]
-    D = curve.defects(g, t)[..., len(g.m_indices):] + w_dot_m
-    return D if accel.is_grid(t) else AlgebraElement(curve.context, D)
+    # D = [w_k, w_m]_m + U(w_m, w_m) from the table, plus w_dot_m
+    rows, defects = curve.defects(g, t)
+    D = defects[..., len(g.m_indices):] + rows[..., 3, :] * g.dec.part_masks["m"]
+    return D if accel.is_grid(t) else _element(curve.context, D)
 
 
 @dataclass(eq=False)

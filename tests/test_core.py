@@ -17,6 +17,7 @@ from wallach_geo import (
     adjoint,
     bracket,
     build_so_blocks,
+    killing_norm,
     matrix_exp,
 )
 from wallach_geo import accel
@@ -188,6 +189,22 @@ def test_killing_norm_so3_generator(spaces):
     """Frozen value: a standard rotation generator of so(3) has B(L,L) = -2."""
     killing = spaces["so-blocks(1,1,1)"].context.killing
     assert killing[0, 0] == pytest.approx(-2.0, abs=1e-13)
+
+
+def test_a_zero_norm_is_positive_zero(spaces):
+    """killing_norm and norm_b of a zero vector, +0.0 or -0.0 in each
+    coordinate, are +0.0, never -0.0, both for one vector and row by row for
+    a stack; norm_b returns a Python float."""
+    for dec in spaces.values():
+        ctx = dec.context
+        for zero in (np.zeros(ctx.dim), -np.zeros(ctx.dim)):
+            norm = killing_norm(ctx, zero)
+            assert norm == 0.0 and not np.signbit(norm)
+            stacked = killing_norm(ctx, np.array([zero, zero, np.ones(ctx.dim)]))
+            assert stacked.shape == (3,) and not np.signbit(stacked).any()
+            assert not stacked[:2].any() and stacked[2] > 0.0
+            norm = ctx.element(zero).norm_b()
+            assert type(norm) is float and norm == 0.0 and not np.signbit(norm)
 
 
 def test_quarter_turn_rotation_entries(spaces):

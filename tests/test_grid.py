@@ -108,11 +108,13 @@ def test_grid_defects_match_per_t_calls(spaces):
 
 def test_defects_at_one_t_form_the_phase_vector_once(stiefel3, monkeypatch):
     """G_W then D at one scalar t form the first factor's phase vector
-    exp(i lam t) once, and so do G_W then D on one grid; a new t and a new
-    grid form it again."""
-    calls = []
-    phase = ProductExpCurve._phase
-    monkeypatch.setattr(ProductExpCurve, "_phase", lambda self, t: calls.append(t) or phase(self, t))
+    exp(i lam t) once (``_rows`` forms it once a call), and so do G_W then
+    D on one grid; a new t and a new grid form it again.  D after G_W at
+    the same t probes the curve's kept entry once."""
+    calls, probes = [], []
+    rows, keep = ProductExpCurve._rows, ProductExpCurve._keep
+    monkeypatch.setattr(ProductExpCurve, "_rows", lambda self, t: calls.append(t) or rows(self, t))
+    monkeypatch.setattr(ProductExpCurve, "_keep", lambda self, t: probes.append(t) or keep(self, t))
     rng = make_rng(504)
     g = DiagonalMetric(stiefel3, (1.0, 1.4, 0.7))
     factors = [stiefel3.random_module_vector("m", rng) for _ in range(3)]
@@ -120,7 +122,9 @@ def test_defects_at_one_t_form_the_phase_vector_once(stiefel3, monkeypatch):
         curve = ProductExpCurve(stiefel3, factors[:r])
         calls.clear()
         gw_defect_all(curve, g, 0.7)
+        probes.clear()
         connection_defect(curve, g, 0.7)
+        assert probes == [0.7]
         curve.body_velocity(0.7)
         assert len(calls) == 1
         connection_defect(curve, g, 0.9)
@@ -303,7 +307,7 @@ def test_projection_identity_check_compares_two_computations(spaces):
         assert check.passed
 
 
-def test_verified_decomposition_takes_commuting_pairs_from_its_report(spaces):
+def test_decomposition_holds_its_commuting_pairs(spaces):
     """Verified or not, a decomposition finds its commuting pairs at build,
     so a bare one over the same split holds the same pairs."""
     for dec in spaces.values():

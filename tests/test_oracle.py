@@ -20,6 +20,7 @@ from wallach_geo import (
     gw_defect_all,
     identity_checks,
     inner,
+    killing_norm,
     matrix_exp,
     shoot_geodesic,
     u_map,
@@ -147,6 +148,23 @@ def test_defect_vanishes_on_biinvariant_single_exponential(stiefel3):
     curve = ProductExpCurve(stiefel3, [X])
     for t in (0.0, 0.8, 1.9):
         assert connection_defect(curve, g, t).norm_b() < 1e-13
+
+
+def test_an_exactly_zero_defect_has_norm_positive_zero(spaces):
+    """The curve exp(t 0) has D = 0 exactly: at a scalar t its norm_b is the
+    Python float +0.0, and on a grid every row's killing_norm is +0.0."""
+    grid = np.linspace(0.0, 2.0, 21)
+    for dec in spaces.values():
+        curve = ProductExpCurve(dec, [dec.context.zero()])
+        g = DiagonalMetric(dec, (1.0, 1.4, 0.7))
+        for t in (0.0, 0.7):
+            D = connection_defect(curve, g, t)
+            norm = D.norm_b()
+            assert not D.coeffs.any()
+            assert type(norm) is float and norm == 0.0 and not np.signbit(norm)
+        D = connection_defect(curve, g, grid)
+        norms = killing_norm(dec.context, D)
+        assert not D.any() and not norms.any() and not np.signbit(norms).any()
 
 
 def test_defect_vanishes_on_closed_form_geodesics(su3):

@@ -45,32 +45,52 @@ def _unused_imports(path: Path, exported=()) -> list:
     return [f"{path.name}:{line} {name}" for name, line in bound.items() if name not in read]
 
 
+def _private(name: str) -> bool:
+    return name.startswith("_") and not name.startswith("__")
+
+
+def _defined_names(body) -> list:
+    """Names that the function, class and assignment statements of ``body``
+    bind."""
+    names = []
+    for node in body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            nodes = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names += [t.id for t in nodes if isinstance(t, ast.Name)]
+    return names
+
+
 def test_every_private_module_level_name_is_read():
     """Each private function, class and constant defined at module level
-    in the package is read (an ast Name or Attribute load) somewhere in
-    it, so a deletion leaves no orphaned helper behind."""
+    in the package, and each private method, class attribute and attribute
+    stored on ``self`` in its classes, is read (an ast Name or Attribute
+    load) somewhere in it, so a deletion leaves no orphaned helper behind."""
     trees = {path.name: ast.parse(path.read_text()) for path in PACKAGE_DIR.glob("*.py")}
-    defined, read = [], set()
+    defined, members, read = [], [], set()
     for name, tree in trees.items():
-        for node in tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                targets = [node.name]
-            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
-                nodes = node.targets if isinstance(node, ast.Assign) else [node.target]
-                targets = [t.id for t in nodes if isinstance(t, ast.Name)]
-            else:
-                continue
-            defined += [(name, t) for t in targets if t.startswith("_") and not t.startswith("__")]
+        defined += [(name, t) for t in _defined_names(tree.body) if _private(t)]
+        for cls in (node for node in tree.body if isinstance(node, ast.ClassDef)):
+            stored = [
+                node.attr for node in ast.walk(cls)
+                if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+                and isinstance(node.value, ast.Name) and node.value.id == "self"
+            ]
+            owned = {t for t in _defined_names(cls.body) + stored if _private(t)}
+            members += [(name, cls.name, t) for t in owned]
         for node in ast.walk(tree):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 read.add(node.id)
             elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
                 read.add(node.attr)
-    assert len(defined) > 20
-    assert [f"{name}: {t}" for name, t in sorted(defined) if t not in read] == []
+    assert len(defined) > 20 and len(members) > 5
+    unread = [f"{name}: {t}" for name, t in defined if t not in read]
+    unread += [f"{name}: {cls}.{t}" for name, cls, t in members if t not in read]
+    assert sorted(unread) == []
 
 
-def test_only_core_reads_the_dense_structure_constants():
+def test_no_module_stores_or_loads_structure_constants():
     """The dense c lives only in ``core``'s constructor, as a local: a
     context keeps c as its one list of nonzero entries (``structure_entries``),
     and no module of the package stores or loads an attribute named
