@@ -210,6 +210,9 @@ def _metric_norm(g: DiagonalMetric, D: np.ndarray) -> np.ndarray:
 
 
 def cmd_geodesic(args) -> int:
+    if args.format == "csv" and not args.out:
+        # the per-t table goes only to a file; stdout always carries the JSON report
+        raise UsageError("--format csv writes its table to a file: give --out")
     if args.t1 == args.t0:
         # the grid would be one point and the shot zero time: nothing is checked
         raise UsageError(f"--t1 must differ from --t0, got {args.t1} for both")
@@ -409,7 +412,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_verify_space)
 
     sp = sub.add_parser("geodesic", help="build and verify closed-form geodesics")
-    sp.add_argument("--space", required=True)
+    sp.add_argument("--space", required=True, nargs="+", help="as for verify-space")
     sp.add_argument("--metric", type=FINITE, nargs=3, required=True, metavar=("L1", "L2", "L3"))
     sp.add_argument("--case", default="auto", choices=["auto", "1", "2", "3"])
     sp.add_argument("--trials", type=COUNT, default=5)

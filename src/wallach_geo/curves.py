@@ -22,11 +22,12 @@ all four rows: one complex exponential and one product per t.  A third
 factor acts on the rows through ``accel.spectral_apply``, in O(d^2) per
 row and t, never forming its d x d matrix.
 
-A curve keeps the rows of the last scalar t and those of the last grid:
-the product itself, flat as (4d,) or (T, 4d), beside its (4, d) or
-(T, 4, d) view, each with the contraction of the decomposition's defect
-table on the flat rows (``defects``) for the last metric object that
-asked.  ``defects`` hands back the rows with the contraction, so
+A curve keeps the rows of the last scalar t and those of the last grid,
+only as the product itself, flat as (4d,) or (T, 4d); ``defect_rows``
+and ``body_velocity`` make the (4, d) or (T, 4, d) view when asked.
+Each is kept with the contraction of the decomposition's defect table on
+the flat rows (``defects``) for the last metric object that asked.
+``defects`` hands back the flat rows with the contraction, so
 ``gw_defect_all`` and ``connection_defect`` each probe the kept entry
 once, and at the same t or grid the two build the rows and contract the
 table once; a grid is kept as a copy and compared by value, so one
@@ -62,9 +63,9 @@ class ProductExpCurve:
         # Ad(exp(-t X_1)) enters neither the velocity nor the defects, so
         # only the later factors get an ad matrix and a spectrum
         d = ctx.dim
-        ad_mats = [ctx.ad_matrix(f.coeffs) for f in self.factors[1:]]
+        x1, *later = (f.coeffs for f in self.factors)
+        ad = [ctx.ad_matrix(x) for x in later]
         chol = ctx.killing_chol, ctx.killing_chol_inv
-        spectra = [accel.exp_factors(A, *chol) for A in ad_mats]
         # With A_q = Ad(exp(-t X_q)), T = A_3 A_2 and x_3 = 0 when r < 3,
         # the rows before A_3 are s = A_2 x_1 + x_2 + x_3, p = s - x_3,
         # q = x_2 + x_3 and w_dot = -A_2 ad(X_2) x_1 - ad(X_3) w_2 with
@@ -72,28 +73,36 @@ class ProductExpCurve:
         # p = TX + TY and q = TY + Z.  A_2 v = Re(P (exp(i lam t) * Q v)),
         # and -ad(X_2) x_1 has eigenbasis coordinates i lam Q x_1, so each
         # row is Re(B exp(i lam t)) + c, with B = Pu or Pw below (0 for q)
-        P, lam, Q = spectra[0] if spectra else accel.exp_factors(np.zeros((d, d)))
-        zero = np.zeros(d)
-        x1, x2, x3 = ([f.coeffs for f in self.factors] + [zero, zero])[:3]
+        P, lam, Q = accel.exp_factors(ad[0] if ad else np.zeros((d, d)), *chol)
+        x2 = later[0] if later else np.zeros(d)
+        x3 = later[1] if len(later) > 1 else 0.0
+        # the phase i lam with a last eigenvalue 0 for the constant offsets
+        self._ilam = ilam = np.empty(d + 1, dtype=complex)
+        np.multiply(1j, lam, out=ilam[:-1])
+        ilam[-1] = 0.0
         Pu = P * (Q @ x1)
-        Pw = Pu * (1j * lam)
-        C = np.array([x2 + x3, x2, x2 + x3, zero])
-        if len(self.factors) > 2:
-            Pw -= ad_mats[1] @ Pu
-            C[3] = -ad_mats[1] @ x2
+        Pw = Pu * ilam[:-1]
         # Re(B e) = Re(B) cos - Im(B) sin, the real view of conj(B) against
-        # that of e; c takes the cos slot of the appended phase 1 (lam = 0)
+        # that of e; c takes the cos slot of the appended phase 1, and the
+        # zeros stay where q has no B and in that phase's sin slot
         M = np.zeros((4, d, 2 * d + 2))
-        M[:2, :, :-2] = Pu.conj().view(np.float64)
-        M[3, :, :-2] = Pw.conj().view(np.float64)
-        M[:, :, -2] = C
-        self._fold = M.reshape(-1, 2 * d + 2).T
-        self._ilam = 1j * np.append(lam, 0.0)
+        B, C = M[:, :, :-2].view(complex), M[:, :, -2]
+        np.conjugate(Pu, out=B[:2])
+        np.add(x2, x3, out=C[::2])
+        C[1] = x2
         # A_3's spectrum, applied to the rows at t (None when r < 3)
-        self._last = spectra[1] if len(spectra) > 1 else None
-        # the last scalar t and the last grid, each with its read-only rows
-        # and the defects of the last metric on them
-        self._kept = [[None] * 5, [None] * 5]
+        self._last = None
+        if len(later) > 1:
+            Pw -= ad[1] @ Pu
+            # -ad(X_3) x2 as ad(X_3) (-x2), the bits of (-ad) x2; -(ad x2)
+            # would turn its zeros to -0.0
+            C[3] = ad[1] @ -x2
+            self._last = accel.exp_factors(ad[1], *chol)
+        np.conjugate(Pw, out=B[3])
+        self._fold = M.reshape(-1, 2 * d + 2).T
+        # the last scalar t and the last grid, each with its read-only flat
+        # rows and the defects of the last metric on them
+        self._kept = [[None] * 4, [None] * 4]
         self._amb_spectra = None  # built on the first evaluate
 
     @property
@@ -102,27 +111,30 @@ class ProductExpCurve:
 
     def defect_rows(self, t) -> np.ndarray:
         """The rows s, p, q and w_dot at t: a read-only (4, d) array, or
-        (T, 4, d) at a 1-D array of T times, kept until the next scalar t
-        or the next grid, with absent factors zero in s = TX + TY + Z,
-        p = TX + TY and q = TY + Z; s is the velocity w."""
-        return self._keep(t)[2]
+        (T, 4, d) at a 1-D array of T times, a view of the flat rows kept
+        until the next scalar t or the next grid, with absent factors zero
+        in s = TX + TY + Z, p = TX + TY and q = TY + Z; s is the velocity w."""
+        flat = self._keep(t)[1]
+        return flat.reshape(flat.shape[:-1] + (4, -1))
 
     def defects(self, g, t) -> tuple:
-        """(rows, defects): the ``defect_rows`` at t and the
+        """(flat rows, defects): the ``defect_rows`` at t flattened to a
+        read-only (4d,) array, w_dot its last d entries, and the
         decomposition's ``defect_table`` at the metric g's values on them,
         a read-only (d_m + d,) array of G_W over m, then D - w_dot_m over
-        the basis, or (T, d_m + d) at a 1-D array of T times; the defects
-        are kept with the rows for the last metric object that asked."""
+        the basis; (T, 4d) and (T, d_m + d) at a 1-D array of T times.  The
+        defects are kept with the rows for the last metric object that
+        asked."""
         kept = self._keep(t)
-        if kept[3] is not g:
+        if kept[2] is not g:
             out = accel.contract(kept[1], self.dec.defect_table, g.defect_values)
             out.setflags(write=False)
-            kept[3:] = g, out
-        return kept[2], kept[4]
+            kept[2:] = g, out
+        return kept[1], kept[3]
 
     def _keep(self, t) -> list:
-        # [t, flat rows (..., 4d), their (..., 4, d) view, metric, defects]
-        # for the last scalar t or grid
+        # [t, flat rows (..., 4d), metric, defects] for the last scalar t or
+        # grid
         grid = accel.is_grid(t)
         kept = self._kept[grid]
         if not (np.array_equal(kept[0], t) if grid else float(t) == kept[0]):
@@ -130,8 +142,7 @@ class ProductExpCurve:
             key = t.copy() if grid else float(t)
             flat = self._rows(key)
             flat.setflags(write=False)
-            rows = flat.reshape(flat.shape[:-1] + (4, -1))
-            kept = self._kept[grid] = [key, flat, rows, None, None]
+            kept = self._kept[grid] = [key, flat, None, None]
         return kept
 
     def _rows(self, t) -> np.ndarray:

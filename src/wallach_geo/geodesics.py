@@ -42,9 +42,11 @@ import numpy as np
 from .catalog import _MODULES, ReductiveDecomposition, TwoSummandView
 from .core import (
     AlgebraElement,
+    ContextMismatchError,
     HypothesisViolatedError,
     InvalidMetricError,
     WrongModuleError,
+    _element,
     require_positive_finite,
 )
 from .curves import ProductExpCurve
@@ -70,12 +72,19 @@ def gw_defect(curve: ProductExpCurve, g: DiagonalMetric, W: AlgebraElement, t: f
     return float(Wm.coeffs[g.m_indices] @ gw_defect_all(curve, g, t))
 
 
-def _require_parts(Xs, outside: np.ndarray, names) -> None:
-    """Raise WrongModuleError for the first X of Xs with a component off
+def _require_parts(dec: ReductiveDecomposition, Xs, outside: np.ndarray, names) -> None:
+    """Raise ContextMismatchError for an X of Xs outside the context of
+    ``dec``, then WrongModuleError for the first X with a component off
     its part, ``names[q]`` for Xs[q], in one vectorized check: row q of
     ``outside`` is 1 off that part and 0 on it (one row serves every X)."""
-    A = np.abs([X.coeffs for X in Xs])
-    out = (A * outside).max(axis=1)
+    if any(X.context is not dec.context for X in Xs):
+        raise ContextMismatchError("curve factors must live in the decomposition's context")
+    C = np.array([X.coeffs for X in Xs])
+    off = C * outside
+    if not off.any():  # every X exactly in its part, as drawn ones are
+        return
+    A = np.abs(C)
+    out = np.abs(off).max(axis=1)
     # fmax, like max(1.0, .), ignores a nan
     bad = out > 1e-10 * np.fmax(1.0, A.max(axis=1))
     q = int(bad.argmax())
@@ -125,10 +134,13 @@ def match_case(metric, requested):
 
 def _two_factor_geodesic(dec: ReductiveDecomposition, i: int, c: float, others, moving):
     """The geodesic on the locus of free module m_i: metric c on m_i and 1
-    on the other two, factors (others + c moving, (1 - c) moving)."""
+    on the other two, factors (others + c moving, (1 - c) moving), with
+    ``others`` and ``moving`` coefficient vectors in the context of dec."""
     require_positive_finite("c", c)
-    curve = ProductExpCurve(dec, [others + c * moving, (1.0 - c) * moving])
-    return curve, DiagonalMetric(dec, tuple(c if q == i else 1.0 for q in (1, 2, 3)))
+    ctx = dec.context
+    factors = (_element(ctx, others + moving * float(c)), _element(ctx, moving * float(1.0 - c)))
+    metric = DiagonalMetric(dec, tuple(c if q == i else 1.0 for q in (1, 2, 3)))
+    return ProductExpCurve(dec, factors), metric
 
 
 def closed_form_geodesic(
@@ -148,17 +160,17 @@ def closed_form_geodesic(
     if case not in _MODULE_OF_CASE:
         raise ValueError("case must be 1, 2 or 3")
     Xs = (X1, X2, X3)
-    _require_parts(Xs, dec.module_outside, _MODULES)
+    _require_parts(dec, Xs, dec.module_outside, _MODULES)
     i = _MODULE_OF_CASE[case]
-    others = sum((X for q, X in enumerate(Xs, 1) if q != i), dec.context.zero())
-    return _two_factor_geodesic(dec, i, c, others, Xs[i - 1])
+    a, b = (X.coeffs for q, X in enumerate(Xs, 1) if q != i)
+    return _two_factor_geodesic(dec, i, c, a + b, Xs[i - 1].coeffs)
 
 
 def dohira_geodesic(view: TwoSummandView, c: float, X1: AlgebraElement, X2: AlgebraElement):
     """Two-summand geodesic on the grouped view: metric (1, c) on (M1, M2),
     factors (X1 + cX2, (1-c)X2)."""
-    _require_parts((X1, X2), view.outside, ("+".join(view.M1_parts), view.M2_part))
-    return _two_factor_geodesic(view.parent, view.i, c, X1, X2)
+    _require_parts(view.parent, (X1, X2), view.outside, ("+".join(view.M1_parts), view.M2_part))
+    return _two_factor_geodesic(view.parent, view.i, c, X1.coeffs, X2.coeffs)
 
 
 def homogeneous_geodesic(
@@ -171,7 +183,7 @@ def homogeneous_geodesic(
             f"{dec.name}: no commuting module pair; exp(tX).o is not certified "
             "as a geodesic for arbitrary diagonal metrics"
         )
-    _require_parts((X,), 1.0 - dec.part_masks["m"], ("m",))
+    _require_parts(dec, (X,), 1.0 - dec.part_masks["m"], ("m",))
     return ProductExpCurve(dec, [X])
 
 

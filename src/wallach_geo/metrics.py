@@ -6,10 +6,13 @@ blocks) with each column scaled by its module's coefficient, so the inner
 product of two elements automatically discards k-components.
 
 With sigma the coefficient of each basis vector's module, G = K diag(sigma)
-for K the ``module_killing``.  The decomposition's ``defect_table``,
-built once per space, holds every Levi-Civita term of both defects as one
-sparse table of base values (see ``catalog.ContractionTable``); a metric
-supplies only each entry's sigma ratio, built on first use (d_m = dim m):
+for K the ``module_killing``; G (``gram_full``) and its m block
+(``gram``), which only the inner product, shooting and the CLI's
+metric norm read, are built on first use.  The decomposition's
+``defect_table``, built once per space, holds every Levi-Civita term of
+both defects as one sparse table of base values (see
+``catalog.ContractionTable``); a metric supplies only each entry's sigma
+ratio, built on first use (d_m = dim m):
 
 - ``defect_values``: the table's base values times sigma_p / sigma_q,
   the entries of G_W (see ``geodesics``) and of the connection defect D
@@ -44,15 +47,23 @@ class DiagonalMetric:
         require_positive_finite("metric coefficients", l1, l2, l3)
         self.dec = dec
         self.lambdas = (l1, l2, l3)
-        # G is -B on the block of m_i times lambda_i: ``module_killing`` with
-        # each column scaled by its module's coefficient (0 on k)
-        self.gram_full = dec.module_killing * np.array((0.0,) + self.lambdas)[dec.part_of]
         self.m_indices = dec.part_indices["m"]
-        self.gram = self.gram_full[self.m_indices[:, None], self.m_indices]
 
     @property
     def context(self):
         return self.dec.context
+
+    @functools.cached_property
+    def gram_full(self) -> np.ndarray:
+        """G (d, d): -B on the block of m_i times lambda_i, that is
+        ``module_killing`` with each column scaled by its module's
+        coefficient (0 on k); built on first use."""
+        return self.dec.module_killing * np.array((0.0,) + self.lambdas)[self.dec.part_of]
+
+    @functools.cached_property
+    def gram(self) -> np.ndarray:
+        """G on m-coordinates (d_m, d_m); built on first use."""
+        return self.gram_full[self.m_indices[:, None], self.m_indices]
 
     @functools.cached_property
     def defect_values(self) -> np.ndarray:

@@ -69,8 +69,9 @@ def connection_defect(curve: ProductExpCurve, g: DiagonalMetric, t):
     """
     _same_decomposition(g, curve.dec)
     # D = [w_k, w_m]_m + U(w_m, w_m) from the table, plus w_dot_m
-    rows, defects = curve.defects(g, t)
-    D = defects[..., len(g.m_indices):] + rows[..., 3, :] * g.dec.part_masks["m"]
+    flat, defects = curve.defects(g, t)
+    mask = g.dec.part_masks["m"]
+    D = defects[..., len(g.m_indices):] + flat[..., -len(mask):] * mask
     return D if accel.is_grid(t) else _element(curve.context, D)
 
 

@@ -109,3 +109,31 @@ def su3(spaces):
 @pytest.fixture(scope="session")
 def so222(spaces):
     return spaces["so-blocks(2,2,2)"]
+
+
+def reference_fold(dec, factors):
+    """A curve's (``_fold``, ``_ilam``) on ``factors``, assembled the way
+    ``ProductExpCurve`` first did: a zero-filled (4, d, 2d + 2) array with
+    each row's spectral part and constant written in, and the phase with an
+    appended 0.  Arithmetic and layout must match the curve bit for bit."""
+    from wallach_geo import accel
+
+    ctx = dec.context
+    d = ctx.dim
+    ad_mats = [ctx.ad_matrix(f.coeffs) for f in factors[1:]]
+    chol = ctx.killing_chol, ctx.killing_chol_inv
+    spectra = [accel.exp_factors(A, *chol) for A in ad_mats]
+    P, lam, Q = spectra[0] if spectra else accel.exp_factors(np.zeros((d, d)))
+    zero = np.zeros(d)
+    x1, x2, x3 = ([f.coeffs for f in factors] + [zero, zero])[:3]
+    Pu = P * (Q @ x1)
+    Pw = Pu * (1j * lam)
+    C = np.array([x2 + x3, x2, x2 + x3, zero])
+    if len(factors) > 2:
+        Pw -= ad_mats[1] @ Pu
+        C[3] = -ad_mats[1] @ x2
+    M = np.zeros((4, d, 2 * d + 2))
+    M[:2, :, :-2] = Pu.conj().view(np.float64)
+    M[3, :, :-2] = Pw.conj().view(np.float64)
+    M[:, :, -2] = C
+    return M.reshape(-1, 2 * d + 2).T, 1j * np.append(lam, 0.0)

@@ -119,6 +119,27 @@ def test_geodesic_csv_output(capsys, tmp_path):
     assert len(ts) == 21
 
 
+
+def test_csv_without_out_is_refused(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "closed_form_geodesic", None)  # a trial would raise TypeError
+    code, out, err = run(capsys, *GEO_ARGS, "--format", "csv")
+    assert (code, out) == (3, "")
+    assert err.count("\n") == 1 and "--out" in err
+
+
+def test_space_sizes_are_separate_or_quoted_tokens(capsys):
+    """``--space`` takes a catalog name with its sizes as separate tokens,
+    as the positional commands do, or quoted or in parentheses, and all
+    three print the same report."""
+    outs = []
+    for space in (["so-blocks", "2", "2", "2"], ["so-blocks 2 2 2"], ["so-blocks(2,2,2)"]):
+        argv = ["geodesic", "--space", *space, "--metric", "0.6", "1", "1", "--trials", "1",
+                "--steps", "40"]
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, ""), space
+        outs.append(out)
+    assert outs[0] == outs[1] == outs[2]
+
 def test_geodesic_json_output_equals_stdout(capsys, tmp_path):
     path = tmp_path / "report.json"
     path.write_text("stale " * 1000)

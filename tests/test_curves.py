@@ -4,8 +4,14 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from wallach_geo import ContextMismatchError, ProductExpCurve, accel, matrix_exp
-from .conftest import make_rng
+from wallach_geo import (
+    ContextMismatchError,
+    ProductExpCurve,
+    accel,
+    closed_form_geodesic,
+    matrix_exp,
+)
+from .conftest import make_rng, reference_fold
 
 
 def _factors(dec, seed, parts=("m1", "m2", "m3")):
@@ -113,3 +119,20 @@ def test_evaluation_cache_is_consistent(stiefel3):
     a1 = curve.evaluate(0.7).matrix
     a2 = curve.evaluate(0.7).matrix
     assert a1 is a2 or np.array_equal(a1, a2)
+
+
+def test_fold_matches_the_reference_assembly_bitwise(spaces):
+    """The curve's fold and phase hold the bits, and the fold the memory
+    layout, of the reference assembly in ``conftest``: for one factor, two
+    (c = 0.5, and c = 1 with its zero second factor) and three, on every
+    suite space."""
+    for name, dec in spaces.items():
+        X1, X2, X3 = _factors(dec, 12)
+        curves = [ProductExpCurve(dec, [X1 + X2 + X3]), ProductExpCurve(dec, [X1, X2, X3])]
+        curves += [closed_form_geodesic(dec, 1, X1, X2, X3, c)[0] for c in (0.5, 1.0)]
+        assert not curves[-1].factors[1].coeffs.any()
+        for curve in curves:
+            fold, ilam = reference_fold(dec, curve.factors)
+            assert curve._fold.tobytes() == fold.tobytes(), name
+            assert curve._fold.strides == fold.strides, name
+            assert curve._ilam.tobytes() == ilam.tobytes(), name

@@ -1,5 +1,6 @@
 """Closed-form geodesics, the defect functional and the restriction system."""
 
+import hashlib
 import itertools
 from fractions import Fraction
 
@@ -17,10 +18,12 @@ from wallach_geo import (
     WrongModuleError,
     certify_nonexistence,
     closed_form_geodesic,
+    connection_defect,
     dohira_geodesic,
     gw_defect,
     gw_defect_all,
     homogeneous_geodesic,
+    killing_norm,
     matrix_exp,
     restriction_residual,
     solution_families,
@@ -409,3 +412,33 @@ def test_closed_form_and_grouped_constructors_agree_bitwise(spaces, case):
                 assert f.coeffs.tobytes() == f2.coeffs.tobytes(), name
             assert g.gram_full.tobytes() == g2.gram_full.tobytes(), name
             assert g.lambdas == g2.lambdas == tuple(c if q == i else 1.0 for q in (1, 2, 3))
+
+
+# SHA-256 of the sweep round below, recorded before the curve and metric
+# construction was rewritten on coefficient arrays (numpy 2.4.6 and its
+# bundled OpenBLAS on x86-64; another BLAS build may round differently)
+SWEEP_ROUND_DIGEST = "2e8f9f947f1b88362d724cfd04e43bc526401a9e1a00b3ae5f0130c279119303"
+
+
+def test_sweep_round_keeps_every_bit(spaces):
+    """A seed-1 round of closed-form sweeps, every suite space x cases 1-3 x
+    c in {0.25, 0.5, 1, 1.5, 2} x 21 t in [0, 2]: each max |G_W| and
+    -B-norm of D at a scalar t, and each curve's maxima on the whole grid,
+    as ``float.hex`` (which keeps the sign of a zero), hash to the digest
+    recorded before the construction was rewritten."""
+    rng = make_rng(1)
+    grid = np.linspace(0.0, 2.0, 21)
+    lines = []
+    for dec in spaces.values():
+        for case in (1, 2, 3):
+            for c in (0.25, 0.5, 1.0, 1.5, 2.0):
+                draws = [dec.random_module_vector(p, rng) for p in ("m1", "m2", "m3")]
+                curve, g = closed_form_geodesic(dec, case, *draws, c)
+                for t in grid:
+                    gw = float(np.abs(gw_defect_all(curve, g, t)).max())
+                    lines.append(f"{gw.hex()} {connection_defect(curve, g, t).norm_b().hex()}")
+                gw = float(np.abs(gw_defect_all(curve, g, grid)).max())
+                dn = float(killing_norm(dec.context, connection_defect(curve, g, grid)).max())
+                lines.append(f"{gw.hex()} {dn.hex()}")
+    assert len(lines) == 7 * 3 * 5 * 22
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == SWEEP_ROUND_DIGEST

@@ -9,6 +9,7 @@ from wallach_geo import (
     InvalidMetricError,
     ProductExpCurve,
     bracket,
+    closed_form_geodesic,
     inner,
     u_map,
 )
@@ -38,6 +39,25 @@ def test_gram_is_blockwise_scaled_killing(spaces):
         # off-module and k rows are exactly zero
         mask = dec.part_masks["m"]
         assert np.abs(g.gram_full * np.outer(1 - mask, np.ones(dec.context.dim))).max() == 0.0
+
+
+
+def test_gram_is_formed_on_first_read(spaces):
+    """A metric built by ``closed_form_geodesic`` holds no ``gram_full``
+    or ``gram`` until one is read, and the first read has the bytes of
+    ``module_killing`` with each column scaled by its module's coefficient
+    and of that matrix's m block; either may be read first."""
+    rng = make_rng(3)
+    for name, dec in spaces.items():
+        draws = [dec.random_module_vector(p, rng) for p in ("m1", "m2", "m3")]
+        for case, first in ((1, "gram_full"), (3, "gram")):
+            _, g = closed_form_geodesic(dec, case, *draws, 0.7)
+            assert "gram_full" not in vars(g) and "gram" not in vars(g), name
+            getattr(g, first)
+            full = dec.module_killing * np.array((0.0,) + g.lambdas)[dec.part_of]
+            m = dec.part_indices["m"]
+            assert g.gram_full.tobytes() == full.tobytes(), name
+            assert g.gram.tobytes() == full[m[:, None], m].tobytes(), name
 
 
 def test_inner_discards_k_components(stiefel3):
