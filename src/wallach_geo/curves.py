@@ -26,12 +26,14 @@ A curve keeps the rows of the last scalar t and those of the last grid,
 only as the product itself, flat as (4d,) or (T, 4d); ``defect_rows``
 and ``body_velocity`` make the (4, d) or (T, 4, d) view when asked.
 Each is kept with the contraction of the decomposition's defect table on
-the flat rows (``defects``) for the last metric object that asked.
-``defects`` hands back the flat rows with the contraction, so
-``gw_defect_all`` and ``connection_defect`` each probe the kept entry
-once, and at the same t or grid the two build the rows and contract the
-table once; a grid is kept as a copy and compared by value, so one
-changed in place gets new rows.  The kept arrays are read-only, and every
+the flat rows (``defects``) for the last metric object that asked; a
+metric is checked against the curve's decomposition when the table is
+contracted for it, not again at each probe.  ``defects`` hands back
+the flat rows with the contraction, so ``gw_defect_all`` and
+``connection_defect`` each probe the kept entry once, and at the same t
+or grid the two build the rows and contract the table once; a grid is
+kept as a copy and compared by value, so one changed in place gets new
+rows.  The kept arrays are read-only, and every
 array the defects return belongs to the caller.  Every time-dependent
 method takes a scalar t or a 1-D array of T times by one code path: an
 array adds a leading time axis, giving (T, d) velocities and a (T, n, n)
@@ -45,6 +47,7 @@ import numpy as np
 from . import accel
 from .catalog import ReductiveDecomposition
 from .core import ContextMismatchError, GroupElement
+from .metrics import _same_decomposition
 
 
 class ProductExpCurve:
@@ -124,9 +127,12 @@ class ProductExpCurve:
         a read-only (d_m + d,) array of G_W over m, then D - w_dot_m over
         the basis; (T, 4d) and (T, d_m + d) at a 1-D array of T times.  The
         defects are kept with the rows for the last metric object that
-        asked."""
+        asked; a metric of another decomposition is a
+        ContextMismatchError."""
         kept = self._keep(t)
         if kept[2] is not g:
+            # the kept metric passed this check when its defects were built
+            _same_decomposition(g, self.dec)
             out = accel.contract(kept[1], self.dec.defect_table, g.defect_values)
             out.setflags(write=False)
             kept[2:] = g, out

@@ -50,7 +50,7 @@ from .core import (
     require_positive_finite,
 )
 from .curves import ProductExpCurve
-from .metrics import DiagonalMetric, _same_decomposition
+from .metrics import DiagonalMetric
 
 
 def gw_defect_all(curve: ProductExpCurve, g: DiagonalMetric, t) -> np.ndarray:
@@ -59,7 +59,6 @@ def gw_defect_all(curve: ProductExpCurve, g: DiagonalMetric, t) -> np.ndarray:
     decomposition's G_W table at the metric's values on the rows of
     ``curve.defect_rows``.  A metric of another decomposition is a
     ContextMismatchError."""
-    _same_decomposition(g, curve.dec)
     return curve.defects(g, t)[1][..., : len(g.m_indices)].copy()
 
 

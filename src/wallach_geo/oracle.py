@@ -67,12 +67,11 @@ def connection_defect(curve: ProductExpCurve, g: DiagonalMetric, t):
     at a 1-D array of T times.  A metric of another decomposition is a
     ContextMismatchError.
     """
-    _same_decomposition(g, curve.dec)
     # D = [w_k, w_m]_m + U(w_m, w_m) from the table, plus w_dot_m
     flat, defects = curve.defects(g, t)
     mask = g.dec.part_masks["m"]
     D = defects[..., len(g.m_indices):] + flat[..., -len(mask):] * mask
-    return D if accel.is_grid(t) else _element(curve.context, D)
+    return D if D.ndim > 1 else _element(g.dec.context, D)
 
 
 @dataclass(eq=False)

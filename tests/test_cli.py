@@ -119,7 +119,6 @@ def test_geodesic_csv_output(capsys, tmp_path):
     assert len(ts) == 21
 
 
-
 def test_csv_without_out_is_refused(capsys, monkeypatch):
     monkeypatch.setattr(cli, "closed_form_geodesic", None)  # a trial would raise TypeError
     code, out, err = run(capsys, *GEO_ARGS, "--format", "csv")
@@ -139,6 +138,7 @@ def test_space_sizes_are_separate_or_quoted_tokens(capsys):
         assert (code, err) == (0, ""), space
         outs.append(out)
     assert outs[0] == outs[1] == outs[2]
+
 
 def test_geodesic_json_output_equals_stdout(capsys, tmp_path):
     path = tmp_path / "report.json"

@@ -41,7 +41,6 @@ def test_gram_is_blockwise_scaled_killing(spaces):
         assert np.abs(g.gram_full * np.outer(1 - mask, np.ones(dec.context.dim))).max() == 0.0
 
 
-
 def test_gram_is_formed_on_first_read(spaces):
     """A metric built by ``closed_form_geodesic`` holds no ``gram_full``
     or ``gram`` until one is read, and the first read has the bytes of
