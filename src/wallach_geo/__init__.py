@@ -21,22 +21,16 @@ from .core import (
     AlgebraElement,
     ContextMismatchError,
     DegenerateSpaceError,
-    GroupElement,
     GroupingInvalidError,
     HypothesisViolatedError,
     IntegrationFailureError,
     InvalidMetricError,
-    NotInAlgebraError,
     OutOfChartError,
     SpaceDefinitionError,
     StructureError,
-    SubspaceSelectorError,
     WallachGeoError,
     WrongModuleError,
-    adjoint,
-    bracket,
     killing_norm,
-    matrix_exp,
 )
 from .curves import ProductExpCurve
 from .geodesics import (
@@ -44,13 +38,12 @@ from .geodesics import (
     certify_nonexistence,
     closed_form_geodesic,
     dohira_geodesic,
-    gw_defect,
     gw_defect_all,
     homogeneous_geodesic,
     restriction_residual,
     solution_families,
 )
-from .metrics import DiagonalMetric, inner, u_map
+from .metrics import DiagonalMetric
 from .oracle import (
     ShotGeodesic,
     connection_defect,

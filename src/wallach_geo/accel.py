@@ -1,17 +1,19 @@
 """Hot numerical kernels: spectral exponentials of skew matrices, the
 logarithm of an orthogonal matrix and the two contractions of the
-structure constants, brackets and ad matrices, each one ``bincount`` over
-c's listed nonzero entries, so neither does d^3 work.
+structure constants, brackets (``bracket_coeffs``, the package's one
+bracket) and ad matrices, each one ``bincount`` over c's listed nonzero
+entries, so neither does d^3 work.
 
 ``AlgebraContext`` admits only compact algebras with skew basis matrices,
 so ambient generators are skew, and so is ad F in a -B-orthonormal frame.
 One Hermitian eigendecomposition per generator (``exp_factors``) gives its
 exponential at every t to rounding accuracy (``spectral_exp``; Moler & Van
 Loan, "Nineteen dubious ways to compute the exponential of a matrix, 25
-years later", 2003): the package's only matrix exponential.  Where only a
-few vectors are needed, ``spectral_apply`` applies it to them in O(d^2)
-each without forming it.  ``logm`` inverts it through one symmetric
-eigendecomposition.
+years later", 2003): the package's only matrix exponential, which the
+Ad-exponentials and the ambient lift of ``ProductExpCurve`` read.  Where
+only a few vectors are needed, ``spectral_apply`` applies it to them in
+O(d^2) each without forming it.  ``logm`` inverts it through one
+symmetric eigendecomposition.
 """
 
 import numpy as np

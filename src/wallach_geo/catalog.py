@@ -22,8 +22,6 @@ from .core import (
     GroupingInvalidError,
     SpaceDefinitionError,
     StructureError,
-    SubspaceSelectorError,
-    _same_context,
     _sum_runs,
 )
 
@@ -127,20 +125,6 @@ class ReductiveDecomposition:
         v = self.module_vector(part, rng.standard_normal(len(self.part_indices[part])))
         n = v.norm_b()
         return v * (1.0 / n) if n > 0 else v
-
-    def project(self, X: AlgebraElement, part: str) -> AlgebraElement:
-        """B-orthogonal projection onto a part (k, m, m1, m2, m3) of an X
-        from this decomposition's context (else ContextMismatchError).
-
-        The adapted bases are part-wise, so in coordinates the projection is a
-        truncation; B-orthogonality of the parts is verified at build.
-        """
-        _same_context(self, X)
-        try:
-            mask = self.part_masks[part]
-        except KeyError:
-            raise SubspaceSelectorError(f"unknown subspace selector {part!r}") from None
-        return AlgebraElement(self.context, X.coeffs * mask)
 
     @functools.cached_property
     def defect_table(self) -> ContractionTable:

@@ -1,5 +1,5 @@
-"""Matrix Lie algebra kernel: contexts, elements, brackets, Killing form,
-exponentials and adjoint actions.
+"""Matrix Lie algebra kernel: contexts, elements, the Killing form and ad
+matrices.
 
 An :class:`AlgebraContext` is built once from an ordered basis of real
 matrices; the structure constants c, the Killing matrix and the trace-form
@@ -25,16 +25,8 @@ class ContextMismatchError(WallachGeoError):
     """Elements from distinct algebra contexts were combined."""
 
 
-class NotInAlgebraError(WallachGeoError):
-    """A matrix could not be re-expanded in the basis within tolerance."""
-
-
 class StructureError(WallachGeoError):
     """The basis does not define a valid Lie algebra within tolerance."""
-
-
-class SubspaceSelectorError(WallachGeoError):
-    """Unknown subspace selector."""
 
 
 class DegenerateSpaceError(WallachGeoError):
@@ -92,7 +84,9 @@ class AlgebraElement:
 
     @property
     def matrix(self) -> np.ndarray:
-        return np.tensordot(self.coeffs, self.context.basis, axes=1)
+        ctx = self.context
+        n = ctx.ambient_size
+        return self.coeffs.dot(ctx.basis.reshape(ctx.dim, n * n)).reshape(n, n)
 
     def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
         _same_context(self, other)
@@ -123,24 +117,6 @@ def _element(context: "AlgebraContext", coeffs: np.ndarray) -> AlgebraElement:
     X = object.__new__(AlgebraElement)
     X.context, X.coeffs = context, coeffs
     return X
-
-
-class GroupElement:
-    """A group element as an ambient matrix tied to an algebra context."""
-
-    __slots__ = ("context", "matrix")
-
-    def __init__(self, context: "AlgebraContext", matrix):
-        matrix = np.asarray(matrix, dtype=np.float64)
-        n = context.ambient_size
-        if matrix.shape != (n, n):
-            raise ValueError(f"matrix has shape {matrix.shape}, expected ({n}, {n})")
-        self.context = context
-        self.matrix = matrix
-
-    def __matmul__(self, other: "GroupElement") -> "GroupElement":
-        _same_context(self, other)
-        return GroupElement(self.context, self.matrix @ other.matrix)
 
 
 def _same_context(a, b) -> None:
@@ -333,40 +309,19 @@ class AlgebraContext:
         self.killing_chol = L
         self.killing_chol_inv = np.linalg.inv(L)
 
-    def element(self, coeffs) -> AlgebraElement:
-        return AlgebraElement(self, coeffs)
-
     def zero(self) -> AlgebraElement:
         return AlgebraElement(self, np.zeros(self.dim))
 
-    def identity(self) -> GroupElement:
-        return GroupElement(self, np.eye(self.ambient_size))
-
-    def coefficients_of(self, matrix: np.ndarray, check: bool = True) -> np.ndarray:
+    def coefficients_of(self, matrix: np.ndarray) -> np.ndarray:
         """Expand an ambient matrix, or each of a (T, n, n) stack, in the basis
-        via the Gram factorization."""
+        via the Gram factorization: the least-squares coefficients, with no
+        check that the matrix lies in the span."""
         rhs = np.einsum("aij,...ij->...a", self.basis, matrix)
-        coeffs = rhs @ self._gram_inv.T
-        if check:
-            residual = np.abs(np.tensordot(coeffs, self.basis, axes=1) - matrix).max()
-            scale = max(1.0, np.abs(matrix).max())
-            if residual > 100 * self.tol_structural * scale:
-                raise NotInAlgebraError(
-                    f"{self.name}: matrix is not in the algebra span "
-                    f"(re-expansion residual {residual:.3e})"
-                )
-        return coeffs
+        return rhs @ self._gram_inv.T
 
     def ad_matrix(self, x: np.ndarray) -> np.ndarray:
         """Matrix of ad(x) acting on coefficient vectors."""
         return accel.ad_matrix(self.structure_entries, x)
-
-
-def bracket(X: AlgebraElement, Y: AlgebraElement) -> AlgebraElement:
-    """Lie bracket [X, Y] via structure-constant contraction."""
-    _same_context(X, Y)
-    ctx = X.context
-    return AlgebraElement(ctx, accel.bracket_coeffs(ctx.structure_entries, X.coeffs, Y.coeffs))
 
 
 def killing_norm(ctx: AlgebraContext, coeffs: np.ndarray):
@@ -379,20 +334,3 @@ def killing_norm(ctx: AlgebraContext, coeffs: np.ndarray):
         # and keeps a nan
         return math.sqrt(max(-float(y.dot(coeffs)), 0.0)) + 0.0
     return np.sqrt(np.maximum(-np.einsum("ti,ti->t", y, coeffs), 0.0))
-
-
-def matrix_exp(X: AlgebraElement, t: float = 1.0) -> GroupElement:
-    """exp(t X) in the ambient matrix group, from one eigendecomposition of
-    the skew matrix X."""
-    if t == 0.0:
-        return X.context.identity()
-    # the factors give exp(-s X), so exp(t X) is their value at s = -t
-    return GroupElement(X.context, accel.spectral_exp(*accel.exp_factors(X.matrix), -t))
-
-
-def adjoint(g: GroupElement, X: AlgebraElement) -> AlgebraElement:
-    """Ad(g) X = g X g^-1, re-expanded in the basis."""
-    _same_context(g, X)
-    M = g.matrix @ X.matrix @ np.linalg.inv(g.matrix)
-    return AlgebraElement(X.context, X.context.coefficients_of(M))
-

@@ -1,7 +1,8 @@
 """Product-of-exponential curves and their body velocities.
 
 A curve t -> exp(t X_1) ... exp(t X_r) . o of the paper's r <= 3 factors
-is evaluated in the ambient group, while velocities are computed exactly
+is evaluated in the ambient group as an (n, n) matrix (``evaluate``, the
+package's one ambient lift), while velocities are computed exactly
 in coordinates through the adjoint representation: Ad(exp(-t F)) acts on
 coefficient vectors as exp(-t ad F).  The curve owns both kinds of exponential.  ad F is skew in
 a -B-orthonormal frame and the ambient factors are skew matrices, so one
@@ -46,7 +47,7 @@ import numpy as np
 
 from . import accel
 from .catalog import ReductiveDecomposition
-from .core import ContextMismatchError, GroupElement
+from .core import ContextMismatchError
 from .metrics import _same_decomposition
 
 
@@ -163,8 +164,8 @@ class ProductExpCurve:
         return R.reshape(R.shape[:-2] + (-1,))
 
     def evaluate(self, t):
-        """Lift a(t) = exp(t X_1) ... exp(t X_r) in the ambient group: a
-        GroupElement at a scalar t, a (T, n, n) array of lift matrices at a
+        """Lift a(t) = exp(t X_1) ... exp(t X_r) in the ambient group: an
+        (n, n) matrix at a scalar t, a (T, n, n) array of lift matrices at a
         1-D array of T times."""
         if self._amb_spectra is None:
             self._amb_spectra = [accel.exp_factors(f.matrix) for f in self.factors]
@@ -172,7 +173,7 @@ class ProductExpCurve:
         M, *rest = (accel.spectral_exp(*sp, -t) for sp in self._amb_spectra)
         for E in rest:
             M = M @ E
-        return M if accel.is_grid(t) else GroupElement(self.context, M)
+        return M
 
     def body_velocity(self, t):
         """(w, w_dot) coefficient vectors of a^-1 a_dot and its t-derivative,

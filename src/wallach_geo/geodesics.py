@@ -33,7 +33,6 @@ has no solution, so no three-factor geodesic exists there.
 from __future__ import annotations
 
 import itertools
-import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -60,15 +59,6 @@ def gw_defect_all(curve: ProductExpCurve, g: DiagonalMetric, t) -> np.ndarray:
     ``curve.defect_rows``.  A metric of another decomposition is a
     ContextMismatchError."""
     return curve.defects(g, t)[1][..., : len(g.m_indices)].copy()
-
-
-def gw_defect(curve: ProductExpCurve, g: DiagonalMetric, W: AlgebraElement, t: float) -> float:
-    """The defect G_W(t) for a single direction W (projected to m if needed)."""
-    Wm = curve.dec.project(W, "m")
-    if np.abs(W.coeffs - Wm.coeffs).max() > 1e-14 * max(1.0, np.abs(W.coeffs).max()):
-        warnings.warn("gw_defect: W had a k-component; projected to m", stacklevel=2)
-    # G_W is linear in W: the m-coordinates of W against G_W over the m-basis
-    return float(Wm.coeffs[g.m_indices] @ gw_defect_all(curve, g, t))
 
 
 def _require_parts(dec: ReductiveDecomposition, Xs, outside: np.ndarray, names) -> None:

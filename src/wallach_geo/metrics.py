@@ -3,12 +3,12 @@
 The metric (l1, l2, l3) weighs -B on the three modules.  Its coefficient
 Gram matrix G is the decomposition's ``module_killing`` (-B on the module
 blocks) with each column scaled by its module's coefficient, so the inner
-product of two elements automatically discards k-components.
+product x^T G y of two coefficient vectors discards their k-components.
 
 With sigma the coefficient of each basis vector's module, G = K diag(sigma)
 for K the ``module_killing``; G (``gram_full``) and its m block
-(``gram``), which only the inner product, shooting and the CLI's
-metric norm read, are built on first use.  The decomposition's
+(``gram``), which only shooting's energy check and the CLI's metric
+norm read, are built on first use.  The decomposition's
 ``defect_table``, built once per space, holds every Levi-Civita term of
 both defects as one sparse table of base values (see
 ``catalog.ContractionTable``); a metric supplies only each entry's sigma
@@ -17,7 +17,7 @@ ratio, built on first use (d_m = dim m):
 - ``defect_values``: the table's base values times sigma_p / sigma_q,
   the entries of G_W (see ``geodesics``) and of the connection defect D
   (see ``oracle``);
-- ``u_pairs`` (S, A, B), which shooting and ``u_map`` read: U(x, x)_m =
+- ``u_pairs`` (S, A, B), which shooting reads: U(x, x)_m =
   S (x[A] x[B]) for m-coordinates x.  As U(X, X)_m = Lambda^-1 [X, Lambda
   X]_m (B is ad-invariant, the parts B-orthogonal), U's terms are the D
   entries of the table with both coordinates in m, which the
@@ -36,7 +36,7 @@ import functools
 import numpy as np
 
 from .catalog import ReductiveDecomposition
-from .core import AlgebraElement, ContextMismatchError, require_positive_finite
+from .core import ContextMismatchError, require_positive_finite
 
 
 class DiagonalMetric:
@@ -90,24 +90,3 @@ def _same_decomposition(g: DiagonalMetric, dec: ReductiveDecomposition) -> None:
             f"the metric belongs to another decomposition: {g.dec.name!r} vs {dec.name!r}"
         )
 
-
-def inner(g: DiagonalMetric, X: AlgebraElement, Y: AlgebraElement) -> float:
-    """The Ad(K)-invariant inner product of the m-parts of X and Y."""
-    if X.context is not g.context or Y.context is not g.context:
-        raise ContextMismatchError("elements do not belong to the metric's context")
-    return float(X.coeffs @ g.gram_full @ Y.coeffs)
-
-
-def u_map(g: DiagonalMetric, X: AlgebraElement, Y: AlgebraElement) -> AlgebraElement:
-    """The symmetric bilinear map U on m with
-    2<U(X,Y), Z> = <[Z,X]_m, Y> + <X, [Z,Y]_m> for all Z in m
-    (k-components of X and Y are ignored): S 0.5 (x[A] y[B] + x[B] y[A])
-    on m-coordinates (``u_pairs``), at X = Y the bits of S (x[A] x[B])."""
-    if X.context is not g.context or Y.context is not g.context:
-        raise ContextMismatchError("elements do not belong to the metric's context")
-    mi = g.m_indices
-    S, A, B = g.u_pairs
-    x, y = X.coeffs[mi], Y.coeffs[mi]
-    u = np.zeros(X.context.dim)
-    u[mi] = S.dot(0.5 * (x[A] * y[B] + x[B] * y[A]))
-    return AlgebraElement(X.context, u)

@@ -33,9 +33,10 @@ gives that product; a step size so large that the iteration does not
 converge is an IntegrationFailureError.
 
 ``connection_defect`` takes a scalar t or a 1-D array of T times, and
-``coset_distance`` a pair of group elements or two (T, n, n) stacks, so a
-whole t-grid is checked with one call each (a^-1 b as the product a^T b of
-orthogonal matrices, then a batched ``eigh`` and logarithm).
+``coset_distance`` a pair of (n, n) group matrices or two (T, n, n)
+stacks, so a whole t-grid is checked with one call each (a^-1 b as the
+product a^T b of orthogonal matrices, then a batched ``eigh`` and
+logarithm).
 ``identity_checks`` applies each Ad-exponential to its vectors from the
 spectral factors (``accel.spectral_apply``), forming no d x d matrix.
 """
@@ -165,8 +166,10 @@ def shoot_geodesic(
     ctx = dec.context
     mi = g.m_indices
     n = ctx.ambient_size
-    h = t_end / steps
-    half, sixth = 0.5 * h, h / 6.0
+    step = t_end / steps
+    # the stage constants as 0-d arrays: a ufunc takes one with less overhead
+    # than a Python float, and to the same bits
+    h, half, sixth = (np.array(q) for q in (step, 0.5 * step, step / 6.0))
     # row k holds v_k and the three stage states of step k that follow it;
     # each stage is v - c U(w, w), the bits of v + c k_s with k_s = -U(w, w)
     dm = len(mi)
@@ -204,7 +207,7 @@ def shoot_geodesic(
     basis_m_flat = ctx.basis[mi].reshape(len(mi), n * n)
     eye = np.eye(n)
     points = np.empty((steps + 1, n, n))
-    a = points[0] = eye
+    points[0] = eye
     for lo in range(0, good_steps, _CHUNK):
         hi = min(lo + _CHUNK, good_steps)
         with np.errstate(over="ignore", invalid="ignore"):
@@ -220,7 +223,9 @@ def shoot_geodesic(
         if bad.any():
             raise _overflow(lo + int(np.argmax(bad)) + 1)
         # a Phi_k that did not converge makes its lift and all later ones nan
-        lifts = a @ _prefix_products(_polar_orthonormalize(phi))
+        lifts = _prefix_products(_polar_orthonormalize(phi))
+        if lo:  # the first chunk starts at the identity
+            lifts = a @ lifts
         points[lo + 1 : hi + 1] = _polar_orthonormalize(lifts)
         a = points[hi]
     if good_steps < steps:
@@ -236,7 +241,7 @@ def shoot_geodesic(
             f"polar factor did not converge at step {int(np.argmax(lost))}; "
             "reduce the step size"
         )
-    return ShotGeodesic(points, velocities, h, drift)
+    return ShotGeodesic(points, velocities, step, drift)
 
 
 # bound on max|q^T q - I| for the inputs of coset_distance, in units of
@@ -248,14 +253,13 @@ def coset_distance(a, b, dec: ReductiveDecomposition):
     """Local separation of the cosets aK and bK: the -B norm of the
     m-part of log(a^-1 b) expanded in the algebra basis.
 
-    a and b are GroupElements or matrices (a float), or two (T, n, n) stacks
+    a and b are two (n, n) matrices (a float), or two (T, n, n) stacks
     (T separations; the chart test fails if any pair is out of chart).  They
     must be orthogonal to rounding (shot points are re-orthonormalized), or
     a ValueError is raised: a^-1 b is then a^T b, and the chart test and the
     logarithm both read the spectrum of its symmetric part.
     """
     ctx = dec.context
-    a, b = (np.asarray(getattr(q, "matrix", q), dtype=np.float64) for q in (a, b))
     eye = np.eye(a.shape[-1])
     for q in (a, b):
         drift = np.abs(np.swapaxes(q, -1, -2) @ q - eye).max()
@@ -273,7 +277,7 @@ def coset_distance(a, b, dec: ReductiveDecomposition):
     # points produced by numerical integration can sit slightly off the
     # embedded subgroup; the off-span component of the log is part of the
     # separation, so fold it in instead of rejecting the expansion
-    coeffs = ctx.coefficients_of(L, check=False)
+    coeffs = ctx.coefficients_of(L)
     L_flat = L.reshape(L.shape[:-2] + (-1,))
     off_span = np.linalg.norm(coeffs @ ctx.basis.reshape(ctx.dim, -1) - L_flat, axis=-1)
     dist = np.hypot(killing_norm(ctx, coeffs * dec.part_masks["m"]), off_span)

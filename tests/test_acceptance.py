@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from wallach_geo import (
+    AlgebraElement,
     DiagonalMetric,
     ProductExpCurve,
     TwoSummandView,
@@ -96,7 +97,7 @@ def test_criterion_03_shooting_agreement(spaces):
         rng = make_rng(3000)
         for _ in range(3):
             curve, g = closed_form_geodesic(dec, 1, *_draws(dec, rng), 0.5)
-            v0 = dec.project(sum(curve.factors, dec.context.zero()), "m")
+            v0 = sum(curve.factors, dec.context.zero())  # the factors lie in m
             shot = shoot_geodesic(dec, g, v0, 1.0, 1000)
             for k in range(0, 1001, 50):
                 dist = coset_distance(shot.points[k], curve.evaluate(k * shot.step), dec)
@@ -105,7 +106,7 @@ def test_criterion_03_shooting_agreement(spaces):
         # convergence order, measured at coarse steps where truncation
         # error dominates rounding noise
         curve, g = closed_form_geodesic(dec, 1, *_draws(dec, rng), 0.5)
-        v0 = dec.project(sum(curve.factors, dec.context.zero()), "m")
+        v0 = sum(curve.factors, dec.context.zero())  # the factors lie in m
 
         def max_err(steps):
             shot = shoot_geodesic(dec, g, v0, 1.0, steps)
@@ -214,13 +215,13 @@ def test_criterion_08_structure_suite(spaces):
         dec = spaces[name]
         ctx = dec.context
         N = ctx.ambient_size
-        X = ctx.element(rng.standard_normal(ctx.dim))
-        Y = ctx.element(rng.standard_normal(ctx.dim))
+        X = AlgebraElement(ctx, rng.standard_normal(ctx.dim))
+        Y = AlgebraElement(ctx, rng.standard_normal(ctx.dim))
         expect = (N - 2) * np.trace(X.matrix @ Y.matrix)
         rel = max(rel, abs(X.coeffs @ ctx.killing @ Y.coeffs - expect) / abs(expect))
     ctx = spaces["su3-flag"].context
-    X = ctx.element(rng.standard_normal(ctx.dim))
-    Y = ctx.element(rng.standard_normal(ctx.dim))
+    X = AlgebraElement(ctx, rng.standard_normal(ctx.dim))
+    Y = AlgebraElement(ctx, rng.standard_normal(ctx.dim))
     expect = 3.0 * np.trace(X.matrix @ Y.matrix)
     rel = max(rel, abs(X.coeffs @ ctx.killing @ Y.coeffs - expect) / abs(expect))
     ok = ok and rel <= 1e-10

@@ -8,9 +8,7 @@ import numpy as np
 import pytest
 
 from wallach_geo import (
-    AlgebraElement,
     DiagonalMetric,
-    GroupElement,
     OutOfChartError,
     ProductExpCurve,
     build_so_blocks,
@@ -19,9 +17,7 @@ from wallach_geo import (
     coset_distance,
     gw_defect_all,
     identity_checks,
-    matrix_exp,
     shoot_geodesic,
-    u_map,
     verify_structure,
 )
 from wallach_geo import accel, catalog
@@ -103,7 +99,7 @@ def test_grid_defects_match_per_t_calls(spaces):
             lift = curve.evaluate(GRID)
             assert lift.shape == (len(GRID),) + (dec.context.ambient_size,) * 2
             for k, t in enumerate(GRID):
-                assert np.abs(lift[k] - ref.evaluate(t).matrix).max() <= 1e-13
+                assert np.abs(lift[k] - ref.evaluate(t)).max() <= 1e-13
 
 
 def test_defects_at_one_t_form_the_phase_vector_once(stiefel3, monkeypatch):
@@ -219,19 +215,23 @@ def test_a_new_metric_builds_no_dense_operator(spaces):
     assert len(table.base) - gw_entries <= dm * d * dm
 
 
+def _lift(dec, X, t):
+    """exp(tX) in the ambient group, as a one-factor curve lifts it."""
+    return ProductExpCurve(dec, [X]).evaluate(t)
+
+
 def test_grid_coset_distances_match_per_pair(spaces):
     """Batched coset distances agree with per-pair calls within 1e-12
     relative; a single pair still gives a float."""
     rng = make_rng(501)
     for dec in spaces.values():
-        ctx = dec.context
         curve = ProductExpCurve(dec, [dec.random_module_vector(p, rng) for p in ("m1", "m2")])
         a = curve.evaluate(GRID)
-        b = np.array([m @ matrix_exp(dec.random_module_vector("m", rng), 0.3).matrix for m in a])
+        b = np.array([m @ _lift(dec, dec.random_module_vector("m", rng), 0.3) for m in a])
         batched = coset_distance(a, b, dec)
         assert batched.shape == (len(GRID),)
         for k in range(len(GRID)):
-            single = coset_distance(GroupElement(ctx, a[k]), GroupElement(ctx, b[k]), dec)
+            single = coset_distance(a[k], b[k], dec)
             assert isinstance(single, float)
             assert abs(batched[k] - single) <= 1e-12 * single
             assert single > 0.1
@@ -242,23 +242,27 @@ def test_grid_coset_distance_rejects_one_out_of_chart_pair(stiefel3):
     curve = ProductExpCurve(stiefel3, [stiefel3.random_module_vector("m", rng)])
     a = curve.evaluate(GRID)
     b = a.copy()
-    b[7] = a[7] @ matrix_exp(stiefel3.random_module_vector("m1", rng), 7.0).matrix
+    b[7] = a[7] @ _lift(stiefel3, stiefel3.random_module_vector("m1", rng), 7.0)
     coset_distance(a, a, stiefel3)
     with pytest.raises(OutOfChartError, match="outside the principal-logarithm chart"):
         coset_distance(a, b, stiefel3)
 
 
 def _element_wise_shot(dec, g, v0, t_end, steps):
-    """RK4 on (a, v) with full coefficient vectors and one u_map per stage."""
+    """RK4 on (a, v) with full coefficient vectors and one U(v, v) per stage,
+    S (v[A] v[B]) on m-coordinates from the metric's pair matrix."""
     ctx = dec.context
     n = ctx.ambient_size
     basis_flat = ctx.basis.reshape(ctx.dim, n * n)
     a, v = np.eye(n), v0.coeffs * dec.part_masks["m"]
     h = t_end / steps
+    S, A, B = g.u_pairs
+    mi = g.m_indices
 
     def stage(am, vc):
-        V = AlgebraElement(ctx, vc)
-        return am @ (vc @ basis_flat).reshape(n, n), -u_map(g, V, V).coeffs
+        u = np.zeros(ctx.dim)
+        u[mi] = S.dot(vc[mi][A] * vc[mi][B])
+        return am @ (vc @ basis_flat).reshape(n, n), -u
 
     points = [(a, v)]
     for _ in range(steps):

@@ -1,4 +1,5 @@
-"""Diagonal metrics, the U-map and pullback velocities."""
+"""Diagonal metrics, the U map of the metric's pair matrix and pullback
+velocities."""
 
 import numpy as np
 import pytest
@@ -8,10 +9,8 @@ from wallach_geo import (
     DiagonalMetric,
     InvalidMetricError,
     ProductExpCurve,
-    bracket,
     closed_form_geodesic,
-    inner,
-    u_map,
+    killing_norm,
 )
 from wallach_geo import accel
 from .conftest import dense_c, dense_u, dense_u_operator, make_rng
@@ -59,14 +58,29 @@ def test_gram_is_formed_on_first_read(spaces):
             assert g.gram.tobytes() == full[m[:, None], m].tobytes(), name
 
 
+def _u(g, x, y=None):
+    """U(X, Y) as a coefficient vector (0 on k) from the coefficient vectors
+    x and y, through the metric's pair matrix as shooting reads it:
+    S (x[A] x[B]) on m-coordinates at X = Y, and by polarization
+    (U(X + Y, X + Y) - U(X - Y, X - Y)) / 4 otherwise."""
+    if y is not None:
+        return 0.25 * (_u(g, x + y) - _u(g, x - y))
+    S, A, B = g.u_pairs
+    v = x[g.m_indices]
+    u = np.zeros(len(x))
+    u[g.m_indices] = S.dot(v[A] * v[B])
+    return u
+
+
 def test_inner_discards_k_components(stiefel3):
     rng = make_rng(0)
     g = DiagonalMetric(stiefel3, (1.0, 2.0, 0.5))
     ctx = stiefel3.context
-    X = ctx.element(rng.standard_normal(ctx.dim))
-    Xm = stiefel3.project(X, "m")
-    Y = ctx.element(rng.standard_normal(ctx.dim))
-    assert inner(g, X, Y) == pytest.approx(inner(g, Xm, Y), abs=1e-12)
+    x = rng.standard_normal(ctx.dim)
+    xm = x * stiefel3.part_masks["m"]
+    y = rng.standard_normal(ctx.dim)
+    G = g.gram_full
+    assert x @ G @ y == pytest.approx(xm @ G @ y, abs=1e-12)
 
 
 def test_inner_positive_definite_on_m(spaces):
@@ -74,8 +88,8 @@ def test_inner_positive_definite_on_m(spaces):
     for dec in spaces.values():
         g = DiagonalMetric(dec, (0.4, 1.0, 2.5))
         for _ in range(5):
-            v = dec.random_module_vector("m", rng)
-            assert inner(g, v, v) > 0
+            v = dec.random_module_vector("m", rng).coeffs
+            assert v @ g.gram_full @ v > 0
 
 
 def test_u_map_closed_form_on_cross_module_pairs(spaces):
@@ -86,12 +100,14 @@ def test_u_map_closed_form_on_cross_module_pairs(spaces):
     for dec in spaces.values():
         g = DiagonalMetric(dec, lambdas)
         for (i, j, k) in ((1, 2, 3), (2, 3, 1), (3, 1, 2), (2, 1, 3)):
-            X = dec.random_module_vector(f"m{i}", rng)
-            Y = dec.random_module_vector(f"m{j}", rng)
-            got = u_map(g, X, Y)
+            x = dec.random_module_vector(f"m{i}", rng).coeffs
+            y = dec.random_module_vector(f"m{j}", rng).coeffs
+            got = _u(g, x, y)
             li, lj, lk = (lambdas[q - 1] for q in (i, j, k))
-            expect = ((lj - li) / (2.0 * lk)) * bracket(X, Y)
-            assert np.abs(got.coeffs - expect.coeffs).max() < 1e-10
+            expect = ((lj - li) / (2.0 * lk)) * accel.bracket_coeffs(
+                dec.context.structure_entries, x, y
+            )
+            assert np.abs(got - expect).max() < 1e-10
 
 
 def test_u_map_matches_gram_solve_reference(spaces):
@@ -112,37 +128,37 @@ def test_u_map_matches_gram_solve_reference(spaces):
             )
             ref = np.zeros(dec.context.dim)
             ref[g.m_indices] = 0.5 * (G_inv @ rhs)
-            got = u_map(g, X, Y).coeffs
+            got = _u(g, x, y)
             assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
-def _pair_u_excess(g, pairs):
-    """The largest |u_map(g, X, Y) - U(X, Y)| on m over the (X, Y) pairs,
-    less the rounding bound 16 eps sum |Q| |x (x) y| (the sum of the
-    absolute terms), for U of the dense reference Q: <= 0 to rounding."""
+def _u_excess(g, draws):
+    """The largest |S (x[A] x[B]) - U(X, X)| on m over the draws X, for the
+    metric's pair matrix S and U of the dense reference Q, less the rounding
+    bound 16 eps sum |Q| |x (x) x| (the sum of the absolute terms): <= 0 to
+    rounding."""
     Q, mi, excess = dense_u_operator(g), g.m_indices, -np.inf
-    for X, Y in pairs:
-        x, y = X.coeffs[mi], Y.coeffs[mi]
-        got = u_map(g, X, Y).coeffs
-        assert not got[g.dec.part_indices["k"]].any()
-        bound = 16 * np.finfo(float).eps * dense_u(np.abs(Q), np.abs(x), np.abs(y))
-        excess = max(excess, (np.abs(got[mi] - dense_u(Q, x, y)) - bound).max())
+    S, A, B = g.u_pairs
+    for X in draws:
+        x = X.coeffs[mi]
+        got = S.dot(x[A] * x[B])
+        bound = 16 * np.finfo(float).eps * dense_u(np.abs(Q), np.abs(x))
+        excess = max(excess, (np.abs(got - dense_u(Q, x)) - bound).max())
     return excess
 
 
 def test_pair_matrix_reproduces_the_dense_u_operator(spaces):
-    """The metric's pair matrix, read from the defect table, gives U(X, Y)
-    of the dense gather of c to rounding, on every space at a metric on a
-    solution locus and one off all of them; dropping one pair (its
-    largest column) breaks the agreement.  On product-spheres U vanishes
-    and there is no pair to drop."""
+    """The metric's pair matrix, read from the defect table, gives U(X, X)
+    of the dense gather of c to rounding, as shooting reads it, on every
+    space at a metric on a solution locus and one off all of them; dropping
+    one pair (its largest column) breaks the agreement.  On product-spheres
+    U vanishes and there is no pair to drop."""
     rng = make_rng(21)
     for dec in spaces.values():
         for lambdas in ((1.0, 1.0, 0.5), (0.8, 1.3, 2.1)):
             g = DiagonalMetric(dec, lambdas)
             draws = [dec.random_module_vector("m", rng) for _ in range(3)]
-            pairs = [(draws[0], draws[1]), (draws[1], draws[2]), (draws[2], draws[2])]
-            assert _pair_u_excess(g, pairs) <= 0.0, (dec.name, lambdas)
+            assert _u_excess(g, draws) <= 0.0, (dec.name, lambdas)
             S, A, B = g.u_pairs
             assert (A <= B).all() and len(set(zip(A, B))) == len(A)
             if not len(A):
@@ -150,30 +166,31 @@ def test_pair_matrix_reproduces_the_dense_u_operator(spaces):
             dropped = S.copy()
             dropped[:, np.abs(S).max(axis=0).argmax()] = 0.0
             g.u_pairs = (dropped, A, B)
-            assert _pair_u_excess(g, pairs) > 0.0, (dec.name, lambdas)
+            assert _u_excess(g, draws) > 0.0, (dec.name, lambdas)
 
 
 def test_u_map_vanishes_on_single_module_arguments(stiefel3):
     rng = make_rng(3)
     g = DiagonalMetric(stiefel3, (1.0, 1.7, 0.6))
     for part in ("m1", "m2", "m3"):
-        X = stiefel3.random_module_vector(part, rng)
-        assert u_map(g, X, X).norm_b() < 1e-12
+        x = stiefel3.random_module_vector(part, rng).coeffs
+        assert killing_norm(stiefel3.context, _u(g, x)) < 1e-12
 
 
 def test_u_map_defining_identity(su3):
     rng = make_rng(4)
     g = DiagonalMetric(su3, (1.0, 0.8, 2.2))
-    X = su3.random_module_vector("m", rng)
-    Y = su3.random_module_vector("m", rng)
-    U = u_map(g, X, Y)
+    x = su3.random_module_vector("m", rng).coeffs
+    y = su3.random_module_vector("m", rng).coeffs
+    U = _u(g, x, y)
+    c, mask, G = su3.context.structure_entries, su3.part_masks["m"], g.gram_full
     for w in range(su3.context.dim):
-        Z = su3.context.element(np.eye(su3.context.dim)[w])
-        if su3.part_masks["m"][w] == 0:
+        z = np.eye(su3.context.dim)[w]
+        if mask[w] == 0:
             continue
-        lhs = 2.0 * inner(g, U, Z)
-        rhs = inner(g, su3.project(bracket(Z, X), "m"), Y) + inner(
-            g, X, su3.project(bracket(Z, Y), "m")
+        lhs = 2.0 * (U @ G @ z)
+        rhs = (accel.bracket_coeffs(c, z, x) * mask) @ G @ y + x @ G @ (
+            accel.bracket_coeffs(c, z, y) * mask
         )
         assert lhs == pytest.approx(rhs, abs=1e-10)
 
@@ -181,13 +198,11 @@ def test_u_map_defining_identity(su3):
 def test_u_map_symmetry_and_bilinearity(so222):
     rng = make_rng(5)
     g = DiagonalMetric(so222, (1.0, 2.0, 0.3))
-    X = so222.random_module_vector("m", rng)
-    Y = so222.random_module_vector("m", rng)
-    Z = so222.random_module_vector("m", rng)
-    assert np.abs(u_map(g, X, Y).coeffs - u_map(g, Y, X).coeffs).max() < 1e-10
-    lhs = u_map(g, 2.0 * X + Z, Y)
-    rhs = 2.0 * u_map(g, X, Y) + u_map(g, Z, Y)
-    assert np.abs(lhs.coeffs - rhs.coeffs).max() < 1e-10
+    x, y, z = (so222.random_module_vector("m", rng).coeffs for _ in range(3))
+    assert np.abs(_u(g, x, y) - _u(g, y, x)).max() < 1e-10
+    lhs = _u(g, 2.0 * x + z, y)
+    rhs = 2.0 * _u(g, x, y) + _u(g, z, y)
+    assert np.abs(lhs - rhs).max() < 1e-10
 
 
 def test_pullback_velocity_matches_finite_difference(stiefel3):
@@ -199,9 +214,9 @@ def test_pullback_velocity_matches_finite_difference(stiefel3):
     h = 1e-6
     for t in (0.0, 0.7, 1.9):
         w, _ = curve.body_velocity(t)
-        a0 = curve.evaluate(t).matrix
-        a1 = curve.evaluate(t + h).matrix
-        fd = ctx.coefficients_of(accel.logm(np.linalg.solve(a0, a1)) / h, check=False)
+        a0 = curve.evaluate(t)
+        a1 = curve.evaluate(t + h)
+        fd = ctx.coefficients_of(accel.logm(np.linalg.solve(a0, a1)) / h)
         assert np.abs(w - fd).max() < 1e-5
 
 
@@ -218,11 +233,11 @@ def test_k_gauge_covariance(stiefel3):
 
     def pullback_velocity(curve, t):
         """The m-part of the body velocity of the curve's lift."""
-        return stiefel3.project(ctx.element(curve.body_velocity(t)[0]), "m")
+        return curve.body_velocity(t)[0] * stiefel3.part_masks["m"]
 
     for t in (0.3, 1.1):
         v1 = pullback_velocity(base, t)
         v2 = pullback_velocity(gauged, t)
         R = expm(-t * ctx.ad_matrix(zeta.coeffs))
-        assert np.abs(v2.coeffs - R @ v1.coeffs).max() < 1e-10
-        assert inner(g, v1, v1) == pytest.approx(inner(g, v2, v2), abs=1e-10)
+        assert np.abs(v2 - R @ v1).max() < 1e-10
+        assert v1 @ g.gram_full @ v1 == pytest.approx(v2 @ g.gram_full @ v2, abs=1e-10)
